@@ -194,7 +194,11 @@ class GroupSpec:
                                 continue
                             for alpha in range(1, q):
                                 out.append(((m00, m01, m10, m11), alpha))
-        assert len(out) == aut_group_order(self)
+        if len(out) != aut_group_order(self):
+            raise RuntimeError(
+                f"tabulated {len(out)} automorphisms, but |Aut(A)| = "
+                f"{aut_group_order(self)}"
+            )
         return tuple(out)
 
     @cached_property
@@ -334,7 +338,12 @@ class GroupSpec:
             if q > 2:
                 descs.append(((1, 0, 0, 1), primitive_root(q)))
         gens = tuple(self.aut_index[f] for f in descs)
-        assert len(aut_closure(self, gens)) == self.n_aut
+        got = len(aut_closure(self, gens))
+        if got != self.n_aut:
+            raise RuntimeError(
+                f"the automorphism generators close to {got} elements, "
+                f"not |Aut(A)| = {self.n_aut}"
+            )
         return gens
 
     @cached_property

@@ -128,7 +128,10 @@ def bset_for(q: int) -> tuple[int, ...]:
     for k in range(2, q - 1):
         reps.add(min(k, pow(k, -1, q)))
     out = tuple(sorted(reps))
-    assert len(out) == (q + 3) // 2
+    if len(out) != (q + 3) // 2:
+        raise RuntimeError(
+            f"B-set for q = {q} has {len(out)} elements, not (q + 3) / 2"
+        )
     return out
 
 

@@ -45,8 +45,6 @@ __all__ = [
     "is_regular",
     "pi1",
     "pi2",
-    "enumerate_regular",
-    "naive_oracle_enumerate",
     "regular_subgroups_structured",
     "regular_subgroups_oracle",
     "orbit_partition",
@@ -81,16 +79,20 @@ def pi2(G: HolSubgroup) -> frozenset[int]:
     """Projection of G to Aut(A) (automorphism indices)."""
     spec = G.spec
     out = frozenset(h % spec.n_aut for h in G.elements)
-    if G.order == spec.n:
+    if G.order == spec.n and gcd(spec.n, spec.n_aut) % len(out) != 0:
         # For a regular subgroup |pi2| = |G| / |ker| divides both |A| and |Aut|.
-        assert gcd(spec.n, spec.n_aut) % len(out) == 0
+        raise RuntimeError(
+            f"|pi2| = {len(out)} of an order-{spec.n} subgroup does not divide "
+            f"gcd(|A|, |Aut(A)|) = {gcd(spec.n, spec.n_aut)}"
+        )
     return out
 
 
 def is_regular(G: HolSubgroup) -> bool:
     """Simply transitive action on the carrier.
 
-    Three equivalent criteria are evaluated and asserted to agree:
+    Three equivalent criteria are evaluated and must agree (RuntimeError
+    otherwise):
     |G| = |A| with surjective first projection; |G| = |A| with trivial
     intersection with 1 x Aut(A); and direct simple transitivity of the
     orbit of 0.
@@ -108,7 +110,11 @@ def is_regular(G: HolSubgroup) -> bool:
     by_action = len(parts) == n and all(
         i == a for i, a in enumerate(parts)
     )
-    assert by_projection == by_stabilizer == by_action
+    if not by_projection == by_stabilizer == by_action:
+        raise RuntimeError(
+            "regularity criteria disagree: projection "
+            f"{by_projection}, stabilizer {by_stabilizer}, action {by_action}"
+        )
     return by_projection
 
 
@@ -273,14 +279,18 @@ def _lift_search(
     pruning: bool,
     lifts: str,
 ) -> list[HolSubgroup]:
-    """All regular subgroups with projection in the given Aut-class and the
-    given kernel, found by closing lifted generator tuples.
+    """Every regular subgroup with projection in the given Aut-class and the
+    given kernel, each returned once, found by closing lifted generator tuples.
 
-    Lift tuples range over the full carrier per generator ("full") or over a
-    transversal of the kernel ("transversal"); replacing a lift by a kernel
-    coset-mate provably generates the same subgroup, so the two modes agree.
-    The (K)/(R) prunes (kernel invariance, power relations landing in the
-    kernel) only skip tuples whose closure would fail anyway.
+    Each generator's lift ranges over a transversal of the kernel N
+    ("transversal").  Replacing a lift u by a coset mate u + t (t in N) gives
+    (t, 1)(u, alpha), which the seed N already supplies, so it closes to the
+    same subgroup; a regular subgroup meets A x {alpha} in exactly one coset
+    of N, so every such subgroup is closed exactly once.  "full" ranges over
+    the whole carrier instead; it is a cross-check that returns the same set
+    after |N|^g times the closures, not a production mode.  The (K)/(R)
+    prunes (kernel invariance, power relations landing in the kernel) only
+    skip tuples whose closure would fail anyway.
     """
     n, n_aut = spec.n, spec.n_aut
     ident = spec.identity_aut
@@ -297,14 +307,9 @@ def _lift_search(
     gens_aut = cls.generators
     N_hol = frozenset(a * n_aut + ident for a in N)
     seed_gens = tuple(a * n_aut + ident for a in _additive_generators(spec, N))
-    if lifts == "full":
-        domain = list(range(n))
-    elif lifts == "transversal":
-        domain = _kernel_transversal(spec, N)
-    else:
-        raise ValueError(f"unknown lift mode {lifts!r}")
+    domain = list(range(n)) if lifts == "full" else _kernel_transversal(spec, N)
     aut_orders = spec.aut_orders
-    out: list[HolSubgroup] = []
+    found: dict[frozenset[int], HolSubgroup] = {}
     for tup in itertools.product(domain, repeat=len(gens_aut)):
         if pruning:
             # (R): (u, alpha)^ord(alpha) is a pure translation; it must lie in N.
@@ -329,11 +334,15 @@ def _lift_search(
             forbid_pure_aut=True,
             forbid_dup_pi1=True,
         )
-        if got is not None and len(got) == n:
+        if got is not None and len(got) == n and got not in found:
             G = HolSubgroup(spec, got, seed_gens + gens_hol)
-            assert is_regular(G)
-            out.append(G)
-    return out
+            if not is_regular(G):
+                raise RuntimeError(
+                    f"lift search closed a non-regular subgroup (k={k}, "
+                    f"class {class_index}, kernel {kernel_index})"
+                )
+            found[got] = G
+    return list(found.values())
 
 
 def _lift_worker(args: tuple) -> list[tuple[int, ...]]:
@@ -342,19 +351,27 @@ def _lift_worker(args: tuple) -> list[tuple[int, ...]]:
     return [G.key for G in _lift_search(spec, k, ci, ni, pruning, lifts)]
 
 
+_LIFT_MODES = ("transversal", "full")
+
+
 def regular_subgroups_structured(
     spec: GroupSpec,
     *,
     pruning: bool = True,
-    lifts: str = "full",
+    lifts: str = "transversal",
     jobs: int = 1,
 ) -> list[HolSubgroup]:
-    """Every regular subgroup of Hol(A) reachable from some (K, N) pair.
+    """Every regular subgroup of Hol(A) reachable from some (K, N) pair,
+    sorted by key.
 
-    The output contains at least one member of every conjugacy class (a
-    conjugate of any regular subgroup appears for the conjugated data), and
-    with full lifts it contains every regular subgroup outright.
+    K runs over Aut(A)-class representatives of each projection order, so the
+    output holds at least one member of every conjugacy class (a conjugate of
+    any regular subgroup appears for the conjugated data).  `lifts` picks the
+    lift domain of `_lift_search`: "transversal" (the default) or "full", a
+    cross-check that returns the same list more slowly.
     """
+    if lifts not in _LIFT_MODES:
+        raise ValueError(f"unknown lift mode {lifts!r}; expected one of {_LIFT_MODES}")
     items = _work_items(spec)
     found: dict[tuple[int, ...], HolSubgroup] = {}
     if jobs > 1:
@@ -492,32 +509,14 @@ def regular_subgroups_oracle(
 
     survivors = [results[k] for k in sorted(results)]
     for G in survivors:
-        assert is_regular(G)
+        if not is_regular(G):
+            raise RuntimeError(
+                f"oracle survivor of order {G.order} is not regular"
+            )
     return survivors
 
 
 # ---------------- top level + reporting ----------------
-
-
-def enumerate_regular(
-    spec: GroupSpec,
-    *,
-    pruning: bool = True,
-    lifts: str = "full",
-    jobs: int = 1,
-) -> list[OrbitClass]:
-    """Conjugacy classes of regular subgroups, via the structured route."""
-    subs = regular_subgroups_structured(
-        spec, pruning=pruning, lifts=lifts, jobs=jobs
-    )
-    return orbit_partition(subs, spec)
-
-
-def naive_oracle_enumerate(
-    spec: GroupSpec, bound: int = 100_000
-) -> list[OrbitClass]:
-    """Conjugacy classes of regular subgroups, via the naive oracle."""
-    return orbit_partition(regular_subgroups_oracle(spec, bound), spec)
 
 
 @dataclass

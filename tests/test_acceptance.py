@@ -128,13 +128,12 @@ def test_criterion_05_pair_3_7():
     assert _cells_match(3, 7, "cyclic") and _cells_match(3, 7, "mixed")
     assert _oracle_agrees(3, 7, "cyclic")
     # structured self-consistency for the mixed carrier: pruning and the
-    # lift-domain reduction must not change the answer
+    # lift-domain reduction must not change the answer, so the default is
+    # held to the unpruned search and to the full (every-lift) cross-check
     spec = group_spec(3, 7, Kind.MIXED)
     base = {G.key for G in structured_subgroups(3, 7, "mixed")}
     assert base == {G.key for G in regular_subgroups_structured(spec, pruning=False)}
-    assert base == {
-        G.key for G in regular_subgroups_structured(spec, lifts="transversal")
-    }
+    assert base == {G.key for G in regular_subgroups_structured(spec, lifts="full")}
     return "11 classes (5 cyclic + 6 mixed), oracle agrees (cyclic), structured self-consistent (mixed)"
 
 

@@ -22,7 +22,7 @@ from braceforge.brace import (
 )
 from braceforge.catalog import cyclic_pq_brace, trivial_brace
 
-from helpers import catalog, orbits
+from helpers import DESK_PAIRS, catalog, orbits
 
 
 def test_trivial_brace_is_the_additive_group_twice():
@@ -89,6 +89,15 @@ def test_bi_skew_equals_lambda_additivity():
     for p, q in [(3, 2), (2, 5), (3, 7), (2, 7)]:
         for e in catalog(p, q):
             assert is_bi_skew(e.brace) == lambda_is_additive(e.brace), e.family
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "mixed"])
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
+def test_invariant_bi_skew_matches_the_triple_scan(p, q, kind):
+    # brace_invariants takes bi_skew from lambda_is_additive; the n^3 scan
+    # stays the independent check on every class representative
+    for oc in orbits(p, q, kind):
+        assert is_bi_skew(oc.brace) == oc.invariants.bi_skew, str(oc.invariants)
 
 
 def test_sylow_ideals_follow_the_congruences():

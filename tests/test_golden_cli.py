@@ -1,0 +1,34 @@
+"""CLI output must stay byte-identical to the stored golden files.
+
+The files under data/golden hold the stdout of each command line below;
+regenerate one only for a change that means to alter the output, e.g.
+``braceforge compare --p 7 --q 3 > tests/data/golden/compare_p7_q3.txt``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from braceforge import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = [
+    ("compare_p7_q3.txt", ["compare", "--p", "7", "--q", "3"]),
+    (
+        "compare_p3_q19_mixed.txt",
+        ["compare", "--p", "3", "--q", "19", "--additive", "mixed"],
+    ),
+    (
+        "enumerate_p5_q13.json",
+        ["enumerate", "--p", "5", "--q", "13", "--format", "json"],
+    ),
+]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(capsys, name, argv):
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()

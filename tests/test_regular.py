@@ -2,10 +2,13 @@
 
 import pytest
 
+from braceforge import regular
 from braceforge.algebra import HolSubgroup, Kind, _hol_closure, closure, group_spec
 from braceforge.cases import CongruenceCase
 from braceforge.regular import (
     OracleBoundError,
+    _lift_search,
+    _work_items,
     is_regular,
     orbit_min_key,
     orbit_partition,
@@ -79,10 +82,36 @@ def test_oracle_covers_structured_and_orbits_agree(p, q, kind):
 )
 def test_pruning_and_lift_mode_do_not_change_the_result(p, q, kind):
     spec = group_spec(p, q, kind)
-    base = {G.key for G in structured_subgroups(p, q, kind)}
-    unpruned = {G.key for G in regular_subgroups_structured(spec, pruning=False)}
-    transversal = {G.key for G in regular_subgroups_structured(spec, lifts="transversal")}
-    assert base == unpruned == transversal
+    base = [G.key for G in structured_subgroups(p, q, kind)]
+    unpruned = [G.key for G in regular_subgroups_structured(spec, pruning=False)]
+    full = [G.key for G in regular_subgroups_structured(spec, lifts="full")]
+    assert base == unpruned == full
+
+
+@pytest.mark.parametrize("p,q,kind", [(3, 2, "mixed"), (2, 5, "mixed")])
+def test_each_lift_search_returns_every_subgroup_once(p, q, kind):
+    # full lifts close every kernel-coset mate, so they are where duplicates
+    # would come from; both domains must return the same distinct subgroups
+    spec = group_spec(p, q, kind)
+    for k, ci, ni in _work_items(spec):
+        full = [G.key for G in _lift_search(spec, k, ci, ni, True, "full")]
+        transversal = [G.key for G in _lift_search(spec, k, ci, ni, True, "transversal")]
+        assert len(set(full)) == len(full)
+        assert sorted(full) == sorted(transversal)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_lift_mode_is_rejected_up_front(jobs):
+    spec = group_spec(3, 2, Kind.CYCLIC)
+    with pytest.raises(ValueError, match="bogus"):
+        regular_subgroups_structured(spec, lifts="bogus", jobs=jobs)
+
+
+def test_oracle_refuses_a_non_regular_survivor(monkeypatch):
+    # the survivor check is an exception, not an assert, so python -O keeps it
+    monkeypatch.setattr(regular, "is_regular", lambda G: False)
+    with pytest.raises(RuntimeError, match="not regular"):
+        regular_subgroups_oracle(group_spec(3, 2, Kind.CYCLIC))
 
 
 def test_parallel_jobs_agree_with_serial():
