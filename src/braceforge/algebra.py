@@ -1,11 +1,15 @@
 """Carriers Z_{p^2 q} and Z_p x Z_p x Z_q, their automorphism groups, and
 holomorph arithmetic.
 
-Elements and automorphisms are given small-integer indices; all hot paths run
-on flat lookup tables.  Index encoding (stable, used by every serialized
-artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) ->
-a + p*b + p^2*c.  Matrices act on column vectors in the ordered basis of the
-two order-p generators.
+Elements and automorphisms are given small-integer indices.  The carrier's
+addition is one flat table.  Aut(A) is held only as its descriptors (a tuple,
+its index, and the same rows as one numpy array); the action and composition
+of automorphisms are computed from them for the automorphisms a call names
+(vectorized over index arrays, or cached per index for the pure-Python
+closure loops), never tabulated for all of Aut(A).  Index encoding (stable, used by every serialized artifact): CYCLIC
+(n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) -> a + p*b + p^2*c.
+Matrices act on column vectors in the ordered basis of the two order-p
+generators.
 """
 
 from __future__ import annotations
@@ -43,10 +47,6 @@ __all__ = [
 Element = tuple  # (n, m) for CYCLIC, (a, b, c) for MIXED
 AutDesc = tuple  # (i, j) for CYCLIC, ((m00, m01, m10, m11), alpha) for MIXED
 
-# Full compose tables are cheap below this automorphism-group size; above it
-# compositions are memoized on demand.
-_COMPOSE_TABLE_MAX = 1024
-
 
 class Kind(str, Enum):
     """Which abelian carrier of order p^2*q."""
@@ -57,6 +57,24 @@ class Kind(str, Enum):
 
 class ClosureCapError(RuntimeError):
     """A closure exceeded its configured size cap."""
+
+
+class _Memo(dict):
+    """A dict that computes a missing value from its key and keeps it.
+
+    Lookups that hit run at plain-dict speed, which is what the closure loops
+    need from the per-automorphism caches.
+    """
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: int):
+        value = self[key] = self._compute(key)
+        return value
 
 
 class GroupSpec:
@@ -205,7 +223,7 @@ class GroupSpec:
     def aut_index(self) -> dict[AutDesc, int]:
         return {f: k for k, f in enumerate(self.aut_descriptors)}
 
-    @property
+    @cached_property
     def n_aut(self) -> int:
         return len(self.aut_descriptors)
 
@@ -255,71 +273,135 @@ class GroupSpec:
         )
 
     @cached_property
-    def apply_np(self) -> np.ndarray:
-        """apply table on indices, shape (n_aut, n), int32."""
+    def aut_array(self) -> np.ndarray:
+        """The descriptors as an int64 array, row k for automorphism k: columns
+        (i, j) for CYCLIC, (m00, m01, m10, m11, alpha) for MIXED."""
+        if self.kind is Kind.CYCLIC:
+            return np.array(self.aut_descriptors, dtype=np.int64)
+        return np.array(
+            [(*m, alpha) for m, alpha in self.aut_descriptors], dtype=np.int64
+        )
+
+    def _aut_codes(self, D: np.ndarray) -> np.ndarray:
+        """Dense integer code of each descriptor row (last axis of D)."""
+        p = self.p
+        if self.kind is Kind.CYCLIC:
+            return D[..., 0] + p * p * D[..., 1]
+        return (
+            D[..., 0] + p * D[..., 1] + p**2 * D[..., 2] + p**3 * D[..., 3]
+            + p**4 * D[..., 4]
+        )
+
+    @cached_property
+    def _aut_code_index(self) -> np.ndarray:
+        """Descriptor code -> automorphism index; -1 where the code is not an
+        automorphism.  Size p^2 q (CYCLIC) or p^4 q (MIXED)."""
+        p, q = self.p, self.q
+        size = p * p * q if self.kind is Kind.CYCLIC else p**4 * q
+        table = np.full(size, -1, dtype=np.intp)
+        table[self._aut_codes(self.aut_array)] = np.arange(self.n_aut)
+        return table
+
+    def _compose_arrays(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Descriptor rows of f o g for descriptor rows f in A, g in B
+        (broadcast over the leading axes)."""
+        p, q = self.p, self.q
+        if self.kind is Kind.CYCLIC:
+            return np.stack(
+                (A[..., 0] * B[..., 0] % (p * p), A[..., 1] * B[..., 1] % q), axis=-1
+            )
+        a0, a1, a2, a3, a4 = (A[..., c] for c in range(5))
+        b0, b1, b2, b3, b4 = (B[..., c] for c in range(5))
+        return np.stack(
+            (
+                (a0 * b0 + a1 * b2) % p,
+                (a0 * b1 + a1 * b3) % p,
+                (a2 * b0 + a3 * b2) % p,
+                (a2 * b1 + a3 * b3) % p,
+                a4 * b4 % q,
+            ),
+            axis=-1,
+        )
+
+    def compose_many(self, F, G) -> np.ndarray:
+        """Indices of f o g, elementwise over the broadcast index arrays F, G."""
+        D = self.aut_array
+        C = self._compose_arrays(D[np.asarray(F)], D[np.asarray(G)])
+        return self._aut_code_index[self._aut_codes(C)]
+
+    def apply_rows(self, F) -> np.ndarray:
+        """Action of each automorphism in F on element indices: shape
+        (len(F), n), int32, row r the image of every element under F[r]."""
         p, q, n = self.p, self.q, self.n
+        D = self.aut_array[np.asarray(F, dtype=np.intp)]
         idx = np.arange(n)
-        rows = np.empty((self.n_aut, n), dtype=np.int32)
         if self.kind is Kind.CYCLIC:
             nn, mm = idx % (p * p), idx // (p * p)
-            for k, (i, j) in enumerate(self.aut_descriptors):
-                rows[k] = (i * nn) % (p * p) + p * p * ((j * mm) % q)
+            rows = D[:, 0:1] * nn % (p * p) + p * p * (D[:, 1:2] * mm % q)
         else:
             aa, bb, cc = idx % p, (idx // p) % p, idx // (p * p)
-            for k, ((m00, m01, m10, m11), alpha) in enumerate(self.aut_descriptors):
-                rows[k] = (
-                    (m00 * aa + m01 * bb) % p
-                    + p * ((m10 * aa + m11 * bb) % p)
-                    + p * p * ((alpha * cc) % q)
-                )
-        return rows
+            rows = (
+                (D[:, 0:1] * aa + D[:, 1:2] * bb) % p
+                + p * ((D[:, 2:3] * aa + D[:, 3:4] * bb) % p)
+                + p * p * (D[:, 4:5] * cc % q)
+            )
+        return rows.astype(np.int32)
+
+    def aut_row(self, f: int) -> list[int]:
+        """Action of automorphism f on element indices, cached per index."""
+        return self._aut_rows[f]
 
     @cached_property
-    def apply_flat(self) -> list[int]:
-        return self.apply_np.ravel().tolist()
-
-    @cached_property
-    def compose_flat(self) -> list[int] | None:
-        """Full compose table (f*n_aut + g -> index), or None when too large."""
-        if self.n_aut > _COMPOSE_TABLE_MAX:
-            return None
-        descs, index = self.aut_descriptors, self.aut_index
-        out = []
-        for f in descs:
-            for g in descs:
-                out.append(index[self.compose_desc(f, g)])
-        return out
+    def _aut_rows(self) -> _Memo:
+        return _Memo(lambda f: self.apply_rows([f])[0].tolist())
 
     def compose_idx(self, f: int, g: int) -> int:
-        table = self.compose_flat
-        if table is not None:
-            return table[f * self.n_aut + g]
-        memo = self._compose_memo
-        key = f * self.n_aut + g
-        got = memo.get(key)
-        if got is None:
-            descs = self.aut_descriptors
-            got = memo[key] = self.aut_index[self.compose_desc(descs[f], descs[g])]
-        return got
+        """Index of f o g, memoized per pair."""
+        return self._compose_memo[f * self.n_aut + g]
 
     @cached_property
-    def _compose_memo(self) -> dict[int, int]:
-        return {}
+    def _compose_memo(self) -> _Memo:
+        """f * n_aut + g -> index of f o g, filled on first use."""
+        descs, index, n_aut = self.aut_descriptors, self.aut_index, self.n_aut
+
+        def compose(key: int) -> int:
+            f, g = divmod(key, n_aut)
+            return index[self.compose_desc(descs[f], descs[g])]
+
+        return _Memo(compose)
+
+    def aut_order(self, f: int) -> int:
+        """Multiplicative order of automorphism f, computed once per index."""
+        return self._order_memo[f]
 
     @cached_property
-    def aut_inverse(self) -> list[int]:
-        return [self.aut_index[self.invert_desc(f)] for f in self.aut_descriptors]
+    def _order_memo(self) -> _Memo:
+        descs = self.aut_descriptors
+        ident = descs[self.identity_aut]
 
-    @cached_property
-    def aut_orders(self) -> list[int]:
-        out = []
-        for k, f in enumerate(self.aut_descriptors):
-            o, g = 1, f
-            while g != self.aut_descriptors[self.identity_aut]:
-                g = self.compose_desc(g, f)
+        def order(f: int) -> int:
+            o, g = 1, descs[f]
+            while g != ident:
+                g = self.compose_desc(g, descs[f])
                 o += 1
-            out.append(o)
-        return out
+            return o
+
+        return _Memo(order)
+
+    def aut_torsion(self, k: int) -> np.ndarray:
+        """Ascending indices of the automorphisms f with f^k = id, found by one
+        square-and-multiply over the whole descriptor array."""
+        D = self.aut_array
+        ident = D[self.identity_aut]
+        acc = np.broadcast_to(ident, D.shape)
+        base, e = D, k
+        while e:
+            if e & 1:
+                acc = self._compose_arrays(acc, base)
+            e >>= 1
+            if e:
+                base = self._compose_arrays(base, base)
+        return np.flatnonzero((acc == ident).all(axis=1))
 
     @cached_property
     def aut_generators(self) -> tuple[int, ...]:
@@ -338,7 +420,16 @@ class GroupSpec:
             if q > 2:
                 descs.append(((1, 0, 0, 1), primitive_root(q)))
         gens = tuple(self.aut_index[f] for f in descs)
-        got = len(aut_closure(self, gens))
+        # Close the generators breadth-first over index arrays: the whole
+        # group is visited once, so no per-pair memo is filled.
+        reached = np.zeros(self.n_aut, dtype=bool)
+        reached[self.identity_aut] = True
+        frontier = np.array([self.identity_aut])
+        while frontier.size:
+            images = np.unique(self.compose_many(frontier[:, None], np.array(gens)))
+            frontier = images[~reached[images]]
+            reached[frontier] = True
+        got = int(reached.sum())
         if got != self.n_aut:
             raise RuntimeError(
                 f"the automorphism generators close to {got} elements, "
@@ -349,15 +440,11 @@ class GroupSpec:
     @cached_property
     def _conj_maps(self) -> list[list[int]]:
         """Per Aut-generator psi: table f -> psi o f o psi^-1 (on indices)."""
+        every = np.arange(self.n_aut)
         maps = []
         for g in self.aut_generators:
-            psi = self.aut_descriptors[g]
-            psi_inv = self.invert_desc(psi)
-            table = [
-                self.aut_index[self.compose_desc(self.compose_desc(psi, f), psi_inv)]
-                for f in self.aut_descriptors
-            ]
-            maps.append(table)
+            g_inv = self.aut_index[self.invert_desc(self.aut_descriptors[g])]
+            maps.append(self.compose_many(self.compose_many(g, every), g_inv).tolist())
         return maps
 
     # ---------------- holomorph ----------------
@@ -506,6 +593,7 @@ def _hol_closure(
     seed_gens: Sequence[int] = (),
     forbid_pure_aut: bool = False,
     forbid_dup_pi1: bool = False,
+    tables: tuple | None = None,
 ) -> frozenset[int] | None:
     """Core closure on encoded indices.
 
@@ -516,12 +604,17 @@ def _hol_closure(
     `forbid_dup_pi1` strengthens that: two elements sharing a first projection
     quotient to a stabilizer element, so any subgroup of a regular group has
     pairwise-distinct projections and a repeat aborts the search immediately.
+
+    `tables` = (rows, compose) supplies the automorphism arithmetic: rows[f] is
+    f's action row and compose[f * n_aut + g] the index of f o g.  By default
+    these are the spec's per-automorphism caches, filled only for the
+    automorphisms the closure meets; the naive oracle passes whole-Aut lists.
     """
     n_aut = spec.n_aut
     add = spec.add_flat
-    apply_ = spec.apply_flat
-    compose_flat = spec.compose_flat
-    compose = spec.compose_idx
+    rows, compose = (
+        tables if tables is not None else (spec._aut_rows, spec._compose_memo)
+    )
     n = spec.n
     ident = spec.identity_aut
 
@@ -546,15 +639,10 @@ def _hol_closure(
         for h in frontier:
             xa, xf = divmod(h, n_aut)
             xan = xa * n
-            xfn = xf * n
+            row = rows[xf]
+            xfk = xf * n_aut
             for ga, gf in all_gens:
-                if compose_flat is None:
-                    y = add[xan + apply_[xfn + ga]] * n_aut + compose(xf, gf)
-                else:
-                    y = (
-                        add[xan + apply_[xfn + ga]] * n_aut
-                        + compose_flat[xf * n_aut + gf]
-                    )
+                y = add[xan + row[ga]] * n_aut + compose[xfk + gf]
                 if y not in seen:
                     if forbid_pure_aut and y < n_aut and y != ident:
                         return None
@@ -579,13 +667,15 @@ def aut_closure(
     seen = {spec.identity_aut, *gens}
     if cap is not None and len(seen) > cap:
         return None
-    compose = spec.compose_idx
+    n_aut = spec.n_aut
+    compose = spec._compose_memo
     frontier = list(seen)
     while frontier:
         next_frontier = []
         for f in frontier:
+            fk = f * n_aut
             for g in gens:
-                y = compose(f, g)
+                y = compose[fk + g]
                 if y not in seen:
                     seen.add(y)
                     if cap is not None and len(seen) > cap:
@@ -597,7 +687,14 @@ def aut_closure(
 
 @lru_cache(maxsize=None)
 def carrier_subgroups(spec: GroupSpec, order: int | None = None) -> list[frozenset[int]]:
-    """All subgroups of the additive carrier (as index sets), smallest first.
+    """All subgroups of the additive carrier (as index sets), smallest first,
+    or only those of the given order, in the same relative order."""
+    return [S for S in _carrier_lattice(spec) if order is None or len(S) == order]
+
+
+@lru_cache(maxsize=None)
+def _carrier_lattice(spec: GroupSpec) -> tuple[frozenset[int], ...]:
+    """Every subgroup of the carrier, sorted by (order, sorted elements).
 
     Cyclic subgroups are collected from element chains, then saturated under
     pairwise joins (H + C is already a subgroup since A is abelian).
@@ -625,8 +722,7 @@ def carrier_subgroups(spec: GroupSpec, order: int | None = None) -> list[frozens
                     subs.add(J)
                     new.append(J)
         frontier = new
-    out = [S for S in subs if order is None or len(S) == order]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
 
 @dataclass(frozen=True)
@@ -656,26 +752,32 @@ def aut_subgroups_of_order(spec: GroupSpec, k: int) -> list[frozenset[int]]:
         raise ValueError(
             f"order {k} must divide both |Aut| = {spec.n_aut} and |A| = {spec.n}"
         )
-    orders = spec.aut_orders
-    pool = [f for f in range(spec.n_aut) if f != spec.identity_aut and k % orders[f] == 0]
-    found: dict[frozenset[int], None] = {}
-    cyclic_seeds: list[tuple[frozenset[int], int]] = []
-    seen_cyclic: set[frozenset[int]] = set()
-    for f in pool:
-        S = aut_closure(spec, (f,), cap=k)
-        if S is None or S in seen_cyclic:
+    ident = spec.identity_aut
+    # Distinct cyclic subgroups <f> with f^k = id, each found from its
+    # smallest generator; the generators of each are skipped afterwards.
+    cyclics: list[tuple[frozenset[int], int]] = []
+    covered: set[int] = set()
+    for f in spec.aut_torsion(k).tolist():
+        if f == ident or f in covered:
             continue
-        seen_cyclic.add(S)
-        cyclic_seeds.append((S, f))
-        if len(S) == k:
-            found[S] = None
-    for S, f in cyclic_seeds:
-        if len(S) == k:
-            continue
-        for g in pool:
-            if g in S:
+        powers = [f]
+        while powers[-1] != ident:
+            powers.append(spec.compose_idx(powers[-1], f))
+        d = len(powers)
+        covered.update(g for i, g in enumerate(powers, 1) if gcd(i, d) == 1)
+        cyclics.append((frozenset(powers), f))
+    found: dict[frozenset[int], None] = {C: None for C, _ in cyclics if len(C) == k}
+    # Every other order-k subgroup is generated by two cyclic subgroups
+    # (k divides the carrier order); an order-k cyclic one absorbs any join.
+    small = [(C, f) for C, f in cyclics if len(C) < k]
+    for i, (C1, f1) in enumerate(small):
+        for C2, f2 in small[i + 1 :]:
+            if C1 <= C2 or C2 <= C1:
                 continue
-            T = aut_closure(spec, (f, g), cap=k)
+            # The join contains the product set C1 C2.
+            if len(C1) * len(C2) // len(C1 & C2) > k:
+                continue
+            T = aut_closure(spec, (f1, f2), cap=k)
             if T is not None and len(T) == k:
                 found.setdefault(T, None)
     return sorted(found, key=lambda s: sorted(s))

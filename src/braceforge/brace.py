@@ -117,7 +117,8 @@ class SkewBrace:
     def circle_np(self) -> np.ndarray:
         """Circle Cayley table on indices: circle_np[a, b] = a o b."""
         spec = self.spec
-        lam_rows = spec.apply_np[np.asarray(self.lam, dtype=np.intp)]
+        used, pos = np.unique(np.asarray(self.lam, dtype=np.intp), return_inverse=True)
+        lam_rows = spec.apply_rows(used)[pos]
         return spec.add_np[np.arange(spec.n)[:, None], lam_rows]
 
     @cached_property
@@ -244,12 +245,9 @@ def verify_left_brace(B: SkewBrace) -> VerifyResult:
                 f"{spec.decode(a)}, {spec.decode(b)}, {spec.decode(c)}"
             )
             break
-    image = B.lambda_image
-    pos = {f: i for i, f in enumerate(image)}
-    comp = np.empty((len(image), len(image)), dtype=np.int32)
-    for i, f in enumerate(image):
-        for j, g in enumerate(image):
-            comp[i, j] = spec.compose_idx(f, g)
+    image = np.asarray(B.lambda_image)
+    pos = {f: i for i, f in enumerate(B.lambda_image)}
+    comp = spec.compose_many(image[:, None], image[None, :])
     lam_np = np.asarray(B.lam, dtype=np.int32)
     lam_pos = np.asarray([pos[f] for f in B.lam], dtype=np.intp)
     lhs_hom = lam_np[Z]
@@ -271,10 +269,8 @@ def ker_lambda(B: SkewBrace) -> frozenset[int]:
 def fix_set(B: SkewBrace) -> frozenset[int]:
     """Fix(B): elements fixed by every lambda_x."""
     spec = B.spec
-    mask = np.ones(spec.n, dtype=bool)
-    idx = np.arange(spec.n)
-    for f in B.lambda_image:
-        mask &= spec.apply_np[f] == idx
+    rows = spec.apply_rows(B.lambda_image)
+    mask = (rows == np.arange(spec.n)).all(axis=0)
     return frozenset(int(i) for i in np.nonzero(mask)[0])
 
 
@@ -293,10 +289,9 @@ def lambda_identities_check(B: SkewBrace) -> bool:
     spec = B.spec
     n = spec.n
     add = spec.add_flat
-    apply_ = spec.apply_flat
     flat = B.circle_flat
     for b in range(n):
-        if apply_[B.lam[b] * n + b] != b:
+        if spec.aut_row(B.lam[b])[b] != b:
             continue
         nb, power, f = b, b, B.lam[b]
         while nb != 0:
@@ -307,15 +302,15 @@ def lambda_identities_check(B: SkewBrace) -> bool:
                 return False
     ker = sorted(ker_lambda(B))
     fix = sorted(fix_set(B))
-    ker_np = np.asarray(ker, dtype=np.intp)
     for b in fix:
         fb = B.lam[b]
+        row_b = spec.aut_row(fb)
         for a in ker:
             fab = B.lam[add[a * n + b]]
-            if fab != fb and not np.array_equal(
-                spec.apply_np[fab][ker_np], spec.apply_np[fb][ker_np]
-            ):
-                return False
+            if fab != fb:
+                row_ab = spec.aut_row(fab)
+                if any(row_ab[c] != row_b[c] for c in ker):
+                    return False
     return True
 
 
@@ -345,12 +340,9 @@ def lambda_is_additive(B: SkewBrace) -> bool:
     loop).
     """
     spec = B.spec
-    image = B.lambda_image
-    pos = {f: i for i, f in enumerate(image)}
-    comp = np.empty((len(image), len(image)), dtype=np.int32)
-    for i, f in enumerate(image):
-        for j, g in enumerate(image):
-            comp[i, j] = spec.compose_idx(f, g)
+    image = np.asarray(B.lambda_image)
+    pos = {f: i for i, f in enumerate(B.lambda_image)}
+    comp = spec.compose_many(image[:, None], image[None, :])
     lam_np = np.asarray(B.lam, dtype=np.int32)
     lam_pos = np.asarray([pos[f] for f in B.lam], dtype=np.intp)
     lhs = lam_np[spec.add_np]
@@ -370,8 +362,7 @@ def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:
     add = spec.add_flat
     if 0 not in I or any(add[a * n + b] not in I for a in I for b in I):
         raise ValueError("I is not an additive subgroup")
-    apply_ = spec.apply_flat
-    left = all(apply_[f * n + a] in I for f in B.lambda_image for a in I)
+    left = all(spec.aut_row(f)[a] in I for f in B.lambda_image for a in I)
     flat = B.circle_flat
     inv = B.circle_inv_np.tolist()
     normal = left and all(

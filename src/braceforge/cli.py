@@ -393,6 +393,16 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK if perfect else EXIT_MISMATCH
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_pair_args(sub: argparse.ArgumentParser, with_method: bool) -> None:
     sub.add_argument("--p", type=int, required=True, help="the squared prime")
     sub.add_argument("--q", type=int, required=True, help="the other prime")
@@ -417,7 +427,9 @@ def _add_pair_args(sub: argparse.ArgumentParser, with_method: bool) -> None:
         )
     sub.add_argument("--format", choices=["table", "json"], default="table")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel search workers")
+    sub.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel search workers"
+    )
 
 
 def _parser() -> argparse.ArgumentParser:

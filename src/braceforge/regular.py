@@ -123,12 +123,11 @@ def is_regular(G: HolSubgroup) -> bool:
 
 def _conj_perms(spec: GroupSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per Aut-generator psi: (carrier permutation, Aut-conjugation permutation)."""
-    out = []
-    for g, table in zip(spec.aut_generators, spec._conj_maps):
-        perm_elt = spec.apply_np[g].astype(np.int64)
-        perm_aut = np.asarray(table, dtype=np.int64)
-        out.append((perm_elt, perm_aut))
-    return out
+    rows = spec.apply_rows(spec.aut_generators).astype(np.int64)
+    return [
+        (perm_elt, np.asarray(table, dtype=np.int64))
+        for perm_elt, table in zip(rows, spec._conj_maps)
+    ]
 
 
 def _orbit_scan(
@@ -297,29 +296,35 @@ def _lift_search(
     cls = subgroup_classes_of_order(spec, k)[class_index]
     N = carrier_subgroups(spec, n // k)[kernel_index]
     add = spec.add_flat
-    apply_ = spec.apply_flat
+    gens_aut = cls.generators
 
     if pruning:
-        # (K): N must be invariant under the projection image.
-        if any(apply_[f * n + a] not in N for f in cls.elements for a in N):
+        # (K): N must be invariant under the projection image, i.e. under
+        # its generators.
+        if any(spec.aut_row(f)[a] not in N for f in gens_aut for a in N):
             return []
+        # Rows of alpha, alpha^2, ..., alpha^(ord-1) for each generator alpha.
+        power_rows = []
+        for f0 in gens_aut:
+            powers = [f0]
+            for _ in range(spec.aut_order(f0) - 2):
+                powers.append(spec.compose_idx(powers[-1], f0))
+            power_rows.append([spec.aut_row(f) for f in powers])
 
-    gens_aut = cls.generators
     N_hol = frozenset(a * n_aut + ident for a in N)
     seed_gens = tuple(a * n_aut + ident for a in _additive_generators(spec, N))
     domain = list(range(n)) if lifts == "full" else _kernel_transversal(spec, N)
-    aut_orders = spec.aut_orders
     found: dict[frozenset[int], HolSubgroup] = {}
     for tup in itertools.product(domain, repeat=len(gens_aut)):
         if pruning:
-            # (R): (u, alpha)^ord(alpha) is a pure translation; it must lie in N.
+            # (R): (u, alpha)^ord(alpha) = (u + alpha(u) + ... +
+            # alpha^(ord-1)(u), id) is a pure translation; it must lie in N.
             ok = True
-            for u, f0 in zip(tup, gens_aut):
-                xa, xf = u, f0
-                for _ in range(aut_orders[f0] - 1):
-                    xa = add[xa * n + apply_[xf * n + u]]
-                    xf = spec.compose_idx(xf, f0)
-                if xf != ident or xa not in N:
+            for u, rows in zip(tup, power_rows):
+                xa = u
+                for row in rows:
+                    xa = add[xa * n + row[u]]
+                if xa not in N:
                     ok = False
                     break
             if not ok:
@@ -375,8 +380,9 @@ def regular_subgroups_structured(
     items = _work_items(spec)
     found: dict[tuple[int, ...], HolSubgroup] = {}
     if jobs > 1:
-        # Touch the big cached tables before forking so children share them.
-        spec.apply_flat, spec.add_flat, spec.aut_orders, spec._conj_maps
+        # Touch the cached tables the lift search reads before forking so
+        # children share them.
+        spec.add_flat, spec.aut_index, spec.aut_array
         argv = [
             (spec.p, spec.q, spec.kind.value, k, ci, ni, pruning, lifts)
             for (k, ci, ni) in items
@@ -414,26 +420,21 @@ def regular_subgroups_oracle(
     n, n_aut = spec.n, spec.n_aut
     ident = spec.identity_aut
     add = spec.add_flat
-    apply_ = spec.apply_flat
-    compose = spec.compose_idx
-    compose_flat = spec.compose_flat
+    # The oracle visits all of Hol(A), so it tabulates all of Aut(A): action
+    # rows (|Hol| entries, within the bound) and the compose table
+    # f * n_aut + g -> f o g (|Aut|^2 entries, under a million at the default
+    # bound), built one row at a time.  Nothing else tabulates Aut(A) whole.
+    every = np.arange(n_aut)
+    rows = spec.apply_rows(every).tolist()
+    compose: list[int] = []
+    for f in range(n_aut):
+        compose.extend(spec.compose_many(f, every).tolist())
+    tables = (rows, compose)
 
-    if compose_flat is None:
-
-        def mul(x: int, y: int) -> int:
-            xa, xf = divmod(x, n_aut)
-            ya, yf = divmod(y, n_aut)
-            return add[xa * n + apply_[xf * n + ya]] * n_aut + compose(xf, yf)
-
-    else:
-
-        def mul(x: int, y: int) -> int:
-            xa, xf = divmod(x, n_aut)
-            ya, yf = divmod(y, n_aut)
-            return (
-                add[xa * n + apply_[xf * n + ya]] * n_aut
-                + compose_flat[xf * n_aut + yf]
-            )
+    def mul(x: int, y: int) -> int:
+        xa, xf = divmod(x, n_aut)
+        ya, yf = divmod(y, n_aut)
+        return add[xa * n + rows[xf][ya]] * n_aut + compose[xf * n_aut + yf]
 
     E: list[int] = []
     cyc: dict[int, frozenset[int]] = {}
@@ -495,7 +496,7 @@ def regular_subgroups_oracle(
                 covered.update(mul(s, h) for s in members)
                 T = _hol_closure(
                     spec, (h,), cap=n, seed=S, seed_gens=gens,
-                    forbid_pure_aut=True, forbid_dup_pi1=True,
+                    forbid_pure_aut=True, forbid_dup_pi1=True, tables=tables,
                 )
                 if T is None:
                     continue

@@ -75,7 +75,8 @@ def solution_from_brace(B: SkewBrace) -> Solution:
     n = spec.n
     Z = B.circle_np
     inv = B.circle_inv_np
-    sigma = spec.apply_np[np.asarray(B.lam, dtype=np.intp)]
+    used, pos = np.unique(np.asarray(B.lam, dtype=np.intp), return_inverse=True)
+    sigma = spec.apply_rows(used)[pos]
     # T[x, y] = tau_y(x); tau rows are the transpose.
     T = Z[inv[sigma], Z]
     return Solution(sigma, T.T)

@@ -1,5 +1,7 @@
 """Carrier groups, automorphisms, holomorph arithmetic, subgroup machinery."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from braceforge.algebra import (
     Kind,
     aut_closure,
     aut_group_order,
+    aut_subgroups_of_order,
     carrier_subgroups,
     closure,
     group_spec,
@@ -104,27 +107,100 @@ def test_aut_count_against_exhaustive_hom_scan(spec):
     assert count == spec.n_aut == aut_group_order(spec)
 
 
+def _scalar_orders(spec):
+    """Order of every automorphism, by stepping its descriptor powers."""
+    descs = spec.aut_descriptors
+    ident = descs[spec.identity_aut]
+    out = []
+    for d in descs:
+        acc, k = d, 1
+        while acc != ident:
+            acc = spec.compose_desc(acc, d)
+            k += 1
+        out.append(k)
+    return out
+
+
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_automorphisms_are_additive_and_compose(spec):
-    apply_np = spec.apply_np
+    """The vectorized and cached arithmetic against the scalar descriptor
+    code (apply_desc, compose_desc, invert_desc), exhaustively."""
+    descs = spec.aut_descriptors
+    every = np.arange(spec.n_aut)
     add = spec.add_np
-    for f in range(spec.n_aut):
-        row = apply_np[f]
+    rows = spec.apply_rows(every)
+    assert rows.shape == (spec.n_aut, spec.n) and rows.dtype == np.int32
+    for f, d in enumerate(descs):
+        row = rows[f]
+        want = [spec.encode(spec.apply_desc(d, x)) for x in spec.elements]
+        assert row.tolist() == want == spec.aut_row(f)
         assert row[0] == 0
         assert np.array_equal(row[add], add[row[:, None], row[None, :]])
-    # composition table agrees with functional composition; inverses invert
-    for f in range(spec.n_aut):
-        for g in range(spec.n_aut):
-            assert np.array_equal(
-                apply_np[spec.compose_idx(f, g)], apply_np[f][apply_np[g]]
-            )
-        assert spec.compose_idx(spec.aut_inverse[f], f) == spec.identity_aut
-    # aut_orders: f^ord == id and ord is minimal
-    for f, d in enumerate(spec.aut_orders):
-        acc = spec.identity_aut
-        for k in range(1, d + 1):
-            acc = spec.compose_idx(acc, f)
-            assert (acc == spec.identity_aut) == (k == d)
+    table = spec.compose_many(every[:, None], every[None, :])
+    for f, df in enumerate(descs):
+        finv = spec.aut_index[spec.invert_desc(df)]
+        assert spec.compose_idx(finv, f) == spec.identity_aut
+        for g, dg in enumerate(descs):
+            want = spec.aut_index[spec.compose_desc(df, dg)]
+            assert table[f, g] == want == spec.compose_idx(f, g)
+            assert np.array_equal(rows[want], rows[f][rows[g]])
+    # aut_order is the least k with f^k = id
+    orders = _scalar_orders(spec)
+    assert [spec.aut_order(f) for f in range(spec.n_aut)] == orders
+    # the torsion pool {f : f^k = id}, for every k up to the exponent and past it
+    for k in range(1, max(orders) + 2):
+        want = [f for f, o in enumerate(orders) if k % o == 0]
+        assert spec.aut_torsion(k).tolist() == want
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
+def test_conjugation_maps_match_scalar_conjugation(spec):
+    descs = spec.aut_descriptors
+    for g, table in zip(spec.aut_generators, spec._conj_maps):
+        psi, psi_inv = descs[g], spec.invert_desc(descs[g])
+        assert table == [
+            spec.aut_index[spec.compose_desc(spec.compose_desc(psi, d), psi_inv)]
+            for d in descs
+        ]
+
+
+def _subgroups_by_pool_pairs(spec, k):
+    """Every order-k subgroup of Aut(A) by closing each cyclic seed with every
+    element of the pool {f != id : f^k = id} (the pool from scalar orders)."""
+    if k == 1:
+        return [frozenset({spec.identity_aut})]
+    orders = _scalar_orders(spec)
+    pool = [
+        f for f in range(spec.n_aut) if f != spec.identity_aut and k % orders[f] == 0
+    ]
+    found = {}
+    cyclic_seeds = []
+    seen_cyclic = set()
+    for f in pool:
+        S = aut_closure(spec, (f,), cap=k)
+        if S is None or S in seen_cyclic:
+            continue
+        seen_cyclic.add(S)
+        cyclic_seeds.append((S, f))
+        if len(S) == k:
+            found[S] = None
+    for S, f in cyclic_seeds:
+        if len(S) == k:
+            continue
+        for g in pool:
+            if g in S:
+                continue
+            T = aut_closure(spec, (f, g), cap=k)
+            if T is not None and len(T) == k:
+                found.setdefault(T, None)
+    return sorted(found, key=lambda s: sorted(s))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
+def test_aut_subgroups_match_closing_every_pool_pair(spec):
+    g = gcd(spec.n, spec.n_aut)
+    for k in (d for d in range(1, g + 1) if g % d == 0):
+        assert aut_subgroups_of_order(spec, k) == _subgroups_by_pool_pairs(spec, k)
 
 
 def _hol_elements(spec):
@@ -210,11 +286,22 @@ def test_carrier_subgroup_counts():
     for S in carrier_subgroups(spec):
         by_order[len(S)] = by_order.get(len(S), 0) + 1
     assert by_order == {1: 1, 3: 4, 9: 1, 7: 1, 21: 4, 63: 1}
+    # per-order lists keep the whole lattice's (order, elements) sort, which
+    # the lift search's kernel indices rely on
+    for d in by_order:
+        assert carrier_subgroups(spec, d) == sorted(
+            (S for S in carrier_subgroups(spec) if len(S) == d),
+            key=lambda s: sorted(s),
+        )
 
 
 def _conjugate(spec, S, f):
-    finv = spec.aut_inverse[f]
-    return frozenset(spec.compose_idx(f, spec.compose_idx(s, finv)) for s in S)
+    """f o S o f^-1, by the scalar descriptor code."""
+    descs, index = spec.aut_descriptors, spec.aut_index
+    d, dinv = descs[f], spec.invert_desc(descs[f])
+    return frozenset(
+        index[spec.compose_desc(spec.compose_desc(d, descs[s]), dinv)] for s in S
+    )
 
 
 def test_aut_subgroup_classes_known_counts():

@@ -230,6 +230,14 @@ def test_verify_command_malformed_json(tmp_path, capsys):
     assert "junk.json" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_rejected(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--p", "3", "--q", "2", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_output_identical_across_jobs(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert cli.main(["enumerate", "--p", "3", "--q", "2", "--out", str(a)]) == 0
