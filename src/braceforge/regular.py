@@ -402,75 +402,130 @@ def regular_subgroups_structured(
 # ---------------- naive oracle ----------------
 
 
+def _whole_aut_tables(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Action rows of all of Aut(A), shape (n_aut, n), and its composition
+    table, shape (n_aut, n_aut), entry [f, g] the index of f o g."""
+    every = np.arange(spec.n_aut)
+    return spec.apply_rows(every), spec.compose_many(every[:, None], every)
+
+
+def _hol_times(spec: GroupSpec, rows, compose, xa, xf, a, f):
+    """(xa, xf)(a, f) = (xa + xf(a), xf o f), elementwise over index arrays."""
+    return spec.add_np[xa, rows[xf, a]], compose[xf, f]
+
+
+def _oracle_prescan(
+    spec: GroupSpec, rows: np.ndarray, compose: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The holomorph elements whose cyclic subgroup could sit inside a regular
+    subgroup, ascending, and their orders.
+
+    h qualifies when its order divides |A| and no non-identity power of h is
+    a pure automorphism (first projection 0): such a power fixes 0, and two
+    powers sharing a first projection differ by one.  Every element steps
+    through its powers at once, at most |A| steps; it leaves the scan when a
+    power reaches first projection 0, and one still in it after |A| steps has
+    order above |A|.
+    """
+    n, n_aut = spec.n, spec.n_aut
+    ident = spec.identity_aut
+    # Elements below n_aut have first projection 0: the identity and the
+    # pure automorphisms, none of which qualifies.
+    h = np.arange(n_aut, spec.hol_order)
+    a, f = np.divmod(h, n_aut)
+    xa, xf = a, f
+    order = np.zeros(spec.hol_order, dtype=np.int64)
+    for k in range(2, n + 1):
+        xa, xf = _hol_times(spec, rows, compose, xa, xf, a, f)
+        back = xa == 0
+        if back.any():
+            order[h[back & (xf == ident)]] = k
+            keep = ~back
+            h, a, f, xa, xf = h[keep], a[keep], f[keep], xa[keep], xf[keep]
+            if not h.size:
+                break
+    cand = np.flatnonzero(order)
+    cand = cand[n % order[cand] == 0]
+    return cand, order[cand]
+
+
+def _oracle_cyclic_subgroups(
+    spec: GroupSpec, rows: np.ndarray, compose: np.ndarray
+) -> list[tuple[int, frozenset[int]]]:
+    """Each cyclic subgroup generated by a prescan candidate, once, as
+    (smallest generator, elements), ascending by generator.
+
+    The translations always qualify, so there is at least one candidate.
+    Only the candidates' powers are held, one row each.
+    """
+    n_aut = spec.n_aut
+    cand, m = _oracle_prescan(spec, rows, compose)
+    # powers[i, k] = cand[i]^k; past its order a row just cycles.
+    powers = np.empty((cand.size, int(m.max())), dtype=np.int64)
+    powers[:, 0] = spec.identity_aut
+    a, f = np.divmod(cand, n_aut)
+    xa, xf = a, f
+    for k in range(1, powers.shape[1]):
+        powers[:, k] = xa * n_aut + xf
+        xa, xf = _hol_times(spec, rows, compose, xa, xf, a, f)
+    ks = np.arange(powers.shape[1])
+    is_generator = (np.gcd(ks, m[:, None]) == 1) & (ks < m[:, None])
+    smallest = np.where(is_generator, powers, spec.hol_order).min(axis=1)
+    return [
+        (int(cand[i]), frozenset(powers[i, : m[i]].tolist()))
+        for i in np.flatnonzero(smallest == cand)
+    ]
+
+
 def regular_subgroups_oracle(
     spec: GroupSpec, bound: int = 100_000
 ) -> list[HolSubgroup]:
     """Exhaustive regular-subgroup scan with no structural assumptions.
 
-    Collects every holomorph element whose cyclic subgroup could sit inside a
-    regular subgroup (order divides |A|, no non-trivial stabilizer element),
-    then joins up to three of them, pruning only by Lagrange bounds and the
-    size cap.  Joining a right-coset mate of an already-tried generator gives
-    the same subgroup, so cosets are skipped wholesale.
+    Joins up to three cyclic subgroups of Hol(A), pruning only by Lagrange
+    bounds, the size cap and the fact that a subgroup of a regular group has
+    pairwise distinct first projections (two elements sharing one differ by
+    a pure automorphism, which fixes 0).
+
+    * A vectorized prescan (`_oracle_prescan`) keeps the elements of order
+      dividing |A| with no pure-automorphism power.  Each cyclic subgroup
+      they generate is then tried once, by its smallest generator: the join
+      <S, h> depends only on <h>.
+    * Depth 2 joins each unordered pair of distinct cyclic subgroups once
+      (the added generator above the seed's); depth 3 joins every depth-2
+      join of order below |A| with every cyclic subgroup.
+    * Joining a right-coset mate s*h of an already-tried generator gives the
+      same subgroup, so cosets are skipped wholesale.
+    * Those products s*h are the first layer of the join's closure: one
+      outside S whose first projection S already has rejects the join
+      before the closure starts.
+
+    Survivors are sorted by key; each must pass `is_regular`.
     """
     if spec.hol_order > bound:
         raise OracleBoundError(
             f"|Hol| = {spec.hol_order} exceeds the oracle bound {bound}"
         )
     n, n_aut = spec.n, spec.n_aut
-    ident = spec.identity_aut
     add = spec.add_flat
     # The oracle visits all of Hol(A), so it tabulates all of Aut(A): action
     # rows (|Hol| entries, within the bound) and the compose table
     # f * n_aut + g -> f o g (|Aut|^2 entries, under a million at the default
-    # bound), built one row at a time.  Nothing else tabulates Aut(A) whole.
-    every = np.arange(n_aut)
-    rows = spec.apply_rows(every).tolist()
-    compose: list[int] = []
-    for f in range(n_aut):
-        compose.extend(spec.compose_many(f, every).tolist())
+    # bound), as numpy arrays for the prescan and lists for the closures.
+    # Nothing else tabulates Aut(A) whole.
+    rows_np, compose_np = _whole_aut_tables(spec)
+    cyclic = _oracle_cyclic_subgroups(spec, rows_np, compose_np)
+    rows, compose = rows_np.tolist(), compose_np.ravel().tolist()
     tables = (rows, compose)
-
-    def mul(x: int, y: int) -> int:
-        xa, xf = divmod(x, n_aut)
-        ya, yf = divmod(y, n_aut)
-        return add[xa * n + rows[xf][ya]] * n_aut + compose[xf * n_aut + yf]
-
-    E: list[int] = []
-    cyc: dict[int, frozenset[int]] = {}
-    for h in range(spec.hol_order):
-        if h == ident:
-            continue
-        chain = {ident}
-        pi1_chain = {0}
-        x = h
-        ok = True
-        while x != ident:
-            xa = x // n_aut
-            if xa in pi1_chain:
-                # A repeated projection quotients to a stabilizer element, so
-                # <h> cannot sit inside any regular subgroup.
-                ok = False
-                break
-            pi1_chain.add(xa)
-            chain.add(x)
-            if len(chain) > n:
-                ok = False
-                break
-            x = mul(x, h)
-        if ok and n % len(chain) == 0:
-            E.append(h)
-            cyc[h] = frozenset(chain)
 
     results: dict[tuple[int, ...], HolSubgroup] = {}
     partial: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...]]] = {}
-    for h in E:
-        S = cyc[h]
-        key = tuple(sorted(S))
-        if len(S) == n:
-            results.setdefault(key, HolSubgroup(spec, S, (h,)))
+    for h, C in cyclic:
+        key = tuple(sorted(C))
+        if len(C) == n:
+            results[key] = HolSubgroup(spec, C, (h,))
         else:
-            partial.setdefault(key, (S, (h,)))
+            partial[key] = (C, (h,))
 
     processed: set[tuple[int, ...]] = set()
     current = partial
@@ -481,19 +536,33 @@ def regular_subgroups_oracle(
                 continue
             processed.add(key)
             S, gens = current[key]
-            members = sorted(S)
+            members = [divmod(s, n_aut) for s in S]
+            pi1_S = {sa for sa, _ in members}
+            # <<a>, <b>> = <<b>, <a>>: at depth 2 each pair is tried once,
+            # from the seed with the smaller generator.  An order-|A| cyclic
+            # subgroup never seeds, but a join with one is that subgroup or
+            # too large, so skipping it here loses nothing.
+            low = gens[0] if depth == 2 else -1
             covered: set[int] = set()
-            for h in E:
-                if h in S or h in covered:
+            for h, ch in cyclic:
+                if h <= low or h in S or h in covered:
                     continue
-                ch = cyc[h]
                 if len(S) * len(ch) // len(S & ch) > n:
                     continue
                 if n % lcm(len(S), len(ch)) != 0:
                     # The join contains both subgroups, so its order is a
                     # multiple of the lcm; Lagrange inside an order-n group.
                     continue
-                covered.update(mul(s, h) for s in members)
+                ha, hf = divmod(h, n_aut)
+                products = [
+                    add[sa * n + rows[sf][ha]] * n_aut + compose[sf * n_aut + hf]
+                    for sa, sf in members
+                ]
+                covered.update(products)
+                # No s*h lies in S, since h does not; one sharing a first
+                # projection with S puts a pure automorphism in the join.
+                if any(x // n_aut in pi1_S for x in products):
+                    continue
                 T = _hol_closure(
                     spec, (h,), cap=n, seed=S, seed_gens=gens,
                     forbid_pure_aut=True, forbid_dup_pi1=True, tables=tables,

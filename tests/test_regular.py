@@ -1,5 +1,10 @@
 """Regular-subgroup enumeration: both routes, orbit partition, tabulation."""
 
+import ast
+import inspect
+import sys
+import textwrap
+
 import pytest
 
 from braceforge import regular
@@ -19,7 +24,13 @@ from braceforge.regular import (
     tabulate,
 )
 
-from helpers import oracle_subgroups, orbits, structured_subgroups
+from helpers import (
+    DESK_PAIRS,
+    oracle_eligible,
+    oracle_subgroups,
+    orbits,
+    structured_subgroups,
+)
 
 SMALL = [(3, 2, "cyclic"), (3, 2, "mixed"), (2, 5, "cyclic"), (2, 5, "mixed")]
 
@@ -196,3 +207,128 @@ def test_closure_duplicate_projection_prune_is_sound():
     for G in structured_subgroups(2, 5, "mixed"):
         firsts = {h // spec.n_aut for h in G.elements}
         assert len(firsts) == len(G.elements)
+
+
+# Every regular subgroup of Hol(A) (not one per class) on each desk carrier
+# within the oracle bound.
+ORACLE_COUNTS = {
+    (3, 2, "cyclic"): 4, (3, 2, "mixed"): 46,
+    (2, 5, "cyclic"): 8, (2, 5, "mixed"): 16,
+    (2, 7, "cyclic"): 6, (2, 7, "mixed"): 10,
+    (5, 3, "cyclic"): 5, (5, 3, "mixed"): 45,
+    (3, 7, "cyclic"): 9, (3, 7, "mixed"): 81,
+    (3, 19, "cyclic"): 27, (5, 13, "cyclic"): 5, (7, 3, "cyclic"): 9,
+}
+
+
+def test_oracle_counts_cover_every_eligible_desk_carrier():
+    eligible = {
+        (p, q, kind)
+        for p, q in DESK_PAIRS
+        for kind in ("cyclic", "mixed")
+        if oracle_eligible(p, q, kind)
+    }
+    assert eligible == set(ORACLE_COUNTS)
+
+
+@pytest.mark.parametrize("p,q,kind", list(ORACLE_COUNTS))
+def test_oracle_finds_every_regular_subgroup(p, q, kind):
+    # criterion 12 compares orbit keys only, which an oracle that dropped
+    # conjugates would still pass; the orbit sizes count every conjugate
+    got = oracle_subgroups(p, q, kind)
+    assert len({G.key for G in got}) == len(got)
+    assert len(got) == sum(oc.orbit_size for oc in orbits(p, q, kind))
+    assert len(got) == ORACLE_COUNTS[(p, q, kind)]
+
+
+def _chain_walk(spec):
+    """The per-element prescan the vectorized one replaced: walk each
+    element's powers, rejecting a repeated first projection (which quotients
+    to a stabilizer element) or a chain longer than |A|.  Returns each
+    qualifying h with <h>."""
+    n, n_aut = spec.n, spec.n_aut
+    ident = spec.identity_aut
+    add = spec.add_flat
+
+    def mul(x, y):
+        xa, xf = divmod(x, n_aut)
+        ya, yf = divmod(y, n_aut)
+        return add[xa * n + spec.aut_row(xf)[ya]] * n_aut + spec.compose_idx(xf, yf)
+
+    cyc = {}
+    for h in range(spec.hol_order):
+        if h == ident:
+            continue
+        chain, pi1_chain, x, ok = {ident}, {0}, h, True
+        while x != ident:
+            xa = x // n_aut
+            if xa in pi1_chain:
+                ok = False
+                break
+            pi1_chain.add(xa)
+            chain.add(x)
+            if len(chain) > n:
+                ok = False
+                break
+            x = mul(x, h)
+        if ok and n % len(chain) == 0:
+            cyc[h] = frozenset(chain)
+    return cyc
+
+
+@pytest.mark.parametrize("p,q,kind", SMALL)
+def test_vectorized_prescan_matches_the_chain_walk(p, q, kind):
+    spec = group_spec(p, q, kind)
+    rows, compose = regular._whole_aut_tables(spec)
+    every = range(spec.n_aut)
+    assert rows.tolist() == [spec.aut_row(f) for f in every]
+    assert compose.tolist() == [[spec.compose_idx(f, g) for g in every] for f in every]
+    cyc = _chain_walk(spec)
+    cand, order = regular._oracle_prescan(spec, rows, compose)
+    assert cand.tolist() == sorted(cyc)
+    assert order.tolist() == [len(cyc[h]) for h in sorted(cyc)]
+    # each distinct cyclic subgroup once, by its smallest generator
+    smallest = {}
+    for h in sorted(cyc):
+        smallest.setdefault(cyc[h], h)
+    want = sorted((h, C) for C, h in smallest.items())
+    assert regular._oracle_cyclic_subgroups(spec, rows, compose) == want
+
+
+# The structured search's reasoning (Sylow subgroups, kernels, projection
+# classes, Aut torsion pools); the oracle is a check on it only while it
+# borrows none of it.
+STRUCTURED_NAMES = {
+    "carrier_subgroups", "subgroup_classes_of_order", "sylow", "aut_torsion",
+    "_lift_search", "_work_items", "_kernel_transversal",
+}
+
+
+def _names_in(func) -> set[str]:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_oracle_borrows_nothing_from_the_structured_search():
+    assert _names_in(regular._work_items) & STRUCTURED_NAMES  # the scan sees them
+    # the oracle and every braceforge function it reaches by name
+    todo, seen = [regular.regular_subgroups_oracle], set()
+    while todo:
+        func = todo.pop()
+        if func in seen:
+            continue
+        seen.add(func)
+        names = _names_in(func)
+        assert not names & STRUCTURED_NAMES, (func.__qualname__, names & STRUCTURED_NAMES)
+        module = sys.modules[func.__module__]
+        for name in names:
+            obj = getattr(module, name, None)
+            if inspect.isfunction(obj) and obj.__module__.startswith("braceforge"):
+                todo.append(obj)
+    assert regular._oracle_prescan in seen and regular._hol_closure in seen
