@@ -24,9 +24,11 @@ oracle = regular_subgroups_oracle(spec)
 print(f"structured enumerator: {len(structured)} subgroups, at least one per class")
 print(f"naive oracle:          {len(oracle)} regular subgroups in total")
 
-# compare at the level of conjugacy classes via canonical orbit keys
-keys_structured = {orbit_min_key(spec, G.elements)[0] for G in structured}
-keys_oracle = {orbit_min_key(spec, G.elements)[0] for G in oracle}
+# both return each regular subgroup as its brace (its lambda table); compare
+# at the level of conjugacy classes via canonical orbit keys, the
+# orbit-minimal lambda tables
+keys_structured = {orbit_min_key(B)[0] for B in structured}
+keys_oracle = {orbit_min_key(B)[0] for B in oracle}
 # (an explicit check, not an assert, so that python -O keeps it)
 if keys_structured != keys_oracle:
     sys.exit("the two enumerations land on different conjugacy classes")

@@ -511,37 +511,18 @@ class HolSubgroup:
     """A subgroup of Hol(A), stored as encoded element indices.
 
     Encoded index of (a, f) is encode(a) * n_aut + aut_index(f).  Equality and
-    hashing use the element set only; generators are kept for reporting.
+    hashing use the element set only.
     """
 
-    __slots__ = ("spec", "elements", "generators", "_key")
+    __slots__ = ("spec", "elements")
 
-    def __init__(
-        self, spec: GroupSpec, elements: frozenset[int], generators: tuple[int, ...] = ()
-    ):
+    def __init__(self, spec: GroupSpec, elements: frozenset[int]):
         self.spec = spec
         self.elements = elements
-        self.generators = generators
-        self._key: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        if self._key is None:
-            self._key = tuple(sorted(self.elements))
-        return self._key
-
-    @property
-    def pairs(self) -> list[tuple[Element, AutDesc]]:
-        """Canonical sorted list of (element, automorphism) pairs."""
-        return [self.spec.hol_decode(h) for h in self.key]
-
-    @property
-    def generator_pairs(self) -> list[tuple[Element, AutDesc]]:
-        return [self.spec.hol_decode(h) for h in self.generators]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -582,7 +563,7 @@ def closure(
         raise ClosureCapError(
             f"closure of {len(gens)} generators in Hol({spec!r}) exceeded cap {cap}"
         )
-    return HolSubgroup(spec, got, tuple(gens))
+    return HolSubgroup(spec, got)
 
 
 def _hol_closure(
@@ -591,7 +572,6 @@ def _hol_closure(
     cap: int,
     seed: Iterable[int] = (),
     seed_gens: Sequence[int] = (),
-    forbid_pure_aut: bool = False,
     forbid_dup_pi1: bool = False,
     tables: tuple | None = None,
 ) -> frozenset[int] | None:
@@ -599,11 +579,11 @@ def _hol_closure(
 
     `seed` may be an already-closed subgroup whose generators are `seed_gens`;
     the result is then its join with `gens`.  Returns None when the size cap is
-    exceeded, or when `forbid_pure_aut` is set and a non-identity element fixing
-    0 shows up (such a subgroup can never be regular, so callers prune early).
-    `forbid_dup_pi1` strengthens that: two elements sharing a first projection
-    quotient to a stabilizer element, so any subgroup of a regular group has
-    pairwise-distinct projections and a repeat aborts the search immediately.
+    exceeded, or when `forbid_dup_pi1` is set and two elements share a first
+    projection: they quotient to a non-identity element fixing 0, so any
+    subgroup of a regular group has pairwise-distinct projections and a repeat
+    aborts the search immediately.  The identity is always present, so this
+    also rejects every pure automorphism (first projection 0).
 
     `tables` = (rows, compose) supplies the automorphism arithmetic: rows[f] is
     f's action row and compose[f * n_aut + g] the index of f o g.  By default
@@ -624,10 +604,6 @@ def _hol_closure(
     seen.update((*seed_gens, *gens))
     if len(seen) > cap:
         return None
-    if forbid_pure_aut:
-        for h in seen:
-            if h < n_aut and h != ident:
-                return None
     pi1_seen: set[int] | None = None
     if forbid_dup_pi1:
         pi1_seen = {h // n_aut for h in seen}
@@ -644,8 +620,6 @@ def _hol_closure(
             for ga, gf in all_gens:
                 y = add[xan + row[ga]] * n_aut + compose[xfk + gf]
                 if y not in seen:
-                    if forbid_pure_aut and y < n_aut and y != ident:
-                        return None
                     if pi1_seen is not None:
                         ya = y // n_aut
                         if ya in pi1_seen:

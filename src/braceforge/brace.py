@@ -180,8 +180,7 @@ def regular_from_brace(B: SkewBrace) -> HolSubgroup:
     """The graph {(a, lambda_a)} of the lambda map, a regular subgroup."""
     spec = B.spec
     n_aut = spec.n_aut
-    elems = frozenset(a * n_aut + f for a, f in enumerate(B.lam))
-    return HolSubgroup(spec, elems, _small_generating_set(spec, elems))
+    return HolSubgroup(spec, frozenset(a * n_aut + f for a, f in enumerate(B.lam)))
 
 
 def _small_generating_set(spec: GroupSpec, elements: frozenset[int]) -> tuple[int, ...]:
@@ -476,9 +475,7 @@ def braces_isomorphic(B1: SkewBrace, B2: SkewBrace) -> bool:
 
     if B1.lam == B2.lam:
         return True
-    k1, _ = orbit_min_key(B1.spec, regular_from_brace(B1).elements)
-    k2, _ = orbit_min_key(B2.spec, regular_from_brace(B2).elements)
-    return k1 == k2
+    return orbit_min_key(B1)[0] == orbit_min_key(B2)[0]
 
 
 def cayley_isomorphic(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> bool:

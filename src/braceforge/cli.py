@@ -5,8 +5,7 @@ which is reported as a warning); 1 = a comparison mismatched or a
 verification failed; 2 = bad usage, malformed input, or a refused pair.
 
 Output is byte-deterministic for a fixed configuration regardless of
---jobs.  The environment variable BRACEFORGE_SEED is reserved but unused:
-nothing here is randomized.
+--jobs.
 """
 
 from __future__ import annotations
@@ -33,15 +32,14 @@ from .io import (
 )
 from .reference import headline_total, per_family_total
 from .regular import (
+    ORACLE_BOUND,
     OracleBoundError,
-    _subgroup_key,
     orbit_min_key,
     orbit_partition,
     regular_subgroups_oracle,
     regular_subgroups_structured,
     tabulate,
 )
-from .brace import regular_from_brace
 from .ybe import solution_from_brace, solution_properties, verify_ybe
 
 __all__ = ["RunConfig", "main"]
@@ -59,7 +57,7 @@ class RunConfig:
     q: int
     additive: str = "both"
     method: str = "structured"
-    oracle_bound: int = 100_000
+    oracle_bound: int = ORACLE_BOUND
     fmt: str = "table"
     out: str | None = None
     jobs: int = 1
@@ -91,8 +89,8 @@ def _enumerate_kind(
         oracle = regular_subgroups_oracle(spec, bound=cfg.oracle_bound)
     agree: bool | None = None
     if structured is not None and oracle is not None:
-        keys_s = {orbit_min_key(spec, G.elements)[0] for G in structured}
-        keys_o = {orbit_min_key(spec, G.elements)[0] for G in oracle}
+        keys_s = {orbit_min_key(B)[0] for B in structured}
+        keys_o = {orbit_min_key(B)[0] for B in oracle}
         agree = keys_s == keys_o
     subgroups = structured if structured is not None else oracle
     return orbit_partition(subgroups, spec=spec), agree
@@ -324,12 +322,12 @@ def cmd_compare(cfg: RunConfig) -> int:
         if agree is False:
             perfect = False
         kind_entries = [e for e in entries if e.brace.spec.kind is kind]
-        by_key = {_subgroup_key(oc.representative.elements): i for i, oc in enumerate(orbits)}
+        # Each class brace is its orbit's minimal lambda table.
+        by_key = {oc.brace.lam: i for i, oc in enumerate(orbits)}
         claimed: dict[int, str] = {}
         unmatched_entries = []
         for e in kind_entries:
-            G = regular_from_brace(e.brace)
-            key = orbit_min_key(spec, G.elements)[0]
+            key = orbit_min_key(e.brace)[0]
             name = f"{e.family}{dict(sorted(e.parameters.items()))}"
             idx = by_key.get(key)
             if idx is None or idx in claimed:
@@ -422,7 +420,7 @@ def _add_pair_args(sub: argparse.ArgumentParser, with_method: bool) -> None:
         sub.add_argument(
             "--oracle-bound",
             type=int,
-            default=100_000,
+            default=ORACLE_BOUND,
             help="refuse the naive oracle above this |Hol(A)|",
         )
     sub.add_argument("--format", choices=["table", "json"], default="table")
@@ -471,7 +469,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         q=args.q,
         additive=args.additive,
         method=getattr(args, "method", "structured"),
-        oracle_bound=getattr(args, "oracle_bound", 100_000),
+        oracle_bound=getattr(args, "oracle_bound", ORACLE_BOUND),
         fmt=args.format,
         out=args.out,
         jobs=args.jobs,

@@ -18,8 +18,15 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import GroupSpec, HolSubgroup, Kind, group_spec
-from .brace import G_K, BraceInvariants, MultClass, SkewBrace
+from .algebra import Kind, group_spec
+from .brace import (
+    G_K,
+    BraceInvariants,
+    MultClass,
+    SkewBrace,
+    _small_generating_set,
+    regular_from_brace,
+)
 from .regular import EnumerationReport
 from .ybe import Solution
 
@@ -276,15 +283,13 @@ def solution_from_json(obj: Any) -> tuple[Solution, dict[str, bool]]:
 # ---------------- enumeration reports ----------------
 
 
-def subgroup_to_json(H: HolSubgroup) -> list:
-    """Generator list of (element index, automorphism descriptor) pairs."""
-    spec = H.spec
-    gens = H.generator_pairs
-    if not gens and H.order > 1:
-        from .brace import _small_generating_set
-
-        gens = [spec.hol_decode(h) for h in _small_generating_set(spec, H.elements)]
-    return [[spec.encode(a), descriptor_to_json(spec.kind, f)] for a, f in gens]
+def subgroup_to_json(B: SkewBrace) -> list:
+    """Generators of the brace's regular subgroup {(a, lambda_a)}, as a list
+    of (element index, automorphism descriptor) pairs."""
+    spec = B.spec
+    gens = _small_generating_set(spec, regular_from_brace(B).elements)
+    pairs = [spec.hol_decode(h) for h in gens]
+    return [[spec.encode(a), descriptor_to_json(spec.kind, f)] for a, f in pairs]
 
 
 def report_to_json(report: EnumerationReport) -> dict:
@@ -308,7 +313,7 @@ def report_to_json(report: EnumerationReport) -> dict:
                 "ker": oc.ker_order,
                 "orbit_size": oc.orbit_size,
                 "invariants": invariants_to_json(oc.invariants),
-                "generators": subgroup_to_json(oc.representative),
+                "generators": subgroup_to_json(oc.brace),
             }
             for oc in report.orbits
         ],

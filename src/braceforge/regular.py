@@ -7,15 +7,21 @@ Two independent routes produce the same classes:
 * the naive oracle grows subgroups from at most three cyclic pieces of the
   holomorph, with only order-arithmetic pruning.
 
-Survivors are partitioned into conjugation orbits; each orbit carries the
-derived brace and its invariants.
+Both return each regular subgroup as a `SkewBrace`: a regular subgroup is
+the graph {(a, lambda_a)} of a brace's lambda map (Guarnieri-Vendramin), so
+its lambda table holds it.  Ordering by table is ordering by the subgroup's
+sorted encoded indices a * |Aut(A)| + lambda_a.
+
+Survivors are partitioned into conjugation orbits.  Conjugating by psi in
+Aut(A) scatters the table, lambda'[psi(a)] = psi lambda_a psi^-1; each orbit
+is represented by its smallest table, a brace carrying its invariants.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
 import numpy as np
@@ -28,17 +34,12 @@ from .algebra import (
     group_spec,
     subgroup_classes_of_order,
 )
-from .brace import (
-    BraceInvariants,
-    SkewBrace,
-    _small_generating_set,
-    brace_from_regular,
-    brace_invariants,
-)
+from .brace import BraceInvariants, SkewBrace, brace_from_regular, brace_invariants
 from .cases import CongruenceCase, PrimePair, classify_case
 from .reference import expected_cells, headline_total
 
 __all__ = [
+    "ORACLE_BOUND",
     "OrbitClass",
     "EnumerationReport",
     "OracleBoundError",
@@ -53,20 +54,24 @@ __all__ = [
 ]
 
 
+# The naive oracle refuses holomorphs larger than this by default.
+ORACLE_BOUND = 100_000
+
+
 class OracleBoundError(RuntimeError):
     """The holomorph is too large for the naive oracle's stated bound."""
 
 
 @dataclass
 class OrbitClass:
-    """One Aut(A)-conjugacy class of regular subgroups of Hol(A)."""
+    """One Aut(A)-conjugacy class of regular subgroups of Hol(A), represented
+    by the brace of its orbit-minimal member."""
 
-    representative: HolSubgroup
+    brace: SkewBrace
     orbit_size: int
     pi2_order: int
     ker_order: int
     invariants: BraceInvariants
-    brace: SkewBrace = field(repr=False)
 
 
 def pi1(G: HolSubgroup) -> frozenset[int]:
@@ -130,86 +135,90 @@ def _conj_perms(spec: GroupSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _orbit_scan(
-    spec: GroupSpec, elements: frozenset[int]
-) -> tuple[set[bytes], bytes]:
-    """All conjugates of a subgroup, as sorted-tuple byte keys, plus the
-    lexicographically smallest key (the canonical orbit representative)."""
-    n_aut = spec.n_aut
+# Lambda tables as byte keys: fixed-width big-endian, so comparing keys
+# compares the tables lexicographically.
+_KEY_DTYPE = ">u4"
+
+
+def _lam_key(lam) -> bytes:
+    return np.asarray(lam, dtype=_KEY_DTYPE).tobytes()
+
+
+def _orbit_scan(spec: GroupSpec, lam) -> tuple[set[bytes], tuple[int, ...]]:
+    """All conjugates of a brace's regular subgroup, as lambda byte keys, plus
+    the lexicographically smallest lambda table (the canonical orbit
+    representative)."""
     perms = _conj_perms(spec)
-    start = np.fromiter(sorted(elements), count=len(elements), dtype=np.int64)
-    key0 = start.astype(">i8").tobytes()
-    keys = {key0}
+    start = np.asarray(lam, dtype=np.int64)
+    min_key = _lam_key(start)
+    keys = {min_key}
     frontier = [start]
-    min_key = key0
     while frontier:
         new = []
         for arr in frontier:
-            a_part, f_part = np.divmod(arr, n_aut)
             for perm_elt, perm_aut in perms:
-                img = np.sort(perm_elt[a_part] * n_aut + perm_aut[f_part])
-                key = img.astype(">i8").tobytes()
+                img = np.empty_like(arr)
+                img[perm_elt] = perm_aut[arr]
+                key = _lam_key(img)
                 if key not in keys:
                     keys.add(key)
                     if key < min_key:
                         min_key = key
                     new.append(img)
         frontier = new
-    return keys, min_key
+    return keys, tuple(np.frombuffer(min_key, dtype=_KEY_DTYPE).tolist())
 
 
-def orbit_min_key(spec: GroupSpec, elements: frozenset[int]) -> tuple[bytes, int]:
-    """Canonical (orbit-minimal) key of a subgroup's conjugation orbit and the
-    orbit's size.  Two subgroups are Aut(A)-conjugate iff their keys match."""
-    keys, min_key = _orbit_scan(spec, elements)
-    return min_key, len(keys)
+def orbit_min_key(B: SkewBrace) -> tuple[tuple[int, ...], int]:
+    """Canonical (orbit-minimal) lambda table of the conjugation orbit of a
+    brace's regular subgroup, and the orbit's size.  Two braces are
+    isomorphic iff their keys match."""
+    keys, min_lam = _orbit_scan(B.spec, B.lam)
+    return min_lam, len(keys)
 
 
-def _subgroup_key(elements: frozenset[int]) -> bytes:
-    arr = np.fromiter(sorted(elements), count=len(elements), dtype=np.int64)
-    return arr.astype(">i8").tobytes()
-
-
-def orbit_partition(
-    subgroups, spec: GroupSpec | None = None
-) -> list[OrbitClass]:
-    """Partition regular subgroups into conjugacy classes.
+def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
+    """Partition the regular subgroups of the given braces into conjugacy
+    classes.
 
     Each class is represented by its orbit-minimal member; orbit_size counts
     every conjugate (not just the supplied ones).  Classes are sorted by
-    (|pi2|, representative key).
+    (|pi2|, representative lambda table).
     """
-    subs = list(subgroups)
+    braces = list(braces)
     if spec is None:
-        if not subs:
+        if not braces:
             return []
-        spec = subs[0].spec
-    unassigned: dict[bytes, HolSubgroup] = {}
-    for G in subs:
-        unassigned.setdefault(_subgroup_key(G.elements), G)
+        spec = braces[0].spec
+    unassigned: dict[bytes, SkewBrace] = {}
+    for B in braces:
+        unassigned.setdefault(_lam_key(B.lam), B)
+    top = gcd(spec.n, spec.n_aut)
     out: list[OrbitClass] = []
     while unassigned:
         start = unassigned[min(unassigned)]
-        keys, min_key = _orbit_scan(spec, start.elements)
+        keys, min_lam = _orbit_scan(spec, start.lam)
         for k in [k for k in unassigned if k in keys]:
             del unassigned[k]
-        rep_elems = frozenset(
-            int(v) for v in np.frombuffer(min_key, dtype=">i8")
-        )
-        rep = HolSubgroup(spec, rep_elems, _small_generating_set(spec, rep_elems))
-        B = brace_from_regular(rep)
+        B = SkewBrace(spec, min_lam)
+        pi2_order = len(B.lambda_image)
+        if top % pi2_order != 0:
+            # |pi2| = |A| / |ker lambda| divides both |A| and |Aut(A)|.
+            raise RuntimeError(
+                f"|pi2| = {pi2_order} of a regular subgroup does not divide "
+                f"gcd(|A|, |Aut(A)|) = {top}"
+            )
         inv = brace_invariants(B)
         out.append(
             OrbitClass(
-                representative=rep,
+                brace=B,
                 orbit_size=len(keys),
-                pi2_order=len(pi2(rep)),
+                pi2_order=pi2_order,
                 ker_order=inv.ker_size,
                 invariants=inv,
-                brace=B,
             )
         )
-    out.sort(key=lambda oc: (oc.pi2_order, oc.representative.key))
+    out.sort(key=lambda oc: (oc.pi2_order, oc.brace.lam))
     return out
 
 
@@ -277,9 +286,10 @@ def _lift_search(
     kernel_index: int,
     pruning: bool,
     lifts: str,
-) -> list[HolSubgroup]:
+) -> list[SkewBrace]:
     """Every regular subgroup with projection in the given Aut-class and the
-    given kernel, each returned once, found by closing lifted generator tuples.
+    given kernel, each returned once as its brace, found by closing lifted
+    generator tuples.
 
     Each generator's lift ranges over a transversal of the kernel N
     ("transversal").  Replacing a lift u by a coset mate u + t (t in N) gives
@@ -314,7 +324,7 @@ def _lift_search(
     N_hol = frozenset(a * n_aut + ident for a in N)
     seed_gens = tuple(a * n_aut + ident for a in _additive_generators(spec, N))
     domain = list(range(n)) if lifts == "full" else _kernel_transversal(spec, N)
-    found: dict[frozenset[int], HolSubgroup] = {}
+    found: dict[frozenset[int], SkewBrace] = {}
     for tup in itertools.product(domain, repeat=len(gens_aut)):
         if pruning:
             # (R): (u, alpha)^ord(alpha) = (u + alpha(u) + ... +
@@ -336,24 +346,23 @@ def _lift_search(
             cap=n,
             seed=N_hol,
             seed_gens=seed_gens,
-            forbid_pure_aut=True,
             forbid_dup_pi1=True,
         )
         if got is not None and len(got) == n and got not in found:
-            G = HolSubgroup(spec, got, seed_gens + gens_hol)
+            G = HolSubgroup(spec, got)
             if not is_regular(G):
                 raise RuntimeError(
                     f"lift search closed a non-regular subgroup (k={k}, "
                     f"class {class_index}, kernel {kernel_index})"
                 )
-            found[got] = G
+            found[got] = brace_from_regular(G)
     return list(found.values())
 
 
 def _lift_worker(args: tuple) -> list[tuple[int, ...]]:
     p, q, kind, k, ci, ni, pruning, lifts = args
     spec = group_spec(p, q, kind)
-    return [G.key for G in _lift_search(spec, k, ci, ni, pruning, lifts)]
+    return [B.lam for B in _lift_search(spec, k, ci, ni, pruning, lifts)]
 
 
 _LIFT_MODES = ("transversal", "full")
@@ -365,9 +374,9 @@ def regular_subgroups_structured(
     pruning: bool = True,
     lifts: str = "transversal",
     jobs: int = 1,
-) -> list[HolSubgroup]:
-    """Every regular subgroup of Hol(A) reachable from some (K, N) pair,
-    sorted by key.
+) -> list[SkewBrace]:
+    """Every regular subgroup of Hol(A) reachable from some (K, N) pair, as
+    its brace, sorted by lambda table.
 
     K runs over Aut(A)-class representatives of each projection order, so the
     output holds at least one member of every conjugacy class (a conjugate of
@@ -378,7 +387,7 @@ def regular_subgroups_structured(
     if lifts not in _LIFT_MODES:
         raise ValueError(f"unknown lift mode {lifts!r}; expected one of {_LIFT_MODES}")
     items = _work_items(spec)
-    found: dict[tuple[int, ...], HolSubgroup] = {}
+    found: dict[tuple[int, ...], SkewBrace] = {}
     if jobs > 1:
         # Touch the cached tables the lift search reads before forking so
         # children share them.
@@ -388,15 +397,15 @@ def regular_subgroups_structured(
             for (k, ci, ni) in items
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for keys in pool.map(_lift_worker, argv):
-                for key in keys:
-                    if key not in found:
-                        found[key] = HolSubgroup(spec, frozenset(key))
+            for lams in pool.map(_lift_worker, argv):
+                for lam in lams:
+                    if lam not in found:
+                        found[lam] = SkewBrace(spec, lam)
     else:
         for k, ci, ni in items:
-            for G in _lift_search(spec, k, ci, ni, pruning, lifts):
-                found.setdefault(G.key, G)
-    return [found[k] for k in sorted(found)]
+            for B in _lift_search(spec, k, ci, ni, pruning, lifts):
+                found.setdefault(B.lam, B)
+    return [found[lam] for lam in sorted(found)]
 
 
 # ---------------- naive oracle ----------------
@@ -406,7 +415,12 @@ def _whole_aut_tables(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """Action rows of all of Aut(A), shape (n_aut, n), and its composition
     table, shape (n_aut, n_aut), entry [f, g] the index of f o g."""
     every = np.arange(spec.n_aut)
-    return spec.apply_rows(every), spec.compose_many(every[:, None], every)
+    compose = np.empty((spec.n_aut, spec.n_aut), dtype=np.intp)
+    # Blocks of rows bound compose_many's temporaries (several int64 arrays
+    # of the block's size times the descriptor width).
+    for i in range(0, spec.n_aut, 64):
+        compose[i : i + 64] = spec.compose_many(every[i : i + 64, None], every)
+    return spec.apply_rows(every), compose
 
 
 def _hol_times(spec: GroupSpec, rows, compose, xa, xf, a, f):
@@ -478,8 +492,8 @@ def _oracle_cyclic_subgroups(
 
 
 def regular_subgroups_oracle(
-    spec: GroupSpec, bound: int = 100_000
-) -> list[HolSubgroup]:
+    spec: GroupSpec, bound: int = ORACLE_BOUND
+) -> list[SkewBrace]:
     """Exhaustive regular-subgroup scan with no structural assumptions.
 
     Joins up to three cyclic subgroups of Hol(A), pruning only by Lagrange
@@ -500,7 +514,8 @@ def regular_subgroups_oracle(
       outside S whose first projection S already has rejects the join
       before the closure starts.
 
-    Survivors are sorted by key; each must pass `is_regular`.
+    Each survivor must pass `is_regular`; they are returned as braces,
+    sorted by lambda table.
     """
     if spec.hol_order > bound:
         raise OracleBoundError(
@@ -518,14 +533,13 @@ def regular_subgroups_oracle(
     rows, compose = rows_np.tolist(), compose_np.ravel().tolist()
     tables = (rows, compose)
 
-    results: dict[tuple[int, ...], HolSubgroup] = {}
+    results: set[frozenset[int]] = set()
     partial: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...]]] = {}
     for h, C in cyclic:
-        key = tuple(sorted(C))
         if len(C) == n:
-            results[key] = HolSubgroup(spec, C, (h,))
+            results.add(C)
         else:
-            partial[key] = (C, (h,))
+            partial[tuple(sorted(C))] = (C, (h,))
 
     processed: set[tuple[int, ...]] = set()
     current = partial
@@ -565,25 +579,25 @@ def regular_subgroups_oracle(
                     continue
                 T = _hol_closure(
                     spec, (h,), cap=n, seed=S, seed_gens=gens,
-                    forbid_pure_aut=True, forbid_dup_pi1=True, tables=tables,
+                    forbid_dup_pi1=True, tables=tables,
                 )
                 if T is None:
                     continue
-                tkey = tuple(sorted(T))
                 if len(T) == n:
-                    if tkey not in results:
-                        results[tkey] = HolSubgroup(spec, T, gens + (h,))
+                    results.add(T)
                 elif depth < 3 and n % len(T) == 0:
-                    grown.setdefault(tkey, (T, gens + (h,)))
+                    grown.setdefault(tuple(sorted(T)), (T, gens + (h,)))
         current = grown
 
-    survivors = [results[k] for k in sorted(results)]
-    for G in survivors:
+    survivors = []
+    for T in results:
+        G = HolSubgroup(spec, T)
         if not is_regular(G):
             raise RuntimeError(
                 f"oracle survivor of order {G.order} is not regular"
             )
-    return survivors
+        survivors.append(brace_from_regular(G))
+    return sorted(survivors, key=lambda B: B.lam)
 
 
 # ---------------- top level + reporting ----------------
@@ -628,7 +642,7 @@ def tabulate(
     if spec is None:
         if not orbits:
             raise ValueError("cannot infer the carrier from an empty orbit list")
-        spec = orbits[0].representative.spec
+        spec = orbits[0].brace.spec
     if case is None:
         case = classify_case(PrimePair(spec.p, spec.q))
     cells: dict[tuple[int, str], int] = {}

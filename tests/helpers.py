@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from braceforge.algebra import group_spec
-from braceforge.brace import SkewBrace, regular_from_brace
+from braceforge.brace import SkewBrace
 from braceforge.catalog import catalog_for_case
 from braceforge.regular import (
     orbit_min_key,
@@ -48,9 +48,9 @@ def catalog(p: int, q: int, rank: int = 0):
     return tuple(catalog_for_case(p, q, rank=rank))
 
 
-def brace_orbit_key(B: SkewBrace) -> bytes:
+def brace_orbit_key(B: SkewBrace) -> tuple[int, ...]:
     """Canonical conjugacy-class key of the brace's regular subgroup."""
-    return orbit_min_key(B.spec, regular_from_brace(B).elements)[0]
+    return orbit_min_key(B)[0]
 
 
 def oracle_eligible(p: int, q: int, kind: str) -> bool:

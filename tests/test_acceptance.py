@@ -61,14 +61,13 @@ def _cells_match(p, q, kind) -> bool:
     return tabulate(orbits(p, q, kind)).matches
 
 
-def _orbit_keys_from_raw(p, q, kind, subgroups) -> set[bytes]:
-    spec = group_spec(p, q, kind)
-    return {orbit_min_key(spec, G.elements)[0] for G in subgroups}
+def _orbit_keys_from_raw(subgroups) -> set[tuple[int, ...]]:
+    return {orbit_min_key(B)[0] for B in subgroups}
 
 
 def _oracle_agrees(p, q, kind) -> bool:
-    keys_s = _orbit_keys_from_raw(p, q, kind, structured_subgroups(p, q, kind))
-    keys_o = _orbit_keys_from_raw(p, q, kind, oracle_subgroups(p, q, kind))
+    keys_s = _orbit_keys_from_raw(structured_subgroups(p, q, kind))
+    keys_o = _orbit_keys_from_raw(oracle_subgroups(p, q, kind))
     return keys_s == keys_o
 
 
@@ -83,9 +82,7 @@ def test_criterion_01_pair_3_2():
         report = tabulate(orbit_partition(subs, spec=spec))
         assert report.matches, report.cell_rows()
         raw_oracle = regular_subgroups_oracle(spec)
-        assert _orbit_keys_from_raw(3, 2, kind, subs) == _orbit_keys_from_raw(
-            3, 2, kind, raw_oracle
-        )
+        assert _orbit_keys_from_raw(subs) == _orbit_keys_from_raw(raw_oracle)
         counts[kind] = report.total
     elapsed = time.perf_counter() - t0
     assert counts == {"cyclic": 3, "mixed": 5}
@@ -131,9 +128,9 @@ def test_criterion_05_pair_3_7():
     # lift-domain reduction must not change the answer, so the default is
     # held to the unpruned search and to the full (every-lift) cross-check
     spec = group_spec(3, 7, Kind.MIXED)
-    base = {G.key for G in structured_subgroups(3, 7, "mixed")}
-    assert base == {G.key for G in regular_subgroups_structured(spec, pruning=False)}
-    assert base == {G.key for G in regular_subgroups_structured(spec, lifts="full")}
+    base = {B.lam for B in structured_subgroups(3, 7, "mixed")}
+    assert base == {B.lam for B in regular_subgroups_structured(spec, pruning=False)}
+    assert base == {B.lam for B in regular_subgroups_structured(spec, lifts="full")}
     return "11 classes (5 cyclic + 6 mixed), oracle agrees (cyclic), structured self-consistent (mixed)"
 
 
@@ -175,7 +172,7 @@ def test_criterion_08_pair_7_3_definitive_count():
     assert any("authoritative" in w for w in tabulate(orbits(7, 3, "mixed")).warnings)
     # every catalog constructor appears exactly once among the orbits
     rep_keys = {
-        orbit_min_key(group_spec(7, 3, k), oc.representative.elements)[0]
+        orbit_min_key(oc.brace)[0]
         for k in ("cyclic", "mixed")
         for oc in orbits(7, 3, k)
     }
@@ -254,8 +251,8 @@ def test_criterion_12_oracle_structured_bijection():
     ]
     assert len(eligible) == 13
     for p, q, kind in eligible:
-        keys_s = _orbit_keys_from_raw(p, q, kind, structured_subgroups(p, q, kind))
-        keys_o = _orbit_keys_from_raw(p, q, kind, oracle_subgroups(p, q, kind))
+        keys_s = _orbit_keys_from_raw(structured_subgroups(p, q, kind))
+        keys_o = _orbit_keys_from_raw(oracle_subgroups(p, q, kind))
         assert keys_s == keys_o, (p, q, kind)
         assert len(keys_s) == len(orbits(p, q, kind))
     return f"{len(eligible)} carriers with |Hol| <= 1e5: orbit sets bijective"

@@ -23,6 +23,10 @@ CASES = [
         "enumerate_p5_q13.json",
         ["enumerate", "--p", "5", "--q", "13", "--format", "json"],
     ),
+    (
+        "enumerate_p3_q2_both.json",
+        ["enumerate", "--p", "3", "--q", "2", "--method", "both", "--format", "json"],
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from braceforge import cli
 from braceforge.algebra import Kind, group_spec
-from braceforge.brace import MultClass
+from braceforge.brace import MultClass, regular_from_brace
 from braceforge.catalog import cyclic_pq_brace, trivial_brace
 from braceforge.io import (
     SchemaError,
@@ -112,13 +112,13 @@ def test_report_json_structure():
 def test_subgroup_generators_decode_back():
     spec = group_spec(3, 2, Kind.MIXED)
     for oc in orbits(3, 2, "mixed"):
-        gens = subgroup_to_json(oc.representative)
+        gens = subgroup_to_json(oc.brace)
         from braceforge.algebra import closure
 
         pairs = [
             (spec.decode(a), descriptor_from_json(spec.kind, d)) for a, d in gens
         ]
-        assert closure(spec, pairs).elements == oc.representative.elements
+        assert closure(spec, pairs).elements == regular_from_brace(oc.brace).elements
 
 
 # ---------------- command line ----------------

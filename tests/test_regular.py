@@ -5,10 +5,12 @@ import inspect
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from braceforge import regular
-from braceforge.algebra import HolSubgroup, Kind, _hol_closure, closure, group_spec
+from braceforge.algebra import Kind, _hol_closure, closure, group_spec
+from braceforge.brace import regular_from_brace
 from braceforge.cases import CongruenceCase
 from braceforge.regular import (
     OracleBoundError,
@@ -74,17 +76,16 @@ def test_oracle_covers_structured_and_orbits_agree(p, q, kind):
     least one per conjugacy orbit (it fixes a representative pi2 subgroup per
     class, so conjugates with other pi2 images are deliberately skipped).
     """
-    spec = group_spec(p, q, kind)
-    got_s = {G.key for G in structured_subgroups(p, q, kind)}
-    got_o = {G.key for G in oracle_subgroups(p, q, kind)}
+    got_s = {B.lam for B in structured_subgroups(p, q, kind)}
+    got_o = {B.lam for B in oracle_subgroups(p, q, kind)}
     assert got_s <= got_o
     if kind == "cyclic":
         # abelian Aut: conjugation cannot move pi2, so the raw sets coincide
         assert got_s == got_o
-    keys_s = {orbit_min_key(spec, G.elements)[0] for G in structured_subgroups(p, q, kind)}
-    keys_o = {orbit_min_key(spec, G.elements)[0] for G in oracle_subgroups(p, q, kind)}
+    keys_s = {orbit_min_key(B)[0] for B in structured_subgroups(p, q, kind)}
+    keys_o = {orbit_min_key(B)[0] for B in oracle_subgroups(p, q, kind)}
     assert keys_s == keys_o
-    assert all(is_regular(G) for G in structured_subgroups(p, q, kind))
+    assert all(is_regular(regular_from_brace(B)) for B in structured_subgroups(p, q, kind))
 
 
 @pytest.mark.parametrize(
@@ -93,9 +94,9 @@ def test_oracle_covers_structured_and_orbits_agree(p, q, kind):
 )
 def test_pruning_and_lift_mode_do_not_change_the_result(p, q, kind):
     spec = group_spec(p, q, kind)
-    base = [G.key for G in structured_subgroups(p, q, kind)]
-    unpruned = [G.key for G in regular_subgroups_structured(spec, pruning=False)]
-    full = [G.key for G in regular_subgroups_structured(spec, lifts="full")]
+    base = [B.lam for B in structured_subgroups(p, q, kind)]
+    unpruned = [B.lam for B in regular_subgroups_structured(spec, pruning=False)]
+    full = [B.lam for B in regular_subgroups_structured(spec, lifts="full")]
     assert base == unpruned == full
 
 
@@ -105,8 +106,8 @@ def test_each_lift_search_returns_every_subgroup_once(p, q, kind):
     # would come from; both domains must return the same distinct subgroups
     spec = group_spec(p, q, kind)
     for k, ci, ni in _work_items(spec):
-        full = [G.key for G in _lift_search(spec, k, ci, ni, True, "full")]
-        transversal = [G.key for G in _lift_search(spec, k, ci, ni, True, "transversal")]
+        full = [B.lam for B in _lift_search(spec, k, ci, ni, True, "full")]
+        transversal = [B.lam for B in _lift_search(spec, k, ci, ni, True, "transversal")]
         assert len(set(full)) == len(full)
         assert sorted(full) == sorted(transversal)
 
@@ -127,8 +128,8 @@ def test_oracle_refuses_a_non_regular_survivor(monkeypatch):
 
 def test_parallel_jobs_agree_with_serial():
     spec = group_spec(3, 2, Kind.MIXED)
-    serial = {G.key for G in structured_subgroups(3, 2, "mixed")}
-    parallel = {G.key for G in regular_subgroups_structured(spec, jobs=2)}
+    serial = {B.lam for B in structured_subgroups(3, 2, "mixed")}
+    parallel = {B.lam for B in regular_subgroups_structured(spec, jobs=2)}
     assert serial == parallel
 
 
@@ -145,18 +146,70 @@ def test_orbit_sizes_account_for_every_subgroup(p, q, kind):
     ocs = orbits(p, q, kind)
     assert sum(oc.orbit_size for oc in ocs) == len(oracle_subgroups(p, q, kind))
     # representative is orbit-minimal and the classes are disjoint
-    keys = [orbit_min_key(group_spec(p, q, kind), oc.representative.elements)[0] for oc in ocs]
+    keys = [orbit_min_key(oc.brace)[0] for oc in ocs]
     assert len(set(keys)) == len(ocs)
 
 
 def test_orbit_partition_conjugation_invariance():
-    spec = group_spec(3, 2, Kind.MIXED)
     ocs = orbits(3, 2, "mixed")
     subs = structured_subgroups(3, 2, "mixed")
-    rep_keys = {orbit_min_key(spec, oc.representative.elements)[0] for oc in ocs}
+    rep_keys = {orbit_min_key(oc.brace)[0] for oc in ocs}
     # every raw subgroup's orbit-minimal key is one of the class keys
-    for G in subs:
-        assert orbit_min_key(spec, G.elements)[0] in rep_keys
+    for B in subs:
+        assert orbit_min_key(B)[0] in rep_keys
+
+
+def _sorted_index_orbit_scan(spec, elements):
+    """The orbit scan the lambda scatter replaced: conjugate the encoded
+    holomorph indices (a, f) -> (psi(a), psi f psi^-1) and key each conjugate
+    by its sorted index tuple.  Returns the orbit size and the smallest key."""
+    n_aut = spec.n_aut
+    perms = regular._conj_perms(spec)
+    start = np.fromiter(sorted(elements), count=len(elements), dtype=np.int64)
+    key0 = start.astype(">i8").tobytes()
+    keys = {key0}
+    frontier = [start]
+    min_key = key0
+    while frontier:
+        new = []
+        for arr in frontier:
+            a_part, f_part = np.divmod(arr, n_aut)
+            for perm_elt, perm_aut in perms:
+                img = np.sort(perm_elt[a_part] * n_aut + perm_aut[f_part])
+                key = img.astype(">i8").tobytes()
+                if key not in keys:
+                    keys.add(key)
+                    if key < min_key:
+                        min_key = key
+                    new.append(img)
+        frontier = new
+    return len(keys), np.frombuffer(min_key, dtype=">i8")
+
+
+@pytest.mark.parametrize(
+    "p,q,kind", [(p, q, kind) for p, q in DESK_PAIRS for kind in ("cyclic", "mixed")]
+)
+def test_lambda_orbit_scan_matches_the_sorted_index_scan(p, q, kind):
+    spec = group_spec(p, q, kind)
+    subs = structured_subgroups(p, q, kind)
+
+    def element_key(B):
+        return sorted(regular_from_brace(B).elements)
+
+    # ordering by lambda table is ordering by sorted element indices
+    assert sorted(subs, key=element_key) == list(subs)
+    if oracle_eligible(p, q, kind):
+        got = oracle_subgroups(p, q, kind)
+        assert sorted(got, key=element_key) == list(got)
+    for B in subs:
+        size, min_elements = _sorted_index_orbit_scan(spec, regular_from_brace(B).elements)
+        keys, min_lam = regular._orbit_scan(spec, B.lam)
+        assert len(keys) == size
+        # the smallest sorted index tuple, decoded to its lambda table
+        a_part, f_part = np.divmod(min_elements, spec.n_aut)
+        assert a_part.tolist() == list(range(spec.n))
+        assert min_lam == tuple(f_part.tolist())
+        assert orbit_min_key(B) == (min_lam, size)
 
 
 def test_known_class_counts_small():
@@ -199,14 +252,33 @@ def test_tabulate_flags_the_headline_discrepancy():
 
 
 def test_closure_duplicate_projection_prune_is_sound():
-    # forbid_dup_pi1 must not reject any genuinely regular subgroup:
-    # re-run the raw search on one spec with the prune forced off via the
-    # public pruning=False path and compare (already covered above), and
-    # check directly that a regular subgroup never repeats a projection.
+    # forbid_dup_pi1 must not reject any genuinely regular subgroup: a
+    # regular subgroup never repeats a projection, so the pruned closure of
+    # its elements is itself.
     spec = group_spec(2, 5, Kind.MIXED)
-    for G in structured_subgroups(2, 5, "mixed"):
+    for B in structured_subgroups(2, 5, "mixed"):
+        G = regular_from_brace(B)
         firsts = {h // spec.n_aut for h in G.elements}
         assert len(firsts) == len(G.elements)
+        got = _hol_closure(spec, sorted(G.elements), cap=spec.n, forbid_dup_pi1=True)
+        assert got == G.elements
+
+
+def test_closure_duplicate_projection_prune_rejects_pure_automorphisms():
+    # the identity (first projection 0) is always in the closure, so the
+    # prune rejects a pure automorphism (0, f), f != id, wherever it shows up
+    spec = group_spec(3, 2, Kind.MIXED)
+    n_aut = spec.n_aut
+    neg = spec.aut_index[((2, 0, 0, 2), 1)]  # -1 on the p-part
+    x = spec.encode((1, 0, 0))
+    minus_x = spec.encode((2, 0, 0))
+    pure = neg
+    assert _hol_closure(spec, (pure,), cap=spec.n, forbid_dup_pi1=True) is None
+    # (-x, id)(x, -1) = (0, -1): a product of two generators with distinct,
+    # nonzero first projections
+    gens = (x * n_aut + neg, minus_x * n_aut + spec.identity_aut)
+    assert pure in _hol_closure(spec, gens, cap=spec.hol_order)
+    assert _hol_closure(spec, gens, cap=spec.hol_order, forbid_dup_pi1=True) is None
 
 
 # Every regular subgroup of Hol(A) (not one per class) on each desk carrier
@@ -236,7 +308,7 @@ def test_oracle_finds_every_regular_subgroup(p, q, kind):
     # criterion 12 compares orbit keys only, which an oracle that dropped
     # conjugates would still pass; the orbit sizes count every conjugate
     got = oracle_subgroups(p, q, kind)
-    assert len({G.key for G in got}) == len(got)
+    assert len({B.lam for B in got}) == len(got)
     assert len(got) == sum(oc.orbit_size for oc in orbits(p, q, kind))
     assert len(got) == ORACLE_COUNTS[(p, q, kind)]
 
