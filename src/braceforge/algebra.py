@@ -40,7 +40,7 @@ __all__ = [
     "closure",
     "aut_closure",
     "carrier_subgroups",
-    "aut_subgroups_of_order",
+    "aut_orbits",
     "subgroup_classes_of_order",
 ]
 
@@ -176,10 +176,6 @@ class GroupSpec:
     @cached_property
     def add_flat(self) -> list[int]:
         return self.add_np.ravel().tolist()
-
-    @cached_property
-    def neg_list(self) -> list[int]:
-        return self.neg_np.tolist()
 
     def sylow(self, prime: int) -> frozenset[int]:
         """Indices of the (unique) Sylow subgroup of the carrier at this prime."""
@@ -438,14 +434,16 @@ class GroupSpec:
         return gens
 
     @cached_property
-    def _conj_maps(self) -> list[list[int]]:
-        """Per Aut-generator psi: table f -> psi o f o psi^-1 (on indices)."""
+    def conj_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per Aut generator psi, two int64 arrays: psi on element indices, and
+        f -> psi o f o psi^-1 on automorphism indices."""
         every = np.arange(self.n_aut)
-        maps = []
-        for g in self.aut_generators:
+        rows = self.apply_rows(self.aut_generators).astype(np.int64)
+        tables = []
+        for g, row in zip(self.aut_generators, rows):
             g_inv = self.aut_index[self.invert_desc(self.aut_descriptors[g])]
-            maps.append(self.compose_many(self.compose_many(g, every), g_inv).tolist())
-        return maps
+            tables.append((row, self.compose_many(self.compose_many(g, every), g_inv)))
+        return tables
 
     # ---------------- holomorph ----------------
 
@@ -699,6 +697,57 @@ def _carrier_lattice(spec: GroupSpec) -> tuple[frozenset[int], ...]:
     return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
 
+# Index arrays as byte keys: fixed-width big-endian, so comparing the keys of
+# equal-length arrays compares the arrays lexicographically.
+_KEY_DTYPE = ">u4"
+
+
+def aut_orbits(
+    spec: GroupSpec, arrays: Iterable, act
+) -> list[tuple[tuple[int, ...], int]]:
+    """Partition index arrays into orbits under conjugation by Aut(A).
+
+    `act(arr, perm_elt, perm_aut)` is the image of an int64 array under one
+    Aut generator psi, given psi on elements and f -> psi f psi^-1 on
+    automorphisms (`spec.conj_tables`).  Each orbit met by `arrays` is
+    returned once, as (its smallest member, its size), in key order; the size
+    counts every member, listed in `arrays` or not.
+    """
+    tables = spec.conj_tables
+    pending: dict[bytes, np.ndarray] = {}
+    for arr in arrays:
+        arr = np.asarray(arr, dtype=np.int64)
+        pending.setdefault(arr.astype(_KEY_DTYPE).tobytes(), arr)
+    orbits: list[tuple[bytes, int]] = []
+    while pending:
+        start = min(pending)
+        keys = {start}
+        frontier = [pending[start]]
+        while frontier:
+            new = []
+            for arr in frontier:
+                for perm_elt, perm_aut in tables:
+                    img = act(arr, perm_elt, perm_aut)
+                    key = img.astype(_KEY_DTYPE).tobytes()
+                    if key not in keys:
+                        keys.add(key)
+                        new.append(img)
+            frontier = new
+        for key in keys:
+            pending.pop(key, None)
+        orbits.append((min(keys), len(keys)))
+    orbits.sort()
+    return [
+        (tuple(np.frombuffer(key, dtype=_KEY_DTYPE).tolist()), size)
+        for key, size in orbits
+    ]
+
+
+def _conjugate_subgroup(arr, perm_elt, perm_aut):
+    """psi S psi^-1 for a sorted array of automorphism indices."""
+    return np.sort(perm_aut[arr])
+
+
 @dataclass(frozen=True)
 class AutSubgroupClass:
     """One conjugacy class of order-k subgroups of Aut(A)."""
@@ -709,27 +758,36 @@ class AutSubgroupClass:
     generators: tuple[int, ...]       # minimal generators of the representative
     n_conjugates: int                 # size of the conjugacy class
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
-
 
 @lru_cache(maxsize=None)
-def aut_subgroups_of_order(spec: GroupSpec, k: int) -> list[frozenset[int]]:
-    """Every subgroup of Aut(A) of order exactly k (k as in the enumeration:
-    a divisor of the carrier order, so such subgroups need at most two
-    generators).
+def subgroup_classes_of_order(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
+    """Conjugacy-class representatives of the order-k subgroups of Aut(A), k
+    a divisor of both |A| and |Aut(A)|, found by cyclic extension.
+
+    The cyclic subgroups <f> with f^k = id are partitioned into classes
+    first.  An order-k subgroup T that is not cyclic is <C1, C2> for two
+    cyclic subgroups of smaller order: groups of order p, q, p^2 and pq are
+    2-generated, and |Aut(A)| is divisible by p^2 q only on the mixed
+    carrier of (2, 3), whose Aut(A) = GL(2, 2) x Z_3^* is 2-generated too.
+    If g C1 g^-1 is the representative R of C1's class, then
+    g T g^-1 = <R, g C2 g^-1>, and g C2 g^-1 is again a listed cyclic
+    subgroup.  So the order-k joins of each representative with each cyclic
+    subgroup, with the order-k cyclic representatives, meet every class, and
+    partitioning them gives the classes and their sizes.
+
+    Representatives are orbit-minimal by sorted element tuple; the class list
+    is sorted the same way, so output is deterministic.
     """
+    ident = spec.identity_aut
     if k == 1:
-        return [frozenset({spec.identity_aut})]
+        return [AutSubgroupClass(spec, 1, frozenset({ident}), (), 1)]
     if spec.n_aut % k != 0 or spec.n % k != 0:
         raise ValueError(
             f"order {k} must divide both |Aut| = {spec.n_aut} and |A| = {spec.n}"
         )
-    ident = spec.identity_aut
     # Distinct cyclic subgroups <f> with f^k = id, each found from its
     # smallest generator; the generators of each are skipped afterwards.
-    cyclics: list[tuple[frozenset[int], int]] = []
+    cyclics: dict[tuple[int, ...], tuple[frozenset[int], int]] = {}
     covered: set[int] = set()
     for f in spec.aut_torsion(k).tolist():
         if f == ident or f in covered:
@@ -739,63 +797,42 @@ def aut_subgroups_of_order(spec: GroupSpec, k: int) -> list[frozenset[int]]:
             powers.append(spec.compose_idx(powers[-1], f))
         d = len(powers)
         covered.update(g for i, g in enumerate(powers, 1) if gcd(i, d) == 1)
-        cyclics.append((frozenset(powers), f))
-    found: dict[frozenset[int], None] = {C: None for C, _ in cyclics if len(C) == k}
-    # Every other order-k subgroup is generated by two cyclic subgroups
-    # (k divides the carrier order); an order-k cyclic one absorbs any join.
-    small = [(C, f) for C, f in cyclics if len(C) < k]
-    for i, (C1, f1) in enumerate(small):
-        for C2, f2 in small[i + 1 :]:
-            if C1 <= C2 or C2 <= C1:
+        cyclics[tuple(sorted(powers))] = (frozenset(powers), f)
+    cyclic_classes = aut_orbits(spec, cyclics, _conjugate_subgroup)
+    total = sum(size for _, size in cyclic_classes)
+    if total != len(cyclics):
+        # Conjugation preserves f^k = id, so every conjugate must be listed.
+        raise RuntimeError(
+            f"order {k}: {len(cyclics)} cyclic subgroups <f> with f^{k} = id "
+            f"were listed, but their conjugacy classes hold {total}"
+        )
+    joins: dict[tuple[int, ...], None] = {}
+    for key, _ in cyclic_classes:
+        R, f1 = cyclics[key]
+        if len(R) == k:
+            joins[key] = None
+            continue
+        for C, f2 in cyclics.values():
+            if C <= R or R <= C:
                 continue
-            # The join contains the product set C1 C2.
-            if len(C1) * len(C2) // len(C1 & C2) > k:
+            # The join contains the product set R C.
+            if len(R) * len(C) // len(R & C) > k:
                 continue
             T = aut_closure(spec, (f1, f2), cap=k)
             if T is not None and len(T) == k:
-                found.setdefault(T, None)
-    return sorted(found, key=lambda s: sorted(s))
-
-
-@lru_cache(maxsize=None)
-def subgroup_classes_of_order(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
-    """Conjugacy-class representatives of the order-k subgroups of Aut(A).
-
-    Representatives are orbit-minimal by sorted element tuple; the class list
-    is sorted the same way, so output is deterministic.
-    """
-    all_subs = {frozenset(s): None for s in aut_subgroups_of_order(spec, k)}
-    conj_maps = spec._conj_maps
-    classes: list[AutSubgroupClass] = []
-    unassigned = dict(all_subs)
-    while unassigned:
-        start = min(unassigned, key=lambda s: sorted(s))
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for S in frontier:
-                for cm in conj_maps:
-                    T = frozenset(cm[f] for f in S)
-                    if T not in orbit:
-                        orbit.add(T)
-                        new.append(T)
-            frontier = new
-        for S in orbit:
-            # Conjugates of an order-k subgroup are order-k subgroups, so the
-            # exhaustive scan must already know every one of them.
-            unassigned.pop(S)
-        rep = min(orbit, key=lambda s: sorted(s))
+                joins[tuple(sorted(T))] = None
+    classes = []
+    for rep, size in aut_orbits(spec, joins, _conjugate_subgroup):
+        rep = frozenset(rep)
         classes.append(
             AutSubgroupClass(
                 spec=spec,
                 order=k,
                 elements=rep,
                 generators=_minimal_generators(spec, rep),
-                n_conjugates=len(orbit),
+                n_conjugates=size,
             )
         )
-    classes.sort(key=lambda c: c.key)
     return classes
 
 

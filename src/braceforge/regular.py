@@ -30,6 +30,7 @@ from .algebra import (
     GroupSpec,
     HolSubgroup,
     _hol_closure,
+    aut_orbits,
     carrier_subgroups,
     group_spec,
     subgroup_classes_of_order,
@@ -126,55 +127,19 @@ def is_regular(G: HolSubgroup) -> bool:
 # ---------------- conjugation orbits ----------------
 
 
-def _conj_perms(spec: GroupSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per Aut-generator psi: (carrier permutation, Aut-conjugation permutation)."""
-    rows = spec.apply_rows(spec.aut_generators).astype(np.int64)
-    return [
-        (perm_elt, np.asarray(table, dtype=np.int64))
-        for perm_elt, table in zip(rows, spec._conj_maps)
-    ]
-
-
-# Lambda tables as byte keys: fixed-width big-endian, so comparing keys
-# compares the tables lexicographically.
-_KEY_DTYPE = ">u4"
-
-
-def _lam_key(lam) -> bytes:
-    return np.asarray(lam, dtype=_KEY_DTYPE).tobytes()
-
-
-def _orbit_scan(spec: GroupSpec, lam) -> tuple[set[bytes], tuple[int, ...]]:
-    """All conjugates of a brace's regular subgroup, as lambda byte keys, plus
-    the lexicographically smallest lambda table (the canonical orbit
-    representative)."""
-    perms = _conj_perms(spec)
-    start = np.asarray(lam, dtype=np.int64)
-    min_key = _lam_key(start)
-    keys = {min_key}
-    frontier = [start]
-    while frontier:
-        new = []
-        for arr in frontier:
-            for perm_elt, perm_aut in perms:
-                img = np.empty_like(arr)
-                img[perm_elt] = perm_aut[arr]
-                key = _lam_key(img)
-                if key not in keys:
-                    keys.add(key)
-                    if key < min_key:
-                        min_key = key
-                    new.append(img)
-        frontier = new
-    return keys, tuple(np.frombuffer(min_key, dtype=_KEY_DTYPE).tolist())
+def _conjugate_lambda(lam, perm_elt, perm_aut):
+    """The lambda table of psi G psi^-1: lambda'[psi(a)] = psi lambda_a psi^-1."""
+    img = np.empty_like(lam)
+    img[perm_elt] = perm_aut[lam]
+    return img
 
 
 def orbit_min_key(B: SkewBrace) -> tuple[tuple[int, ...], int]:
     """Canonical (orbit-minimal) lambda table of the conjugation orbit of a
     brace's regular subgroup, and the orbit's size.  Two braces are
     isomorphic iff their keys match."""
-    keys, min_lam = _orbit_scan(B.spec, B.lam)
-    return min_lam, len(keys)
+    [(min_lam, size)] = aut_orbits(B.spec, [B.lam], _conjugate_lambda)
+    return min_lam, size
 
 
 def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
@@ -190,16 +155,9 @@ def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
         if not braces:
             return []
         spec = braces[0].spec
-    unassigned: dict[bytes, SkewBrace] = {}
-    for B in braces:
-        unassigned.setdefault(_lam_key(B.lam), B)
     top = gcd(spec.n, spec.n_aut)
     out: list[OrbitClass] = []
-    while unassigned:
-        start = unassigned[min(unassigned)]
-        keys, min_lam = _orbit_scan(spec, start.lam)
-        for k in [k for k in unassigned if k in keys]:
-            del unassigned[k]
+    for min_lam, size in aut_orbits(spec, (B.lam for B in braces), _conjugate_lambda):
         B = SkewBrace(spec, min_lam)
         pi2_order = len(B.lambda_image)
         if top % pi2_order != 0:
@@ -212,7 +170,7 @@ def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
         out.append(
             OrbitClass(
                 brace=B,
-                orbit_size=len(keys),
+                orbit_size=size,
                 pi2_order=pi2_order,
                 ker_order=inv.ker_size,
                 invariants=inv,

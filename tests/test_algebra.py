@@ -12,7 +12,6 @@ from braceforge.algebra import (
     Kind,
     aut_closure,
     aut_group_order,
-    aut_subgroups_of_order,
     carrier_subgroups,
     closure,
     group_spec,
@@ -156,9 +155,13 @@ def test_automorphisms_are_additive_and_compose(spec):
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_conjugation_maps_match_scalar_conjugation(spec):
     descs = spec.aut_descriptors
-    for g, table in zip(spec.aut_generators, spec._conj_maps):
+    assert len(spec.conj_tables) == len(spec.aut_generators)
+    for g, (perm_elt, perm_aut) in zip(spec.aut_generators, spec.conj_tables):
         psi, psi_inv = descs[g], spec.invert_desc(descs[g])
-        assert table == [
+        assert perm_elt.tolist() == spec.aut_row(g) == [
+            spec.encode(spec.apply_desc(psi, x)) for x in spec.elements
+        ]
+        assert perm_aut.tolist() == [
             spec.aut_index[spec.compose_desc(spec.compose_desc(psi, d), psi_inv)]
             for d in descs
         ]
@@ -198,9 +201,63 @@ def _subgroups_by_pool_pairs(spec, k):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_aut_subgroups_match_closing_every_pool_pair(spec):
+    # The classes found by cyclic extension against every order-k subgroup
+    # found by the exhaustive scan: each representative is one of them, and
+    # the classes account for all of them.
     g = gcd(spec.n, spec.n_aut)
     for k in (d for d in range(1, g + 1) if g % d == 0):
-        assert aut_subgroups_of_order(spec, k) == _subgroups_by_pool_pairs(spec, k)
+        reference = _subgroups_by_pool_pairs(spec, k)
+        classes = subgroup_classes_of_order(spec, k)
+        assert all(c.elements in reference for c in classes)
+        assert sum(c.n_conjugates for c in classes) == len(reference)
+
+
+# Number of subgroups of Aut(A) of each order k dividing gcd(|A|, |Aut(A)|),
+# summed over k; counted by the exhaustive pairwise scan that listed every
+# such subgroup before the classes were found by cyclic extension.
+AUT_SUBGROUP_TOTALS = {
+    (3, 2, "cyclic"): 4, (3, 2, "mixed"): 30,
+    (2, 5, "cyclic"): 7, (2, 5, "mixed"): 15,
+    (2, 7, "cyclic"): 5, (2, 7, "mixed"): 11,
+    (5, 3, "cyclic"): 2, (5, 3, "mixed"): 17,
+    (3, 7, "cyclic"): 6, (3, 7, "mixed"): 18,
+    (3, 19, "cyclic"): 9, (3, 19, "mixed"): 27,
+    (5, 13, "cyclic"): 2, (5, 13, "mixed"): 7,
+    (7, 3, "cyclic"): 4, (7, 3, "mixed"): 126,
+    (13, 3, "mixed"): 345,
+}
+
+
+@pytest.mark.parametrize("carrier", list(AUT_SUBGROUP_TOTALS), ids=str)
+def test_aut_subgroup_class_sizes_sum_to_the_exhaustive_count(carrier):
+    spec = group_spec(*carrier)
+    g = gcd(spec.n, spec.n_aut)
+    total = sum(
+        c.n_conjugates
+        for k in range(1, g + 1)
+        if g % k == 0
+        for c in subgroup_classes_of_order(spec, k)
+    )
+    assert total == AUT_SUBGROUP_TOTALS[carrier]
+
+
+def test_a_missing_cyclic_subgroup_is_reported(monkeypatch):
+    # Drop every generator of one non-central order-2 subgroup of GL(2, 3)
+    # from the torsion list: its conjugates are still found, so the class
+    # sizes exceed the listed count.  A fresh spec keeps the shared one clean;
+    # it compares equal to it, so the class cache is cleared around the call.
+    spec = GroupSpec(3, 2, Kind.MIXED)
+    pool = spec.aut_torsion(2)
+    ident = spec.identity_aut
+    central = spec.aut_index[((2, 0, 0, 2), 1)]
+    dropped = next(f for f in pool.tolist() if f not in (ident, central))
+    monkeypatch.setattr(spec, "aut_torsion", lambda k: pool[pool != dropped])
+    subgroup_classes_of_order.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="order 2: 12 cyclic subgroups"):
+            subgroup_classes_of_order(spec, 2)
+    finally:
+        subgroup_classes_of_order.cache_clear()
 
 
 def _hol_elements(spec):

@@ -174,11 +174,9 @@ def test_braces_isomorphic_needs_matching_carriers():
 
 def test_invariants_are_isomorphism_invariant():
     # braces in the same orbit class must share invariants with the rep
-    from braceforge.regular import _conj_perms
-
     spec = group_spec(3, 2, Kind.MIXED)
     for oc in orbits(3, 2, "mixed"):
-        perm_a, perm_f = _conj_perms(spec)[0]
+        perm_a, perm_f = spec.conj_tables[0]
         moved = frozenset(
             int(perm_a[h // spec.n_aut]) * spec.n_aut + int(perm_f[h % spec.n_aut])
             for h in regular_from_brace(oc.brace).elements
