@@ -29,7 +29,6 @@ __all__ = [
     "Kind",
     "GroupSpec",
     "group_spec",
-    "HolSubgroup",
     "AutSubgroupClass",
     "ClosureCapError",
     "aut_group_order",
@@ -505,49 +504,13 @@ def hol_act(spec: GroupSpec, x: tuple[Element, AutDesc], pt: Element) -> Element
     return spec.add(a, spec.apply_desc(f, pt))
 
 
-class HolSubgroup:
-    """A subgroup of Hol(A), stored as encoded element indices.
-
-    Encoded index of (a, f) is encode(a) * n_aut + aut_index(f).  Equality and
-    hashing use the element set only.
-    """
-
-    __slots__ = ("spec", "elements")
-
-    def __init__(self, spec: GroupSpec, elements: frozenset[int]):
-        self.spec = spec
-        self.elements = elements
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, h: int) -> bool:
-        return h in self.elements
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HolSubgroup)
-            and self.spec == other.spec
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.elements))
-
-    def __repr__(self) -> str:
-        return f"HolSubgroup({self.spec!r}, order={self.order})"
-
-
 def closure(
     spec: GroupSpec,
     generators: Sequence[tuple[Element, AutDesc]],
     cap: int | None = None,
-) -> HolSubgroup:
-    """Subgroup of Hol(A) generated by the given (element, automorphism) pairs.
+) -> frozenset[int]:
+    """Subgroup of Hol(A) generated by the given (element, automorphism) pairs,
+    as encoded indices encode(a) * n_aut + aut_index(f).
 
     Saturates products breadth-first; a finite group needs no explicit
     inverses.  Aborts with ClosureCapError if the closure exceeds `cap`
@@ -561,7 +524,7 @@ def closure(
         raise ClosureCapError(
             f"closure of {len(gens)} generators in Hol({spec!r}) exceeded cap {cap}"
         )
-    return HolSubgroup(spec, got)
+    return got
 
 
 def _hol_closure(
@@ -629,6 +592,27 @@ def _hol_closure(
                     next_frontier.append(y)
         frontier = next_frontier
     return frozenset(seen)
+
+
+def _small_generating_set(spec: GroupSpec, elements: frozenset[int]) -> tuple[int, ...]:
+    """Greedy deterministic generating set of a subgroup of Hol(A) (smallest
+    encoded indices first)."""
+    ident = spec.identity_aut
+    have: frozenset[int] = frozenset({ident})
+    gens: list[int] = []
+    for h in sorted(elements):
+        if h not in have:
+            gens.append(h)
+            got = _hol_closure(spec, gens, cap=len(elements))
+            if got is None:
+                raise RuntimeError(
+                    f"elements of a {len(elements)}-element set generate a "
+                    "larger subgroup; the set is not a subgroup"
+                )
+            have = got
+            if len(have) == len(elements):
+                break
+    return tuple(gens)
 
 
 def aut_closure(

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import dlog, legendre, unit_of_order
-from .algebra import GroupSpec, HolSubgroup, Kind, _hol_closure
+from .algebra import GroupSpec
 
 __all__ = [
     "MultClass",
@@ -113,13 +113,19 @@ class SkewBrace:
     def __repr__(self) -> str:
         return f"SkewBrace({self.spec!r}, |ker|={len(ker_lambda(self))})"
 
+    @property
+    def lambda_rows(self) -> np.ndarray:
+        """Action of each lambda_a, shape (n, n), int32: lambda_rows[a, b] =
+        lambda_a(b).  Not cached, unlike circle_np: a second n x n table kept
+        by every class brace would raise a run's peak RSS."""
+        used, pos = np.unique(np.asarray(self.lam, dtype=np.intp), return_inverse=True)
+        return self.spec.apply_rows(used)[pos]
+
     @cached_property
     def circle_np(self) -> np.ndarray:
-        """Circle Cayley table on indices: circle_np[a, b] = a o b."""
+        """Circle Cayley table on indices: circle_np[a, b] = a + lambda_a(b)."""
         spec = self.spec
-        used, pos = np.unique(np.asarray(self.lam, dtype=np.intp), return_inverse=True)
-        lam_rows = spec.apply_rows(used)[pos]
-        return spec.add_np[np.arange(spec.n)[:, None], lam_rows]
+        return spec.add_np[np.arange(spec.n)[:, None], self.lambda_rows]
 
     @cached_property
     def circle_flat(self) -> list[int]:
@@ -161,14 +167,19 @@ class SkewBrace:
         return out
 
 
-def brace_from_regular(G: HolSubgroup) -> SkewBrace:
-    """Brace with lambda_a = the unique f such that (a, f) lies in G."""
-    spec = G.spec
+def brace_from_regular(spec: GroupSpec, elements: frozenset[int]) -> SkewBrace:
+    """Brace with lambda_a = the unique f such that (a, f) lies in the
+    subgroup of Hol(A) given by its encoded indices a * n_aut + f.
+
+    This is the regularity check: (a, f) maps 0 to a, so a subgroup acts
+    regularly exactly when it has |A| elements with pairwise distinct first
+    projections.  Raises ValueError otherwise.
+    """
     n, n_aut = spec.n, spec.n_aut
-    if G.order != n:
-        raise ValueError(f"subgroup of order {G.order} is not regular on {n} points")
+    if len(elements) != n:
+        raise ValueError(f"subgroup of order {len(elements)} is not regular on {n} points")
     lam = [-1] * n
-    for h in G.elements:
+    for h in elements:
         a, f = divmod(h, n_aut)
         if lam[a] != -1:
             raise ValueError("subgroup is not regular: repeated first projection")
@@ -176,31 +187,11 @@ def brace_from_regular(G: HolSubgroup) -> SkewBrace:
     return SkewBrace(spec, lam)
 
 
-def regular_from_brace(B: SkewBrace) -> HolSubgroup:
-    """The graph {(a, lambda_a)} of the lambda map, a regular subgroup."""
-    spec = B.spec
-    n_aut = spec.n_aut
-    return HolSubgroup(spec, frozenset(a * n_aut + f for a, f in enumerate(B.lam)))
-
-
-def _small_generating_set(spec: GroupSpec, elements: frozenset[int]) -> tuple[int, ...]:
-    """Greedy deterministic generating set (smallest indices first)."""
-    ident = spec.identity_aut
-    have: frozenset[int] = frozenset({ident})
-    gens: list[int] = []
-    for h in sorted(elements):
-        if h not in have:
-            gens.append(h)
-            got = _hol_closure(spec, gens, cap=len(elements))
-            if got is None:
-                raise RuntimeError(
-                    f"elements of a {len(elements)}-element set generate a "
-                    "larger subgroup; the set is not a subgroup"
-                )
-            have = got
-            if len(have) == len(elements):
-                break
-    return tuple(gens)
+def regular_from_brace(B: SkewBrace) -> frozenset[int]:
+    """The graph {(a, lambda_a)} of the lambda map, a regular subgroup, as
+    encoded indices."""
+    n_aut = B.spec.n_aut
+    return frozenset(a * n_aut + f for a, f in enumerate(B.lam))
 
 
 def verify_left_brace(B: SkewBrace) -> VerifyResult:
@@ -244,19 +235,32 @@ def verify_left_brace(B: SkewBrace) -> VerifyResult:
                 f"{spec.decode(a)}, {spec.decode(b)}, {spec.decode(c)}"
             )
             break
-    image = np.asarray(B.lambda_image)
-    pos = {f: i for i, f in enumerate(B.lambda_image)}
-    comp = spec.compose_many(image[:, None], image[None, :])
-    lam_np = np.asarray(B.lam, dtype=np.int32)
-    lam_pos = np.asarray([pos[f] for f in B.lam], dtype=np.intp)
-    lhs_hom = lam_np[Z]
-    rhs_hom = comp[lam_pos[:, None], lam_pos[None, :]]
-    if not np.array_equal(lhs_hom, rhs_hom):
-        a, b = map(int, np.argwhere(lhs_hom != rhs_hom)[0])
+    bad = _lambda_hom_witness(B, Z)
+    if bad is not None:
+        a, b = bad
         problems.append(
             f"lambda is not multiplicative at {spec.decode(a)}, {spec.decode(b)}"
         )
     return VerifyResult(ok=not problems, problems=tuple(problems))
+
+
+def _lambda_hom_witness(B: SkewBrace, table: np.ndarray) -> tuple[int, int] | None:
+    """The first (a, b) with lambda_{table[a, b]} != lambda_a o lambda_b, or
+    None when lambda is a homomorphism from the operation `table` (n x n).
+
+    Compositions are evaluated once per pair of automorphisms in lambda(A).
+    """
+    image = np.asarray(B.lambda_image)
+    pos = {f: i for i, f in enumerate(B.lambda_image)}
+    comp = B.spec.compose_many(image[:, None], image[None, :])
+    lam_np = np.asarray(B.lam, dtype=np.int32)
+    lam_pos = np.asarray([pos[f] for f in B.lam], dtype=np.intp)
+    lhs = lam_np[table]
+    rhs = comp[lam_pos[:, None], lam_pos[None, :]]
+    if np.array_equal(lhs, rhs):
+        return None
+    a, b = map(int, np.argwhere(lhs != rhs)[0])
+    return a, b
 
 
 def ker_lambda(B: SkewBrace) -> frozenset[int]:
@@ -338,15 +342,7 @@ def lambda_is_additive(B: SkewBrace) -> bool:
     condition, so it must always agree with is_bi_skew (cheaper: no triple
     loop).
     """
-    spec = B.spec
-    image = np.asarray(B.lambda_image)
-    pos = {f: i for i, f in enumerate(B.lambda_image)}
-    comp = spec.compose_many(image[:, None], image[None, :])
-    lam_np = np.asarray(B.lam, dtype=np.int32)
-    lam_pos = np.asarray([pos[f] for f in B.lam], dtype=np.intp)
-    lhs = lam_np[spec.add_np]
-    rhs = comp[lam_pos[:, None], lam_pos[None, :]]
-    return bool(np.array_equal(lhs, rhs))
+    return _lambda_hom_witness(B, B.spec.add_np) is None
 
 
 def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:

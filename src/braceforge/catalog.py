@@ -168,11 +168,9 @@ def fourq1mod4_cyclic(q: int, variant: int, rank: int = 0) -> SkewBrace:
 
 # ---------------- families on the mixed carrier ----------------
 
-# The transvection sigma -> sigma, tau -> sigma tau; powers C^k add k*b to a.
-_C = (1, 1, 0, 1)
-
-
 def _c_pow(k: int, p: int) -> tuple[int, int, int, int]:
+    """The k-th power of the transvection sigma -> sigma, tau -> sigma tau;
+    it adds k*b to a."""
     return (1, k % p, 0, 1)
 
 

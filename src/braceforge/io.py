@@ -18,15 +18,22 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Kind, group_spec
+from .algebra import Kind, _small_generating_set, group_spec
 from .brace import (
+    G_F,
     G_K,
+    ZP2Q,
+    ZP2_RTIMES_ZQ,
+    ZP2xZQ,
+    ZP_x_ZQ_RTIMES_ZP,
+    ZQ_RTIMES_ZP2_h,
+    ZQ_RTIMES_ZP2_rp,
     BraceInvariants,
     MultClass,
     SkewBrace,
-    _small_generating_set,
     regular_from_brace,
 )
+from .cases import classify_case, ensure_in_scope
 from .regular import EnumerationReport
 from .ybe import Solution
 
@@ -53,14 +60,14 @@ __all__ = [
 SCHEMA_FORMAT = "braceforge-v1"
 
 _LABELS = {
-    "ZP2Q",
-    "ZP2_RTIMES_ZQ",
-    "ZP2xZQ",
-    "G_K",
-    "G_F",
-    "ZP_x_ZQ_RTIMES_ZP",
-    "ZQ_RTIMES_ZP2_rp",
-    "ZQ_RTIMES_ZP2_h",
+    ZP2Q,
+    ZP2_RTIMES_ZQ,
+    ZP2xZQ,
+    G_K,
+    G_F,
+    ZP_x_ZQ_RTIMES_ZP,
+    ZQ_RTIMES_ZP2_rp,
+    ZQ_RTIMES_ZP2_h,
 }
 
 
@@ -92,6 +99,19 @@ def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     return val
 
 
+def _int_matrix(obj: Any, key: str, n: int, where: str) -> list:
+    """obj[key] as an n x n matrix of integers (lists of lists, no bools)."""
+    table = _expect(obj, key, list, where)
+    if len(table) != n or any(
+        not isinstance(row, list)
+        or len(row) != n
+        or any(isinstance(x, bool) or not isinstance(x, int) for x in row)
+        for row in table
+    ):
+        raise SchemaError(f"{where}: {key!r} must be a {n}x{n} integer matrix")
+    return table
+
+
 # ---------------- automorphism descriptors ----------------
 
 
@@ -109,14 +129,8 @@ def descriptor_from_json(kind: Kind | str, obj: Any):
         i = _expect(obj, "i", int, where)
         j = _expect(obj, "j", int, where)
         return (i, j)
-    m = _expect(obj, "m", list, where)
+    m = _int_matrix(obj, "m", 2, where)
     alpha = _expect(obj, "alpha", int, where)
-    if (
-        len(m) != 2
-        or any(not isinstance(row, list) or len(row) != 2 for row in m)
-        or any(isinstance(x, bool) or not isinstance(x, int) for row in m for x in row)
-    ):
-        raise SchemaError(f"{where}: 'm' must be a 2x2 integer matrix")
     return ((m[0][0], m[0][1], m[1][0], m[1][1]), alpha)
 
 
@@ -191,8 +205,9 @@ def brace_from_json(obj: Any) -> SkewBrace:
 
     Raises SchemaError for anything malformed: wrong format tag, composite
     p or q, descriptors that are not automorphisms of the stated carrier,
-    or a lambda table of the wrong shape.  Brace axioms are *not* checked
-    here; run verify_left_brace on the result.
+    or a lambda table of the wrong shape; ExcludedPairError for the
+    out-of-scope pair (2, 3).  Brace axioms are *not* checked here; run
+    verify_left_brace on the result.
     """
     where = "brace"
     fmt = _expect(obj, "format", str, where)
@@ -207,6 +222,7 @@ def brace_from_json(obj: Any) -> SkewBrace:
         spec = group_spec(p, q, additive)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+    ensure_in_scope(classify_case(spec.pair))
     order = _expect(obj, "order", int, where)
     if order != spec.n:
         raise SchemaError(f"{where}: order {order} != p^2*q = {spec.n}")
@@ -265,15 +281,13 @@ def solution_to_json(sol: Solution, checks: dict[str, bool]) -> dict:
 def solution_from_json(obj: Any) -> tuple[Solution, dict[str, bool]]:
     where = "solution"
     n = _expect(obj, "n", int, where)
-    sigma = _expect(obj, "sigma", list, where)
-    tau = _expect(obj, "tau", list, where)
+    sigma = _int_matrix(obj, "sigma", n, where)
+    tau = _int_matrix(obj, "tau", n, where)
     checks = _expect(obj, "checks", dict, where)
     try:
         sol = Solution(np.asarray(sigma), np.asarray(tau))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-    if sol.n != n:
-        raise SchemaError(f"{where}: n = {n} does not match the tables")
     out = {}
     for key in ("ybe", "involutive", "nondegenerate"):
         out[key] = _expect(checks, key, bool, f"{where}.checks")
@@ -287,7 +301,7 @@ def subgroup_to_json(B: SkewBrace) -> list:
     """Generators of the brace's regular subgroup {(a, lambda_a)}, as a list
     of (element index, automorphism descriptor) pairs."""
     spec = B.spec
-    gens = _small_generating_set(spec, regular_from_brace(B).elements)
+    gens = _small_generating_set(spec, regular_from_brace(B))
     pairs = [spec.hol_decode(h) for h in gens]
     return [[spec.encode(a), descriptor_to_json(spec.kind, f)] for a, f in pairs]
 

@@ -7,10 +7,12 @@ Two independent routes produce the same classes:
 * the naive oracle grows subgroups from at most three cyclic pieces of the
   holomorph, with only order-arithmetic pruning.
 
-Both return each regular subgroup as a `SkewBrace`: a regular subgroup is
-the graph {(a, lambda_a)} of a brace's lambda map (Guarnieri-Vendramin), so
-its lambda table holds it.  Ordering by table is ordering by the subgroup's
-sorted encoded indices a * |Aut(A)| + lambda_a.
+Both close subgroups of Hol(A) as sets of encoded indices a * |Aut(A)| + f
+and turn each one they keep straight into its lambda table with
+`brace_from_regular`, the one regularity check.  A regular subgroup is the
+graph {(a, lambda_a)} of a brace's lambda map (Guarnieri-Vendramin), so the
+`SkewBrace` holds it.  Ordering by table is ordering by the subgroup's sorted
+encoded indices.
 
 Survivors are partitioned into conjugation orbits.  Conjugating by psi in
 Aut(A) scatters the table, lambda'[psi(a)] = psi lambda_a psi^-1; each orbit
@@ -28,8 +30,8 @@ import numpy as np
 
 from .algebra import (
     GroupSpec,
-    HolSubgroup,
     _hol_closure,
+    _small_generating_set,
     aut_orbits,
     carrier_subgroups,
     group_spec,
@@ -44,9 +46,6 @@ __all__ = [
     "OrbitClass",
     "EnumerationReport",
     "OracleBoundError",
-    "is_regular",
-    "pi1",
-    "pi2",
     "regular_subgroups_structured",
     "regular_subgroups_oracle",
     "orbit_partition",
@@ -75,53 +74,17 @@ class OrbitClass:
     invariants: BraceInvariants
 
 
-def pi1(G: HolSubgroup) -> frozenset[int]:
-    """Projection of G to the carrier (element indices)."""
-    n_aut = G.spec.n_aut
-    return frozenset(h // n_aut for h in G.elements)
+def _survivor_brace(spec: GroupSpec, elements: frozenset[int], where: str) -> SkewBrace:
+    """The brace of a closure a search kept as regular.
 
-
-def pi2(G: HolSubgroup) -> frozenset[int]:
-    """Projection of G to Aut(A) (automorphism indices)."""
-    spec = G.spec
-    out = frozenset(h % spec.n_aut for h in G.elements)
-    if G.order == spec.n and gcd(spec.n, spec.n_aut) % len(out) != 0:
-        # For a regular subgroup |pi2| = |G| / |ker| divides both |A| and |Aut|.
-        raise RuntimeError(
-            f"|pi2| = {len(out)} of an order-{spec.n} subgroup does not divide "
-            f"gcd(|A|, |Aut(A)|) = {gcd(spec.n, spec.n_aut)}"
-        )
-    return out
-
-
-def is_regular(G: HolSubgroup) -> bool:
-    """Simply transitive action on the carrier.
-
-    Three equivalent criteria are evaluated and must agree (RuntimeError
-    otherwise):
-    |G| = |A| with surjective first projection; |G| = |A| with trivial
-    intersection with 1 x Aut(A); and direct simple transitivity of the
-    orbit of 0.
+    `brace_from_regular` is the one regularity check.  Its ValueError would
+    read as a usage error at the command line, so a failure here is a
+    RuntimeError naming the search instead.
     """
-    spec = G.spec
-    n, n_aut = spec.n, spec.n_aut
-    ident = spec.identity_aut
-    parts = sorted(h // n_aut for h in G.elements)
-    by_projection = G.order == n and parts == list(range(n))
-    by_stabilizer = G.order == n and not any(
-        h < n_aut and h != ident for h in G.elements
-    )
-    # The orbit of 0 under (a, f) is a + f(0) = a, so simple transitivity is
-    # "every carrier point is hit exactly once".
-    by_action = len(parts) == n and all(
-        i == a for i, a in enumerate(parts)
-    )
-    if not by_projection == by_stabilizer == by_action:
-        raise RuntimeError(
-            "regularity criteria disagree: projection "
-            f"{by_projection}, stabilizer {by_stabilizer}, action {by_action}"
-        )
-    return by_projection
+    try:
+        return brace_from_regular(spec, elements)
+    except ValueError as exc:
+        raise RuntimeError(f"{where} closed a non-regular subgroup: {exc}") from exc
 
 
 # ---------------- conjugation orbits ----------------
@@ -185,31 +148,6 @@ def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _additive_generators(spec: GroupSpec, N: frozenset[int]) -> tuple[int, ...]:
-    """Greedy small generating set of an additive subgroup (index set)."""
-    n = spec.n
-    add = spec.add_flat
-    gens: list[int] = []
-    have = {0}
-    for a in sorted(N):
-        if a not in have:
-            gens.append(a)
-            have = {0}
-            frontier = [0]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for g in gens:
-                        y = add[x * n + g]
-                        if y not in have:
-                            have.add(y)
-                            new.append(y)
-                frontier = new
-            if len(have) == len(N):
-                break
-    return tuple(gens)
 
 
 def _kernel_transversal(spec: GroupSpec, N: frozenset[int]) -> list[int]:
@@ -280,7 +218,7 @@ def _lift_search(
             power_rows.append([spec.aut_row(f) for f in powers])
 
     N_hol = frozenset(a * n_aut + ident for a in N)
-    seed_gens = tuple(a * n_aut + ident for a in _additive_generators(spec, N))
+    seed_gens = _small_generating_set(spec, N_hol)
     domain = list(range(n)) if lifts == "full" else _kernel_transversal(spec, N)
     found: dict[frozenset[int], SkewBrace] = {}
     for tup in itertools.product(domain, repeat=len(gens_aut)):
@@ -307,13 +245,10 @@ def _lift_search(
             forbid_dup_pi1=True,
         )
         if got is not None and len(got) == n and got not in found:
-            G = HolSubgroup(spec, got)
-            if not is_regular(G):
-                raise RuntimeError(
-                    f"lift search closed a non-regular subgroup (k={k}, "
-                    f"class {class_index}, kernel {kernel_index})"
-                )
-            found[got] = brace_from_regular(G)
+            found[got] = _survivor_brace(
+                spec, got,
+                f"lift search (k={k}, class {class_index}, kernel {kernel_index})",
+            )
     return list(found.values())
 
 
@@ -472,8 +407,8 @@ def regular_subgroups_oracle(
       outside S whose first projection S already has rejects the join
       before the closure starts.
 
-    Each survivor must pass `is_regular`; they are returned as braces,
-    sorted by lambda table.
+    Each survivor becomes a brace through `brace_from_regular`, which
+    checks its regularity; they are returned sorted by lambda table.
     """
     if spec.hol_order > bound:
         raise OracleBoundError(
@@ -547,14 +482,7 @@ def regular_subgroups_oracle(
                     grown.setdefault(tuple(sorted(T)), (T, gens + (h,)))
         current = grown
 
-    survivors = []
-    for T in results:
-        G = HolSubgroup(spec, T)
-        if not is_regular(G):
-            raise RuntimeError(
-                f"oracle survivor of order {G.order} is not regular"
-            )
-        survivors.append(brace_from_regular(G))
+    survivors = [_survivor_brace(spec, T, "naive oracle") for T in results]
     return sorted(survivors, key=lambda B: B.lam)
 
 

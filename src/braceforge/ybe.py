@@ -71,12 +71,9 @@ class Solution:
 
 def solution_from_brace(B: SkewBrace) -> Solution:
     """The solution r(x, y) = (lambda_x(y), (lambda_x(y))' o x o y)."""
-    spec = B.spec
-    n = spec.n
     Z = B.circle_np
     inv = B.circle_inv_np
-    used, pos = np.unique(np.asarray(B.lam, dtype=np.intp), return_inverse=True)
-    sigma = spec.apply_rows(used)[pos]
+    sigma = B.lambda_rows
     # T[x, y] = tau_y(x); tau rows are the transpose.
     T = Z[inv[sigma], Z]
     return Solution(sigma, T.T)

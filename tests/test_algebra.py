@@ -303,9 +303,9 @@ def test_hol_act_spec_example():
 def test_closure_known_orders():
     spec = group_spec(3, 2, Kind.CYCLIC)
     ident = spec.aut_descriptors[spec.identity_aut]
-    assert closure(spec, [((1, 0), ident)]).order == 9
+    assert len(closure(spec, [((1, 0), ident)])) == 9
     H = closure(spec, [((1, 0), ident), ((0, 1), (8, 1))])
-    assert H.order == 18
+    assert len(H) == 18
     spec73 = group_spec(7, 3, Kind.MIXED)
     ident73 = spec73.aut_descriptors[spec73.identity_aut]
     d1 = ((2, 0, 0, 2), 1)  # diag(g, g) with g = 2 of order 3 mod 7
@@ -313,13 +313,12 @@ def test_closure_known_orders():
         spec73,
         [((1, 0, 0), ident73), ((0, 1, 0), ident73), ((0, 0, 1), d1)],
     )
-    assert G.order == 147
+    assert len(G) == 147
 
 
 def test_closure_properties_and_cap():
     spec = group_spec(3, 2, Kind.MIXED)
-    H = closure(spec, [((1, 0, 0), (( 1, 1, 0, 1), 1)), ((0, 0, 1), spec.aut_descriptors[spec.identity_aut])])
-    ids = H.elements
+    ids = closure(spec, [((1, 0, 0), (( 1, 1, 0, 1), 1)), ((0, 0, 1), spec.aut_descriptors[spec.identity_aut])])
     for h in list(ids)[:20]:
         pair = spec.hol_decode(h)
         assert spec.hol_encode(hol_inv(spec, pair)) in ids

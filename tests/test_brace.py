@@ -21,7 +21,6 @@ from braceforge.brace import (
     verify_left_brace,
 )
 from braceforge.catalog import cyclic_pq_brace, trivial_brace
-from braceforge.regular import is_regular
 
 from helpers import DESK_PAIRS, catalog, orbits
 
@@ -41,10 +40,8 @@ def test_brace_round_trip_through_regular_subgroup():
     for p, q, kind in [(3, 2, "cyclic"), (3, 2, "mixed"), (2, 5, "mixed")]:
         for oc in orbits(p, q, kind):
             B = oc.brace
-            G = regular_from_brace(B)
-            assert is_regular(G)
-            B2 = brace_from_regular(G)
-            assert B2 == B
+            # brace_from_regular raises unless the subgroup is regular
+            assert brace_from_regular(B.spec, regular_from_brace(B)) == B
 
 
 def test_brace_from_regular_rejects_non_regular():
@@ -57,7 +54,7 @@ def test_brace_from_regular_rejects_non_regular():
         [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 0), ((2, 0, 0, 2), 1))],
     )
     with pytest.raises(ValueError):
-        brace_from_regular(S)
+        brace_from_regular(spec, S)
 
 
 def test_skewbrace_validates_the_lambda_table():
@@ -179,10 +176,8 @@ def test_invariants_are_isomorphism_invariant():
         perm_a, perm_f = spec.conj_tables[0]
         moved = frozenset(
             int(perm_a[h // spec.n_aut]) * spec.n_aut + int(perm_f[h % spec.n_aut])
-            for h in regular_from_brace(oc.brace).elements
+            for h in regular_from_brace(oc.brace)
         )
-        from braceforge.algebra import HolSubgroup
-
-        B2 = brace_from_regular(HolSubgroup(spec, moved))
+        B2 = brace_from_regular(spec, moved)
         assert brace_invariants(B2) == oc.invariants
         assert braces_isomorphic(B2, oc.brace)

@@ -128,7 +128,7 @@ def test_bs_brace_equals_its_generator_presentation():
                 ((1, 0, 0), ((1, 0, 0, 1), r)),
             ],
         )
-        assert regular_from_brace(B).elements == expected.elements
+        assert regular_from_brace(B) == expected
 
 
 def test_b1_and_bw_are_not_isomorphic():

@@ -24,6 +24,10 @@ CASES = [
         ["enumerate", "--p", "5", "--q", "13", "--format", "json"],
     ),
     (
+        "enumerate_p7_q3.json",
+        ["enumerate", "--p", "7", "--q", "3", "--format", "json"],
+    ),
+    (
         "enumerate_p3_q2_both.json",
         ["enumerate", "--p", "3", "--q", "2", "--method", "both", "--format", "json"],
     ),

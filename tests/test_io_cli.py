@@ -95,6 +95,13 @@ def test_solution_json_round_trip():
     doc["n"] = 5
     with pytest.raises(SchemaError):
         solution_from_json(doc)
+    doc["n"] = sol.n
+    # a float, a bool or a numeric string in a table is refused, not converted
+    for key, bad in (("tau", 0.9), ("sigma", True), ("tau", "1")):
+        d = json.loads(canonical_dumps(doc))
+        d[key][0][1] = bad
+        with pytest.raises(SchemaError, match=key):
+            solution_from_json(d)
 
 
 def test_report_json_structure():
@@ -118,7 +125,7 @@ def test_subgroup_generators_decode_back():
         pairs = [
             (spec.decode(a), descriptor_from_json(spec.kind, d)) for a, d in gens
         ]
-        assert closure(spec, pairs).elements == regular_from_brace(oc.brace).elements
+        assert closure(spec, pairs) == regular_from_brace(oc.brace)
 
 
 # ---------------- command line ----------------
@@ -220,6 +227,16 @@ def test_verify_command_catches_corruption(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "problem" in out
+
+
+def test_verify_command_refuses_the_excluded_pair(tmp_path, capsys):
+    doc = brace_to_json(trivial_brace(group_spec(2, 3, "mixed")))
+    path = tmp_path / "order12.json"
+    path.write_text(canonical_dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "GAP" in err
 
 
 def test_verify_command_malformed_json(tmp_path, capsys):

@@ -10,17 +10,14 @@ import pytest
 
 from braceforge import regular
 from braceforge.algebra import Kind, _hol_closure, closure, group_spec
-from braceforge.brace import regular_from_brace
+from braceforge.brace import brace_from_regular, regular_from_brace
 from braceforge.cases import CongruenceCase
 from braceforge.regular import (
     OracleBoundError,
     _lift_search,
     _work_items,
-    is_regular,
     orbit_min_key,
     orbit_partition,
-    pi1,
-    pi2,
     regular_subgroups_oracle,
     regular_subgroups_structured,
     tabulate,
@@ -46,28 +43,38 @@ def _translations(spec):
     return closure(spec, gens)
 
 
+def _order_n_subgroup_with_pure_automorphism(spec):
+    # the translations of Z_3 x Z_3 with (0, -1 on the p-part): 18 elements
+    # on the (3, 2) mixed carrier, with every first projection twice
+    ident = spec.aut_descriptors[spec.identity_aut]
+    return closure(
+        spec,
+        [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 0), ((2, 0, 0, 2), 1))],
+    )
+
+
 @pytest.mark.parametrize("p,q,kind", SMALL)
 def test_translation_subgroup_is_regular(p, q, kind):
     spec = group_spec(p, q, kind)
     T = _translations(spec)
-    assert T.order == spec.n
-    assert is_regular(T)
-    assert len(pi1(T)) == spec.n
-    assert pi2(T) == frozenset({spec.identity_aut})
+    assert len(T) == spec.n
+    assert {h // spec.n_aut for h in T} == set(range(spec.n))
+    # brace_from_regular raises unless T is regular; lambda(A) is the second
+    # projection
+    B = brace_from_regular(spec, T)
+    assert set(B.lam) == {spec.identity_aut}
 
 
 def test_order_n_subgroup_with_pure_automorphism_is_not_regular():
     spec = group_spec(3, 2, Kind.MIXED)
     ident = spec.aut_descriptors[spec.identity_aut]
-    neg = ((2, 0, 2 * 0, 2), 1)  # -1 on the p-part: ((2,0,0,2), 1)
-    S = closure(
-        spec,
-        [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 0), ((2, 0, 0, 2), 1))],
-    )
-    assert S.order == spec.n
-    assert not is_regular(S)
+    S = _order_n_subgroup_with_pure_automorphism(spec)
+    assert len(S) == spec.n
+    with pytest.raises(ValueError, match="repeated first projection"):
+        brace_from_regular(spec, S)
     # undersized subgroups are never regular
-    assert not is_regular(closure(spec, [((1, 0, 0), ident)]))
+    with pytest.raises(ValueError, match="order 3 is not regular"):
+        brace_from_regular(spec, closure(spec, [((1, 0, 0), ident)]))
 
 
 @pytest.mark.parametrize("p,q,kind", SMALL)
@@ -85,7 +92,11 @@ def test_oracle_covers_structured_and_orbits_agree(p, q, kind):
     keys_s = {orbit_min_key(B)[0] for B in structured_subgroups(p, q, kind)}
     keys_o = {orbit_min_key(B)[0] for B in oracle_subgroups(p, q, kind)}
     assert keys_s == keys_o
-    assert all(is_regular(regular_from_brace(B)) for B in structured_subgroups(p, q, kind))
+    spec = group_spec(p, q, kind)
+    assert all(
+        brace_from_regular(spec, regular_from_brace(B)) == B
+        for B in structured_subgroups(p, q, kind)
+    )
 
 
 @pytest.mark.parametrize(
@@ -119,11 +130,25 @@ def test_unknown_lift_mode_is_rejected_up_front(jobs):
         regular_subgroups_structured(spec, lifts="bogus", jobs=jobs)
 
 
+# The survivor check is an exception, not an assert, so python -O keeps it,
+# and not a ValueError, which the command line reports as a usage error.
 def test_oracle_refuses_a_non_regular_survivor(monkeypatch):
-    # the survivor check is an exception, not an assert, so python -O keeps it
-    monkeypatch.setattr(regular, "is_regular", lambda G: False)
-    with pytest.raises(RuntimeError, match="not regular"):
-        regular_subgroups_oracle(group_spec(3, 2, Kind.CYCLIC))
+    spec = group_spec(3, 2, Kind.MIXED)
+    S = _order_n_subgroup_with_pure_automorphism(spec)
+    monkeypatch.setattr(regular, "_hol_closure", lambda *args, **kwargs: S)
+    with pytest.raises(RuntimeError, match="naive oracle closed a non-regular subgroup"):
+        regular_subgroups_oracle(spec)
+
+
+def test_lift_search_refuses_a_non_regular_survivor(monkeypatch):
+    spec = group_spec(3, 2, Kind.MIXED)
+    S = _order_n_subgroup_with_pure_automorphism(spec)
+    monkeypatch.setattr(regular, "_hol_closure", lambda *args, **kwargs: S)
+    with pytest.raises(
+        RuntimeError,
+        match=r"lift search \(k=\d+, class \d+, kernel \d+\) closed a non-regular",
+    ):
+        regular_subgroups_structured(spec)
 
 
 def test_parallel_jobs_agree_with_serial():
@@ -194,7 +219,7 @@ def test_lambda_orbit_scan_matches_the_sorted_index_scan(p, q, kind):
     subs = structured_subgroups(p, q, kind)
 
     def element_key(B):
-        return sorted(regular_from_brace(B).elements)
+        return sorted(regular_from_brace(B))
 
     # ordering by lambda table is ordering by sorted element indices
     assert sorted(subs, key=element_key) == list(subs)
@@ -202,7 +227,7 @@ def test_lambda_orbit_scan_matches_the_sorted_index_scan(p, q, kind):
         got = oracle_subgroups(p, q, kind)
         assert sorted(got, key=element_key) == list(got)
     for B in subs:
-        size, min_elements = _sorted_index_orbit_scan(spec, regular_from_brace(B).elements)
+        size, min_elements = _sorted_index_orbit_scan(spec, regular_from_brace(B))
         # the smallest sorted index tuple, decoded to its lambda table
         a_part, f_part = np.divmod(min_elements, spec.n_aut)
         assert a_part.tolist() == list(range(spec.n))
@@ -255,10 +280,10 @@ def test_closure_duplicate_projection_prune_is_sound():
     spec = group_spec(2, 5, Kind.MIXED)
     for B in structured_subgroups(2, 5, "mixed"):
         G = regular_from_brace(B)
-        firsts = {h // spec.n_aut for h in G.elements}
-        assert len(firsts) == len(G.elements)
-        got = _hol_closure(spec, sorted(G.elements), cap=spec.n, forbid_dup_pi1=True)
-        assert got == G.elements
+        firsts = {h // spec.n_aut for h in G}
+        assert len(firsts) == len(G)
+        got = _hol_closure(spec, sorted(G), cap=spec.n, forbid_dup_pi1=True)
+        assert got == G
 
 
 def test_closure_duplicate_projection_prune_rejects_pure_automorphisms():
