@@ -20,7 +20,10 @@ sol = solution_from_brace(B)
 print(f"solution on {sol.n} points")
 print("r(1, 2) =", sol.r(1, 2))
 
-# the braid relation is checked on all n^3 triples, not sampled
+# the braid relation is decided exhaustively, not sampled: for an involutive
+# non-degenerate r it is equivalent to sigma_x sigma_y =
+# sigma_{sigma_x(y)} sigma_{tau_y(x)} on all n^2 pairs; otherwise, or to name
+# a failing triple, verify_ybe scans all n^3 triples
 result = verify_ybe(sol)
 print("braid relation over all triples:", result.ok)
 

@@ -11,7 +11,6 @@ Output is byte-deterministic for a fixed configuration regardless of
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 

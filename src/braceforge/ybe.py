@@ -4,7 +4,16 @@ The solution on the carrier is r(x, y) = (sigma_x(y), tau_y(x)) with
 sigma_x = lambda_x.  tau is not given by a separate formula: since r must be
 bijective with r(x, y) determined by the circle group, tau_y(x) is computed
 as (sigma_x(y))' o x o y (circle inverse and circle product), and everything
-downstream is gated on the exhaustive braid-relation check.
+downstream is gated on an exhaustive check of the braid relation.
+
+verify_ybe decides the braid relation.  It checks non-degeneracy and
+involutivity itself, in O(n^2); when both hold, the braid relation is
+equivalent to sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for all
+x, y (Etingof-Schedler-Soloviev; Rump's cycle sets), which it checks in
+O(n^2 + m^2 n) for m distinct sigma rows.  braid_scan, the n^3 scan over
+all triples, runs when a precondition fails or the criterion rejects (it
+gives the witness triple), and is the reference the criterion is tested
+against.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ __all__ = [
     "solution_from_brace",
     "flip_solution",
     "verify_ybe",
+    "braid_scan",
     "solution_properties",
     "sigma_group_order",
 ]
@@ -85,12 +95,83 @@ def flip_solution(n: int) -> Solution:
     return Solution(rows, rows)
 
 
+# Entries of the m x m table of composed sigma rows (m^2 n int32, 16 MiB)
+# above which verify_ybe leaves the criterion to braid_scan.  The largest
+# in-scope brace, mixed_G2 on (11, 5) with m = 55 and n = 605, needs 1.8e6.
+_COMPOSITE_CELLS = 1 << 22
+
+
 def verify_ybe(sol: Solution) -> VerifyResult:
+    """Decide the braid relation, by the cycle-set criterion where it applies.
+
+    verify_ybe first checks, exhaustively in O(n^2), that r is non-degenerate
+    (every sigma and tau row a permutation) and involutive (r o r = id); it
+    takes neither on trust.  When both hold, r satisfies the braid relation
+    if and only if sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for
+    all x, y (Etingof-Schedler-Soloviev 1999; Rump's cycle sets 2005).  The
+    m distinct sigma rows are composed pairwise (m^2 n work, m = |lambda(A)|
+    for a brace), each distinct composite gets an id, and the identity is
+    compared by id over the n^2 pairs.
+
+    braid_scan, the exhaustive n^3 scan, runs instead when either
+    precondition fails or the m x m composite table would exceed
+    _COMPOSITE_CELLS entries, and after the criterion rejects, to produce
+    the (x, y, z) witness.  A rejection the scan cannot confirm raises
+    RuntimeError.
+    """
+    if not (_nondegenerate(sol) and _involutive(sol)):
+        return braid_scan(sol)
+    rows, rid = _distinct_rows(sol.sigma)
+    if len(rows) ** 2 * sol.n > _COMPOSITE_CELLS:
+        return braid_scan(sol)
+    if _sigma_identity_holds(sol, rows, rid):
+        return VerifyResult(True)
+    res = braid_scan(sol)
+    if res.ok:
+        raise RuntimeError(
+            "cycle-set criterion rejects an involutive non-degenerate solution "
+            "on which the n^3 braid scan finds no violating triple"
+        )
+    return res
+
+
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of table, first seen first, and each row's index among them.
+
+    Rows are told apart by their bytes in a dict.  np.unique(axis=0) gives
+    the same partition, but its row sort was most of verify_ybe's time on
+    the n = 981 solutions of (3, 109).
+    """
+    seen: dict[bytes, int] = {}
+    ids = np.fromiter(
+        (seen.setdefault(row.tobytes(), len(seen)) for row in table),
+        dtype=np.intp,
+        count=len(table),
+    )
+    return table[np.unique(ids, return_index=True)[1]], ids
+
+
+def _sigma_identity_holds(sol: Solution, rows: np.ndarray, rid: np.ndarray) -> bool:
+    """sigma_x sigma_y == sigma_{sigma_x(y)} sigma_{tau_y(x)} for all x, y.
+
+    rows are the m distinct sigma rows and rid[x] the index of sigma_x among
+    them; composites are compared by the id _distinct_rows gives each.
+    """
+    m, n = rows.shape
+    composite = rows[:, rows].reshape(m * m, n)  # [a*m + b] = rows[a] o rows[b]
+    cid = _distinct_rows(composite)[1].reshape(m, m)
+    lhs = cid[rid[:, None], rid[None, :]]
+    rhs = cid[rid[sol.sigma], rid[sol.tau.T]]  # tau.T[x, y] = tau_y(x)
+    return bool(np.array_equal(lhs, rhs))
+
+
+def braid_scan(sol: Solution) -> VerifyResult:
     """Exhaustively check the braid relation over all n^3 triples.
 
     (r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on (x, y, z); the
     scan vectorizes over (y, z) for each fixed x and reports the first
-    violating triple with both images.
+    violating triple with both images.  It assumes nothing of r and is the
+    reference verify_ybe is tested against.
     """
     sig = sol.sigma
     T = np.ascontiguousarray(sol.tau.T)  # T[x, y] = tau_y(x)
@@ -129,22 +210,28 @@ def verify_ybe(sol: Solution) -> VerifyResult:
 
 
 def _rows_are_permutations(rows: np.ndarray) -> bool:
-    n = rows.shape[1]
-    return bool(np.all(np.sort(rows, axis=1) == np.arange(n, dtype=rows.dtype)))
+    seen = np.zeros(rows.shape, dtype=bool)
+    seen[np.arange(rows.shape[0])[:, None], rows] = True
+    return bool(seen.all())
+
+
+def _nondegenerate(sol: Solution) -> bool:
+    return _rows_are_permutations(sol.sigma) and _rows_are_permutations(sol.tau)
+
+
+def _involutive(sol: Solution) -> bool:
+    """r(r(x, y)) == (x, y) for all x, y."""
+    sig = sol.sigma
+    T = sol.tau.T  # T[x, y] = tau_y(x)
+    x2 = sig[sig, T]
+    y2 = T[sig, T]
+    idx = np.arange(sol.n, dtype=x2.dtype)
+    return bool((x2 == idx[:, None]).all() and (y2 == idx[None, :]).all())
 
 
 def solution_properties(sol: Solution) -> dict[str, bool]:
     """Direct exhaustive checks: {"nondegenerate": ..., "involutive": ...}."""
-    nondeg = _rows_are_permutations(sol.sigma) and _rows_are_permutations(sol.tau)
-    sig = sol.sigma.astype(np.intp)
-    T = sol.tau.T.astype(np.intp)  # T[x, y] = tau_y(x)
-    n = sol.n
-    u, v = sig, T
-    x2 = sol.sigma[u, v]
-    y2 = sol.tau.T[u, v]
-    idx = np.arange(n, dtype=x2.dtype)
-    involutive = bool((x2 == idx[:, None]).all() and (y2 == idx[None, :]).all())
-    return {"nondegenerate": nondeg, "involutive": involutive}
+    return {"nondegenerate": _nondegenerate(sol), "involutive": _involutive(sol)}
 
 
 def sigma_group_order(sol: Solution) -> int:

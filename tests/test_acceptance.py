@@ -15,6 +15,7 @@ from collections import Counter
 from braceforge.algebra import Kind, group_spec
 from braceforge.brace import brace_invariants, verify_left_brace
 from braceforge.ybe import (
+    braid_scan,
     sigma_group_order,
     solution_from_brace,
     solution_properties,
@@ -207,6 +208,7 @@ def test_criterion_10_ybe_gate():
             for oc in orbits(p, q, kind):
                 B = oc.brace
                 sol = solution_from_brace(B)
+                assert braid_scan(sol).ok, (p, q, kind, oc.ker_order)
                 assert verify_ybe(sol).ok, (p, q, kind, oc.ker_order)
                 props = solution_properties(sol)
                 assert props == {"nondegenerate": True, "involutive": True}
