@@ -652,32 +652,22 @@ def carrier_subgroups(spec: GroupSpec, order: int | None = None) -> list[frozens
 def _carrier_lattice(spec: GroupSpec) -> tuple[frozenset[int], ...]:
     """Every subgroup of the carrier, sorted by (order, sorted elements).
 
-    Cyclic subgroups are collected from element chains, then saturated under
-    pairwise joins (H + C is already a subgroup since A is abelian).
+    A subgroup is the product of its Sylow subgroups.  Its q-part is cyclic,
+    and its p-part is cyclic unless it is the whole Z_p x Z_p of the mixed
+    carrier.  So a subgroup that is not cyclic is the p-Sylow or the whole
+    carrier, and those two with the cyclic subgroups, collected from element
+    chains, are the lattice.
     """
     n = spec.n
     add = spec.add_flat
-    cyclics: set[frozenset[int]] = set()
+    subs = {spec.sylow(spec.p), frozenset(range(n))}
     for x in range(n):
         chain = [0]
         y = x
         while y != 0:
             chain.append(y)
             y = add[y * n + x]
-        cyclics.add(frozenset(chain))
-    subs = set(cyclics)
-    frontier = list(subs)
-    while frontier:
-        new = []
-        for H in frontier:
-            for C in cyclics:
-                if C <= H:
-                    continue
-                J = frozenset(add[h * n + c] for h in H for c in C)
-                if J not in subs:
-                    subs.add(J)
-                    new.append(J)
-        frontier = new
+        subs.add(frozenset(chain))
     return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
 

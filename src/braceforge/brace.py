@@ -2,8 +2,9 @@
 axiom verification, lambda/kernel/fix machinery, ideal checks, bi-skew
 detection, multiplicative-group classification, and brace isomorphism.
 
-A brace is stored as its lambda table (one automorphism index per element);
-the circle table a o b = a + lambda_a(b) is derived on demand.
+A brace is stored as its lambda table (one automorphism index per element).
+The circle table a o b = a + lambda_a(b) is derived on first use and cached
+once, as the numpy array `circle_np`; every invariant reads that array.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class SkewBrace:
     @property
     def lambda_rows(self) -> np.ndarray:
         """Action of each lambda_a, shape (n, n), int32: lambda_rows[a, b] =
-        lambda_a(b).  Not cached, unlike circle_np: a second n x n table kept
-        by every class brace would raise a run's peak RSS."""
+        lambda_a(b).  Not cached: circle_np is the one n x n table a brace
+        keeps, since every class brace of a run stays alive to its end."""
         used, pos = np.unique(np.asarray(self.lam, dtype=np.intp), return_inverse=True)
         return self.spec.apply_rows(used)[pos]
 
@@ -128,22 +129,15 @@ class SkewBrace:
         return spec.add_np[np.arange(spec.n)[:, None], self.lambda_rows]
 
     @cached_property
-    def circle_flat(self) -> list[int]:
-        return self.circle_np.ravel().tolist()
-
-    @cached_property
     def circle_inv_np(self) -> np.ndarray:
         """Circle inverses: a o inv[a] = 0."""
         inv = np.argmax(self.circle_np == 0, axis=1).astype(np.int32)
         return inv
 
-    def circle_idx(self, a: int, b: int) -> int:
-        return int(self.circle_np[a, b])
-
     def circle(self, x, y):
         """Circle product on element tuples."""
         spec = self.spec
-        return spec.decode(self.circle_idx(spec.encode(x), spec.encode(y)))
+        return spec.decode(int(self.circle_np[spec.encode(x), spec.encode(y)]))
 
     def lambda_desc(self, x):
         """The automorphism lambda_x as a descriptor."""
@@ -154,17 +148,19 @@ class SkewBrace:
         return tuple(sorted(set(self.lam)))
 
     @cached_property
-    def circle_orders(self) -> list[int]:
-        flat = self.circle_flat
-        n = self.spec.n
-        out = []
-        for a in range(n):
-            o, x = 1, a
-            while x != 0:
-                x = flat[x * n + a]
-                o += 1
-            out.append(o)
-        return out
+    def circle_orders(self) -> np.ndarray:
+        """Order of each element in (A, o); all elements are stepped through
+        their powers x -> x o a at once, at most exponent-many steps."""
+        Z = self.circle_np
+        cols = np.arange(self.spec.n)
+        orders = np.zeros(self.spec.n, dtype=np.int64)
+        x, k = cols, 1
+        while True:
+            orders[(x == 0) & (orders == 0)] = k
+            if orders.all():
+                return orders
+            x = Z[x, cols]
+            k += 1
 
 
 def brace_from_regular(spec: GroupSpec, elements: frozenset[int]) -> SkewBrace:
@@ -292,14 +288,14 @@ def lambda_identities_check(B: SkewBrace) -> bool:
     spec = B.spec
     n = spec.n
     add = spec.add_flat
-    flat = B.circle_flat
+    Z = B.circle_np
     for b in range(n):
         if spec.aut_row(B.lam[b])[b] != b:
             continue
         nb, power, f = b, b, B.lam[b]
         while nb != 0:
             nb = add[nb * n + b]
-            power = flat[b * n + power]
+            power = int(Z[b, power])
             f = spec.compose_idx(B.lam[b], f)
             if power != nb or B.lam[nb] != f:
                 return False
@@ -358,11 +354,13 @@ def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:
     if 0 not in I or any(add[a * n + b] not in I for a in I for b in I):
         raise ValueError("I is not an additive subgroup")
     left = all(spec.aut_row(f)[a] in I for f in B.lambda_image for a in I)
-    flat = B.circle_flat
-    inv = B.circle_inv_np.tolist()
-    normal = left and all(
-        flat[flat[a * n + i] * n + inv[a]] in I for a in range(n) for i in I
-    )
+    members = np.asarray(sorted(I))
+    in_I = np.zeros(n, dtype=bool)
+    in_I[members] = True
+    Z = B.circle_np
+    # a o i o a' for every a and every i in I
+    conj = Z[Z[:, members], B.circle_inv_np[:, None]]
+    normal = left and bool(in_I[conj].all())
     return {"left_ideal": left, "ideal": normal}
 
 
@@ -379,56 +377,54 @@ def mult_group_class(B: SkewBrace) -> MultClass:
     p, q, n = spec.p, spec.q, spec.n
     orders = B.circle_orders
     Z = B.circle_np
-    if bool((Z == Z.T).all()):
-        return MultClass(ZP2Q) if max(orders) == n else MultClass(ZP2xZQ)
+    central = (Z == Z.T).all(axis=1)
+    if central.all():
+        return MultClass(ZP2Q) if orders.max() == n else MultClass(ZP2xZQ)
     p2 = p * p
-    n_p_elements = sum(1 for o in orders if p2 % o == 0)
-    if any(o == p2 for o in orders):
+    n_p_elements = int(np.count_nonzero(p2 % orders == 0))
+    if (orders == p2).any():
         if n_p_elements == p2:
             return MultClass(ZP2_RTIMES_ZQ)
-        center = sum(1 for a in range(n) if np.array_equal(Z[a], Z[:, a]))
+        center = int(np.count_nonzero(central))
         return MultClass(ZQ_RTIMES_ZP2_rp if center == p else ZQ_RTIMES_ZP2_h)
     if n_p_elements != p2:
         return MultClass(ZP_x_ZQ_RTIMES_ZP)
     return _diagonal_class(B, orders)
 
 
-def _diagonal_class(B: SkewBrace, orders: list[int]) -> MultClass:
+def _diagonal_class(B: SkewBrace, orders: np.ndarray) -> MultClass:
     """G_K(k) vs G_F for a normal elementary p-Sylow in a non-abelian circle."""
     spec = B.spec
-    p, q, n = spec.p, spec.q, spec.n
+    p, q = spec.p, spec.q
     if p <= 2:
         raise RuntimeError(
             "elementary normal p-Sylow with non-abelian circle needs q | p-1, "
             "impossible for p = 2"
         )
-    flat = B.circle_flat
+    Z = B.circle_np
 
     def powers(e: int) -> list[int]:
         out, x = [0], e
         while x != 0:
             out.append(x)
-            x = flat[x * n + e]
+            x = int(Z[x, e])
         return out
 
-    sylow = [a for a in range(n) if orders[a] in (1, p)]
+    sylow = np.flatnonzero((orders == 1) | (orders == p)).tolist()
     e1 = min(a for a in sylow if a != 0)
     e1pows = powers(e1)
     e2 = min(a for a in sylow if a not in set(e1pows))
     e2pows = powers(e2)
-    coords: dict[int, tuple[int, int]] = {}
-    for i, x in enumerate(e1pows):
-        for j, y in enumerate(e2pows):
-            coords[flat[x * n + y]] = (i, j)
+    coords = {int(x): ij for ij, x in np.ndenumerate(Z[np.ix_(e1pows, e2pows)])}
     if len(coords) != p * p:
         raise RuntimeError(
             f"the two order-{p} generators span {len(coords)} elements, "
             f"not the {p * p} of the p-Sylow"
         )
-    u = min(a for a in range(n) if orders[a] == q)
-    uinv = int(B.circle_inv_np[u])
-    a11, a21 = coords[flat[flat[u * n + e1] * n + uinv]]
-    a12, a22 = coords[flat[flat[u * n + e2] * n + uinv]]
+    u = int(np.flatnonzero(orders == q)[0])
+    uinv = B.circle_inv_np[u]
+    a11, a21 = coords[int(Z[Z[u, e1], uinv])]
+    a12, a22 = coords[int(Z[Z[u, e2], uinv])]
     tr = (a11 + a22) % p
     det = (a11 * a22 - a12 * a21) % p
     disc = (tr * tr - 4 * det) % p

@@ -28,7 +28,14 @@ from .brace import (
     ZQ_RTIMES_ZP2_h,
     ZQ_RTIMES_ZP2_rp,
 )
-from .cases import CongruenceCase, PrimePair, bset_for, classify_case, derive_params
+from .cases import (
+    CongruenceCase,
+    PrimePair,
+    _matmul,
+    bset_for,
+    classify_case,
+    derive_params,
+)
 
 __all__ = [
     "CatalogEntry",
@@ -174,22 +181,13 @@ def _c_pow(k: int, p: int) -> tuple[int, int, int, int]:
     return (1, k % p, 0, 1)
 
 
-def _mat_mul(a, b, p):
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % p,
-        (a[0] * b[1] + a[1] * b[3]) % p,
-        (a[2] * b[0] + a[3] * b[2]) % p,
-        (a[2] * b[1] + a[3] * b[3]) % p,
-    )
-
-
 def _mat_pow(m, e, p):
     out = (1, 0, 0, 1)
     base = m
     while e:
         if e & 1:
-            out = _mat_mul(out, base, p)
-        base = _mat_mul(base, base, p)
+            out = _matmul(out, base, p)
+        base = _matmul(base, base, p)
         e >>= 1
     return out
 
@@ -217,7 +215,7 @@ def mixed_G2_brace(p: int, q: int, rank: int = 0) -> SkewBrace:
 
     def desc(x):
         d = (pow(g, x[2], p), 0, 0, pow(g, half * x[2], p))
-        return (_mat_mul(_c_pow(x[1], p), d, p), 1)
+        return (_matmul(_c_pow(x[1], p), d, p), 1)
 
     return _lam(spec, desc)
 
@@ -228,7 +226,7 @@ def mixed_G0_brace_q2(p: int) -> SkewBrace:
 
     def desc(x):
         e = (1, 0, 0, (p - 1) if x[2] % 2 else 1)
-        return (_mat_mul(_c_pow(x[1], p), e, p), 1)
+        return (_matmul(_c_pow(x[1], p), e, p), 1)
 
     return _lam(spec, desc)
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success (including the one documented count discrepancy,
 which is reported as a warning); 1 = a comparison mismatched or a
-verification failed; 2 = bad usage, malformed input, or a refused pair.
+verification failed; 2 = bad usage (an unwritable --out path included),
+malformed input, or a refused pair.
 
 Output is byte-deterministic for a fixed configuration regardless of
 --jobs.
@@ -73,8 +74,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _enumerate_kind(

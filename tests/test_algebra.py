@@ -22,6 +22,8 @@ from braceforge.algebra import (
     subgroup_classes_of_order,
 )
 
+from helpers import DESK_PAIRS
+
 SMALL_SPECS = [
     group_spec(p, q, kind)
     for (p, q) in [(2, 3), (3, 2), (2, 5), (2, 7)]
@@ -349,6 +351,45 @@ def test_carrier_subgroup_counts():
             (S for S in carrier_subgroups(spec) if len(S) == d),
             key=lambda s: sorted(s),
         )
+
+
+def _lattice_by_joins(spec):
+    """Every subgroup of the carrier: the cyclic subgroups from element
+    chains, saturated under pairwise joins (H + C is a subgroup, A abelian)."""
+    n = spec.n
+    add = spec.add_np
+    cyclics = set()
+    for x in range(n):
+        chain, y = [0], x
+        while y != 0:
+            chain.append(y)
+            y = int(add[y, x])
+        cyclics.add(frozenset(chain))
+    subs = set(cyclics)
+    frontier = list(subs)
+    while frontier:
+        new = []
+        for H in frontier:
+            for C in cyclics:
+                if C <= H:
+                    continue
+                J = frozenset(add[np.ix_(sorted(H), sorted(C))].ravel().tolist())
+                if J not in subs:
+                    subs.add(J)
+                    new.append(J)
+        frontier = new
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize(
+    "carrier",
+    [(p, q, kind) for p, q in DESK_PAIRS for kind in ("cyclic", "mixed")]
+    + [(5, 23, "mixed"), (2, 73, "cyclic")],
+    ids=str,
+)
+def test_carrier_lattice_matches_saturating_joins(carrier):
+    spec = group_spec(*carrier)
+    assert carrier_subgroups(spec) == _lattice_by_joins(spec)
 
 
 def _conjugate(spec, S, f):

@@ -5,6 +5,10 @@ import pytest
 
 from braceforge.algebra import Kind, group_spec
 from braceforge.brace import (
+    ZP2Q,
+    ZP2xZQ,
+    ZQ_RTIMES_ZP2_h,
+    ZQ_RTIMES_ZP2_rp,
     SkewBrace,
     brace_from_regular,
     braces_isomorphic,
@@ -116,6 +120,22 @@ def test_sylow_ideals_follow_the_congruences():
                 assert checks["ideal"], (e.family, sylow_of)
 
 
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
+def test_sylow_is_an_ideal_iff_normal_in_the_circle_group(p, q):
+    # A Sylow subgroup of (A, +) is a left ideal, hence a Sylow subgroup of
+    # (A, o); it is normal, so an ideal, iff it holds every element of
+    # r-power circle order.
+    for e in catalog(p, q):
+        spec = e.brace.spec
+        orders, _ = _scalar_orders_and_centre(e.brace)
+        for r in (p, q):
+            syl = spec.sylow(r)
+            r_elements = sum(1 for o in orders if len(syl) % o == 0)
+            checks = ideal_checks(e.brace, syl)
+            assert checks["left_ideal"], (e.family, r)
+            assert checks["ideal"] == (r_elements == len(syl)), (e.family, r)
+
+
 def test_every_sylow_is_a_left_ideal():
     for e in catalog(2, 5):
         spec = e.brace.spec
@@ -143,6 +163,39 @@ def test_mult_class_against_cayley_oracle():
                     entries[i].family,
                     entries[j].family,
                 )
+
+
+def _scalar_orders_and_centre(B):
+    """Orders in (A, o) and the size of its centre, walked element by element
+    over a Python copy of the circle table."""
+    Z = B.circle_np.tolist()
+    n = len(Z)
+    orders = []
+    for a in range(n):
+        o, x = 1, a
+        while x != 0:
+            x = Z[x][a]
+            o += 1
+        orders.append(o)
+    centre = sum(1 for a in range(n) if all(Z[a][b] == Z[b][a] for b in range(n)))
+    return orders, centre
+
+
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
+def test_circle_orders_and_centre_match_the_scalar_walk(p, q):
+    # circle_orders steps every element at once and mult_group_class counts
+    # the centre from one commutation mask; the centre is seen through the
+    # labels it decides: abelian, and ZQ_RTIMES_ZP2 rp (centre p) vs h
+    braces = [e.brace for e in catalog(p, q)] + [
+        oc.brace for kind in ("cyclic", "mixed") for oc in orbits(p, q, kind)
+    ]
+    for B in braces:
+        orders, centre = _scalar_orders_and_centre(B)
+        assert list(B.circle_orders) == orders
+        label = mult_group_class(B).label
+        assert (label in (ZP2Q, ZP2xZQ)) == (centre == B.spec.n), label
+        if label in (ZQ_RTIMES_ZP2_rp, ZQ_RTIMES_ZP2_h):
+            assert (label == ZQ_RTIMES_ZP2_rp) == (centre == p), label
 
 
 def test_cayley_isomorphic_guard():

@@ -31,6 +31,15 @@ CASES = [
         "enumerate_p3_q2_both.json",
         ["enumerate", "--p", "3", "--q", "2", "--method", "both", "--format", "json"],
     ),
+    # the centre count separates ZQ_RTIMES_ZP2_rp from ZQ_RTIMES_ZP2_h here
+    (
+        "enumerate_p3_q19.json",
+        ["enumerate", "--p", "3", "--q", "19", "--format", "json"],
+    ),
+    (
+        "compare_p5_q23_mixed.txt",
+        ["compare", "--p", "5", "--q", "23", "--additive", "mixed"],
+    ),
 ]
 
 

@@ -247,6 +247,24 @@ def test_verify_command_malformed_json(tmp_path, capsys):
     assert "junk.json" in err
 
 
+def test_verify_command_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "braceforge-v1", "note": "\xe9"}')
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"braceforge: error: {path}: ")
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(
+        capsys, "catalog", "--p", "3", "--q", "2", "--out", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"braceforge: error: cannot write {path}: ")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_rejected(capsys, jobs):
     with pytest.raises(SystemExit) as exc:
