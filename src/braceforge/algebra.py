@@ -365,24 +365,6 @@ class GroupSpec:
 
         return _Memo(compose)
 
-    def aut_order(self, f: int) -> int:
-        """Multiplicative order of automorphism f, computed once per index."""
-        return self._order_memo[f]
-
-    @cached_property
-    def _order_memo(self) -> _Memo:
-        descs = self.aut_descriptors
-        ident = descs[self.identity_aut]
-
-        def order(f: int) -> int:
-            o, g = 1, descs[f]
-            while g != ident:
-                g = self.compose_desc(g, descs[f])
-                o += 1
-            return o
-
-        return _Memo(order)
-
     def aut_torsion(self, k: int) -> np.ndarray:
         """Ascending indices of the automorphisms f with f^k = id, found by one
         square-and-multiply over the whole descriptor array."""
@@ -659,15 +641,17 @@ def _carrier_lattice(spec: GroupSpec) -> tuple[frozenset[int], ...]:
     chains, are the lattice.
     """
     n = spec.n
-    add = spec.add_flat
+    every = np.arange(n)
+    # Row x marks the multiples of x; every chain steps at once.
+    member = np.zeros((n, n), dtype=bool)
+    member[:, 0] = True
+    y = every
+    while y.any():
+        member[every, y] = True
+        y = spec.add_np[y, every]
     subs = {spec.sylow(spec.p), frozenset(range(n))}
-    for x in range(n):
-        chain = [0]
-        y = x
-        while y != 0:
-            chain.append(y)
-            y = add[y * n + x]
-        subs.add(frozenset(chain))
+    distinct = {row.tobytes(): row for row in member}.values()
+    subs.update(frozenset(np.flatnonzero(row).tolist()) for row in distinct)
     return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
 

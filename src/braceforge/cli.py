@@ -422,7 +422,7 @@ def _add_pair_args(sub: argparse.ArgumentParser, with_method: bool) -> None:
         )
         sub.add_argument(
             "--oracle-bound",
-            type=int,
+            type=_positive_int,
             default=ORACLE_BOUND,
             help="refuse the naive oracle above this |Hol(A)|",
         )

@@ -1,18 +1,20 @@
 """Enumeration of regular subgroups of Hol(A) up to Aut(A)-conjugacy.
 
-Two independent routes produce the same classes:
+A regular subgroup is the graph {(a, lambda_a)} of a brace's lambda map
+(Guarnieri-Vendramin), so both routes return each one as a `SkewBrace`
+holding its lambda table:
 
-* the structured enumerator walks projection images K <= Aut(A) and kernels
-  N <= A and closes lifted generator tuples, and
+* the structured enumerator walks projection images K <= Aut(A) and
+  kernels N <= A.  A regular subgroup with that projection and kernel is the
+  graph of a bijective 1-cocycle K -> A/N, so it extends each tuple of coset
+  values on K's generators along K's Cayley graph and reads lambda off the
+  cocycles that are bijective, and
 * the naive oracle grows subgroups from at most three cyclic pieces of the
-  holomorph, with only order-arithmetic pruning.
+  holomorph, with only order-arithmetic pruning.  It closes them as sets of
+  encoded indices a * |Aut(A)| + f and turns each one it keeps into its
+  table with `brace_from_regular`, its regularity check.
 
-Both close subgroups of Hol(A) as sets of encoded indices a * |Aut(A)| + f
-and turn each one they keep straight into its lambda table with
-`brace_from_regular`, the one regularity check.  A regular subgroup is the
-graph {(a, lambda_a)} of a brace's lambda map (Guarnieri-Vendramin), so the
-`SkewBrace` holds it.  Ordering by table is ordering by the subgroup's sorted
-encoded indices.
+Ordering by table is ordering by the subgroup's sorted encoded indices.
 
 Survivors are partitioned into conjugation orbits.  Conjugating by psi in
 Aut(A) scatters the table, lambda'[psi(a)] = psi lambda_a psi^-1; each orbit
@@ -31,7 +33,6 @@ import numpy as np
 from .algebra import (
     GroupSpec,
     _hol_closure,
-    _small_generating_set,
     aut_orbits,
     carrier_subgroups,
     group_spec,
@@ -72,19 +73,6 @@ class OrbitClass:
     pi2_order: int
     ker_order: int
     invariants: BraceInvariants
-
-
-def _survivor_brace(spec: GroupSpec, elements: frozenset[int], where: str) -> SkewBrace:
-    """The brace of a closure a search kept as regular.
-
-    `brace_from_regular` is the one regularity check.  Its ValueError would
-    read as a usage error at the command line, so a failure here is a
-    RuntimeError naming the search instead.
-    """
-    try:
-        return brace_from_regular(spec, elements)
-    except ValueError as exc:
-        raise RuntimeError(f"{where} closed a non-regular subgroup: {exc}") from exc
 
 
 # ---------------- conjugation orbits ----------------
@@ -146,159 +134,164 @@ def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
 # ---------------- structured enumerator ----------------
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _kernel_transversal(spec: GroupSpec, N: frozenset[int]) -> list[int]:
-    """Smallest representative of each nonzero coset of N in the carrier."""
-    n = spec.n
-    add = spec.add_flat
-    reps = []
-    for a in range(n):
-        if min(add[a * n + t] for t in N) == a and a not in N:
-            reps.append(a)
-    return reps
-
-
 def _work_items(spec: GroupSpec) -> list[tuple[int, int, int]]:
     """(k, class index, kernel index) triples covering every projection order."""
-    items = []
-    for k in _divisors(gcd(spec.n, spec.n_aut)):
-        n_classes = len(subgroup_classes_of_order(spec, k))
-        n_kernels = len(carrier_subgroups(spec, spec.n // k))
-        items.extend(
-            (k, ci, ni)
-            for ci in range(n_classes)
-            for ni in range(n_kernels)
+    top = gcd(spec.n, spec.n_aut)
+    return [
+        (k, ci, ni)
+        for k in range(1, top + 1)
+        if top % k == 0
+        for ci in range(len(subgroup_classes_of_order(spec, k)))
+        for ni in range(len(carrier_subgroups(spec, spec.n // k)))
+    ]
+
+
+def _coset_tables(spec: GroupSpec, N: np.ndarray, elems: list[int]) -> tuple:
+    """For the cosets of a subgroup N invariant under K = elems: each
+    element's coset id, each coset's smallest element (ids ascend with it,
+    so N is coset 0), coset addition cadd[x, y] = x + y, and K's action
+    act[i, x] = elems[i](x)."""
+    low = spec.add_np[:, N].min(axis=1)
+    reps, cid = np.unique(low, return_inverse=True)
+    cadd = cid[spec.add_np[np.ix_(reps, reps)]]
+    act = cid[spec.apply_rows(elems)[:, reps]]
+    return cid, reps, cadd, act
+
+
+def _cayley_walk(spec: GroupSpec, gens: tuple[int, ...]) -> tuple[list[int], list]:
+    """K = <gens> walked breadth-first from the identity: its elements in the
+    order met (the identity first), and each edge (i, j, h, new), element h
+    = element i o gens[j], `new` on the edge that met h.  Each edge comes
+    after the one that met its source."""
+    elems, local = [spec.identity_aut], {spec.identity_aut: 0}
+    edges, frontier = [], elems[:]
+    while frontier and gens:
+        prods = spec.compose_many(np.array(frontier)[:, None], np.array(gens))
+        met = []
+        for f, row in zip(frontier, prods.tolist()):
+            for j, h in enumerate(row):
+                new = h not in local
+                if new:
+                    local[h] = len(elems)
+                    elems.append(h)
+                    met.append(h)
+                edges.append((local[f], j, local[h], new))
+        frontier = met
+    return elems, edges
+
+
+def _additive_generators(spec: GroupSpec, N: np.ndarray) -> list[int]:
+    """A generating set of the carrier subgroup N, greedily from its
+    smallest elements."""
+    span, gens = np.zeros(1, dtype=np.intp), []
+    for t in N.tolist():
+        if len(span) < len(N) and t not in span:
+            gens.append(t)
+            while len(grown := np.union1d(span, spec.add_np[span, t])) > len(span):
+                span = grown
+    return gens
+
+
+def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
+    """Raise unless each row's graph {(a, lam[r, a])} is a subgroup of
+    Hol(A), checked without the coset tables that built it.
+
+    The graph must hold the identity and be closed under right
+    multiplication, (a, f)(u, g) = (a + f(u), f o g), by each lifted
+    generator (lifted[r, j], gens[j]) and by (t, id) for generators t of N.
+    Those generate a group H with N x {id} inside and all of <gens> (order
+    k) as its projection, so |H| >= k |N| = n, and an n-element set S
+    holding the identity with S H = S is H: a regular subgroup.
+    """
+    every = np.arange(spec.n)
+    image, loc = np.unique(lam, return_inverse=True)
+    loc = loc.reshape(lam.shape)
+    rows = spec.apply_rows(image)
+    moves = [(u, spec.compose_many(image, g)[loc]) for u, g in zip(lifted.T, gens)]
+    moves += [(np.full(len(lam), t), lam) for t in _additive_generators(spec, N)]
+    ok = bool((lam[:, 0] == spec.identity_aut).all())
+    for u, want in moves:
+        target = spec.add_np[every, rows[loc, u[:, None]]]
+        ok = ok and np.array_equal(np.take_along_axis(lam, target, axis=1), want)
+    if not ok:
+        raise RuntimeError(
+            f"{where} built a lambda table whose graph is not a subgroup of Hol(A)"
         )
-    return items
 
 
 def _lift_search(
-    spec: GroupSpec,
-    k: int,
-    class_index: int,
-    kernel_index: int,
-    pruning: bool,
-    lifts: str,
+    spec: GroupSpec, k: int, class_index: int, kernel_index: int
 ) -> list[SkewBrace]:
-    """Every regular subgroup with projection in the given Aut-class and the
-    given kernel, each returned once as its brace, found by closing lifted
-    generator tuples.
+    """Every regular subgroup with projection the class's representative K
+    and kernel N, each returned once as its brace.
 
-    Each generator's lift ranges over a transversal of the kernel N
-    ("transversal").  Replacing a lift u by a coset mate u + t (t in N) gives
-    (t, 1)(u, alpha), which the seed N already supplies, so it closes to the
-    same subgroup; a regular subgroup meets A x {alpha} in exactly one coset
-    of N, so every such subgroup is closed exactly once.  "full" ranges over
-    the whole carrier instead; it is a cross-check that returns the same set
-    after |N|^g times the closures, not a production mode.  The (K)/(R)
-    prunes (kernel invariance, power relations landing in the kernel) only
-    skip tuples whose closure would fail anyway.
+    Such a subgroup G is the graph of a bijective 1-cocycle c: K -> A/N,
+    c(f) = {a : (a, f) in G}, c(f o g) = c(f) + f(c(g)) (Guarnieri-
+    Vendramin): G meets A x {id} in N x {id}, so each fibre A x {f} of G is
+    one coset of N, and N is K-invariant (the (K) test).  Conversely the
+    graph {(a, f) : a in c(f)} of such a cocycle is a regular subgroup with
+    that projection and kernel.  c is fixed by its values on K's generators,
+    nonzero cosets since c(id) = N.  So every tuple of nonzero cosets is
+    extended at once along K's Cayley graph; a tuple drops out on an edge
+    whose two values disagree, or when a coset repeats.  Each subgroup is
+    met by exactly one tuple, its own c on the generators, and lambda_a is
+    the f with a in c(f).
     """
-    n, n_aut = spec.n, spec.n_aut
-    ident = spec.identity_aut
-    cls = subgroup_classes_of_order(spec, k)[class_index]
-    N = carrier_subgroups(spec, n // k)[kernel_index]
-    add = spec.add_flat
-    gens_aut = cls.generators
-
-    if pruning:
-        # (K): N must be invariant under the projection image, i.e. under
-        # its generators.
-        if any(spec.aut_row(f)[a] not in N for f in gens_aut for a in N):
-            return []
-        # Rows of alpha, alpha^2, ..., alpha^(ord-1) for each generator alpha.
-        power_rows = []
-        for f0 in gens_aut:
-            powers = [f0]
-            for _ in range(spec.aut_order(f0) - 2):
-                powers.append(spec.compose_idx(powers[-1], f0))
-            power_rows.append([spec.aut_row(f) for f in powers])
-
-    N_hol = frozenset(a * n_aut + ident for a in N)
-    seed_gens = _small_generating_set(spec, N_hol)
-    domain = list(range(n)) if lifts == "full" else _kernel_transversal(spec, N)
-    found: dict[frozenset[int], SkewBrace] = {}
-    for tup in itertools.product(domain, repeat=len(gens_aut)):
-        if pruning:
-            # (R): (u, alpha)^ord(alpha) = (u + alpha(u) + ... +
-            # alpha^(ord-1)(u), id) is a pure translation; it must lie in N.
-            ok = True
-            for u, rows in zip(tup, power_rows):
-                xa = u
-                for row in rows:
-                    xa = add[xa * n + row[u]]
-                if xa not in N:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        gens_hol = tuple(u * n_aut + f for u, f in zip(tup, gens_aut))
-        got = _hol_closure(
-            spec,
-            gens_hol,
-            cap=n,
-            seed=N_hol,
-            seed_gens=seed_gens,
-            forbid_dup_pi1=True,
-        )
-        if got is not None and len(got) == n and got not in found:
-            found[got] = _survivor_brace(
-                spec, got,
-                f"lift search (k={k}, class {class_index}, kernel {kernel_index})",
-            )
-    return list(found.values())
+    where = f"lift search (k={k}, class {class_index}, kernel {kernel_index})"
+    gens = subgroup_classes_of_order(spec, k)[class_index].generators
+    N = np.array(sorted(carrier_subgroups(spec, spec.n // k)[kernel_index]))
+    if not np.isin(spec.apply_rows(gens)[:, N], N).all():
+        return []  # (K): N is not invariant under K
+    elems, edges = _cayley_walk(spec, gens)
+    if len(elems) != k:
+        raise RuntimeError(f"{where}: its generators generate {len(elems)} elements")
+    cid, reps, cadd, act = _coset_tables(spec, N, elems)
+    tuples = np.array([*itertools.product(range(1, k), repeat=len(gens))], dtype=int)
+    c = np.zeros((len(tuples), k), dtype=np.intp)  # c[t, i]: coset over elems[i]
+    ok = np.ones(len(tuples), dtype=bool)
+    for i, j, h, new in edges:
+        value = cadd[c[:, i], act[i, tuples[:, j]]]
+        if new:
+            c[:, h] = value
+        else:
+            ok &= c[:, h] == value
+    ok &= (np.sort(c, axis=1) == np.arange(k)).all(axis=1)
+    if not ok.any():
+        return []
+    owner = np.empty_like(c[ok])  # owner[t, x]: the automorphism over coset x
+    np.put_along_axis(owner, c[ok], np.array(elems)[None, :], axis=1)
+    lam = owner[:, cid]
+    _check_subgroup_graphs(spec, lam, reps[tuples[ok]], gens, N, where)
+    return [SkewBrace(spec, row) for row in lam.tolist()]
 
 
 def _lift_worker(args: tuple) -> list[tuple[int, ...]]:
-    p, q, kind, k, ci, ni, pruning, lifts = args
+    p, q, kind, k, ci, ni = args
     spec = group_spec(p, q, kind)
-    return [B.lam for B in _lift_search(spec, k, ci, ni, pruning, lifts)]
+    return [B.lam for B in _lift_search(spec, k, ci, ni)]
 
 
-_LIFT_MODES = ("transversal", "full")
-
-
-def regular_subgroups_structured(
-    spec: GroupSpec,
-    *,
-    pruning: bool = True,
-    lifts: str = "transversal",
-    jobs: int = 1,
-) -> list[SkewBrace]:
+def regular_subgroups_structured(spec: GroupSpec, *, jobs: int = 1) -> list[SkewBrace]:
     """Every regular subgroup of Hol(A) reachable from some (K, N) pair, as
     its brace, sorted by lambda table.
 
     K runs over Aut(A)-class representatives of each projection order, so the
     output holds at least one member of every conjugacy class (a conjugate of
-    any regular subgroup appears for the conjugated data).  `lifts` picks the
-    lift domain of `_lift_search`: "transversal" (the default) or "full", a
-    cross-check that returns the same list more slowly.
+    any regular subgroup appears for the conjugated data).  Distinct (K, N)
+    pairs give disjoint subgroups, so nothing is found twice.
     """
-    if lifts not in _LIFT_MODES:
-        raise ValueError(f"unknown lift mode {lifts!r}; expected one of {_LIFT_MODES}")
     items = _work_items(spec)
-    found: dict[tuple[int, ...], SkewBrace] = {}
     if jobs > 1:
         # Touch the cached tables the lift search reads before forking so
         # children share them.
-        spec.add_flat, spec.aut_index, spec.aut_array
-        argv = [
-            (spec.p, spec.q, spec.kind.value, k, ci, ni, pruning, lifts)
-            for (k, ci, ni) in items
-        ]
+        spec.add_np, spec.aut_index, spec.aut_array, spec._aut_code_index
+        argv = [(spec.p, spec.q, spec.kind.value, k, ci, ni) for (k, ci, ni) in items]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for lams in pool.map(_lift_worker, argv):
-                for lam in lams:
-                    if lam not in found:
-                        found[lam] = SkewBrace(spec, lam)
+            lams = [lam for got in pool.map(_lift_worker, argv) for lam in got]
+        found = [SkewBrace(spec, lam) for lam in lams]
     else:
-        for k, ci, ni in items:
-            for B in _lift_search(spec, k, ci, ni, pruning, lifts):
-                found.setdefault(B.lam, B)
-    return [found[lam] for lam in sorted(found)]
+        found = [B for k, ci, ni in items for B in _lift_search(spec, k, ci, ni)]
+    return sorted(found, key=lambda B: B.lam)
 
 
 # ---------------- naive oracle ----------------
@@ -482,7 +475,13 @@ def regular_subgroups_oracle(
                     grown.setdefault(tuple(sorted(T)), (T, gens + (h,)))
         current = grown
 
-    survivors = [_survivor_brace(spec, T, "naive oracle") for T in results]
+    try:
+        survivors = [brace_from_regular(spec, T) for T in results]
+    except ValueError as exc:
+        # A ValueError would read as a usage error at the command line.
+        raise RuntimeError(
+            f"naive oracle closed a non-regular subgroup: {exc}"
+        ) from exc
     return sorted(survivors, key=lambda B: B.lam)
 
 

@@ -7,7 +7,8 @@ as (sigma_x(y))' o x o y (circle inverse and circle product), and everything
 downstream is gated on an exhaustive check of the braid relation.
 
 verify_ybe decides the braid relation.  It checks non-degeneracy and
-involutivity itself, in O(n^2); when both hold, the braid relation is
+involutivity itself, in O(n^2), once per solution (solution_properties
+reads the same result); when both hold, the braid relation is
 equivalent to sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for all
 x, y (Etingof-Schedler-Soloviev; Rump's cycle sets), which it checks in
 O(n^2 + m^2 n) for m distinct sigma rows.  braid_scan, the n^3 scan over
@@ -17,6 +18,8 @@ against.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -39,13 +42,15 @@ class Solution:
     ``sigma[x]`` and ``tau[y]`` are rows of int32; ``r(x, y)`` is the map
     (x, y) |-> (sigma[x][y], tau[y][x]).  Nothing here assumes the rows came
     from a brace -- verify_ybe / solution_properties re-check everything.
+    The arrays are read-only copies, so the precondition checks, computed
+    once per solution, cannot go stale.
     """
 
-    __slots__ = ("sigma", "tau")
+    __slots__ = ("_sigma", "_tau", "__dict__")
 
     def __init__(self, sigma, tau):
-        sigma = np.ascontiguousarray(np.asarray(sigma, dtype=np.int32))
-        tau = np.ascontiguousarray(np.asarray(tau, dtype=np.int32))
+        sigma = np.array(sigma, dtype=np.int32, order="C")
+        tau = np.array(tau, dtype=np.int32, order="C")
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square table of rows")
         if tau.shape != sigma.shape:
@@ -55,8 +60,17 @@ class Solution:
             raise ValueError("sigma entries out of range")
         if tau.size and not (0 <= tau.min() and tau.max() < n):
             raise ValueError("tau entries out of range")
-        self.sigma = sigma
-        self.tau = tau
+        sigma.flags.writeable = tau.flags.writeable = False
+        self._sigma = sigma
+        self._tau = tau
+
+    sigma = property(lambda self: self._sigma)
+    tau = property(lambda self: self._tau)
+
+    @cached_property
+    def _preconditions(self) -> dict[str, bool]:
+        """Non-degeneracy and involutivity, for verify_ybe and solution_properties."""
+        return {"nondegenerate": _nondegenerate(self), "involutive": _involutive(self)}
 
     @property
     def n(self) -> int:
@@ -106,7 +120,8 @@ def verify_ybe(sol: Solution) -> VerifyResult:
 
     verify_ybe first checks, exhaustively in O(n^2), that r is non-degenerate
     (every sigma and tau row a permutation) and involutive (r o r = id); it
-    takes neither on trust.  When both hold, r satisfies the braid relation
+    takes neither on trust, and keeps the result on the read-only solution
+    for solution_properties.  When both hold, r satisfies the braid relation
     if and only if sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for
     all x, y (Etingof-Schedler-Soloviev 1999; Rump's cycle sets 2005).  The
     m distinct sigma rows are composed pairwise (m^2 n work, m = |lambda(A)|
@@ -119,7 +134,8 @@ def verify_ybe(sol: Solution) -> VerifyResult:
     the (x, y, z) witness.  A rejection the scan cannot confirm raises
     RuntimeError.
     """
-    if not (_nondegenerate(sol) and _involutive(sol)):
+    pre = sol._preconditions
+    if not (pre["nondegenerate"] and pre["involutive"]):
         return braid_scan(sol)
     rows, rid = _distinct_rows(sol.sigma)
     if len(rows) ** 2 * sol.n > _COMPOSITE_CELLS:
@@ -231,7 +247,7 @@ def _involutive(sol: Solution) -> bool:
 
 def solution_properties(sol: Solution) -> dict[str, bool]:
     """Direct exhaustive checks: {"nondegenerate": ..., "involutive": ...}."""
-    return {"nondegenerate": _nondegenerate(sol), "involutive": _involutive(sol)}
+    return dict(sol._preconditions)
 
 
 def sigma_group_order(sol: Solution) -> int:

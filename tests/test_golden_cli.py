@@ -40,6 +40,11 @@ CASES = [
         "compare_p5_q23_mixed.txt",
         ["compare", "--p", "5", "--q", "23", "--additive", "mixed"],
     ),
+    # 331 regular subgroups: the largest lift search among the cases
+    (
+        "compare_p13_q3_mixed.txt",
+        ["compare", "--p", "13", "--q", "3", "--additive", "mixed"],
+    ),
 ]
 
 

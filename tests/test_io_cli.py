@@ -273,6 +273,14 @@ def test_jobs_below_one_is_rejected(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_oracle_bound_below_one_is_rejected(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", "--p", "3", "--q", "2", "--oracle-bound", bound])
+    assert exc.value.code == 2
+    assert "--oracle-bound" in capsys.readouterr().err
+
+
 def test_output_identical_across_jobs(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert cli.main(["enumerate", "--p", "3", "--q", "2", "--out", str(a)]) == 0

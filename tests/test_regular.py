@@ -2,14 +2,24 @@
 
 import ast
 import inspect
+import itertools
 import sys
 import textwrap
 
 import numpy as np
 import pytest
 
-from braceforge import regular
-from braceforge.algebra import Kind, _hol_closure, closure, group_spec
+from braceforge import algebra, regular
+from braceforge.algebra import (
+    GroupSpec,
+    Kind,
+    _hol_closure,
+    _small_generating_set,
+    carrier_subgroups,
+    closure,
+    group_spec,
+    subgroup_classes_of_order,
+)
 from braceforge.brace import brace_from_regular, regular_from_brace
 from braceforge.cases import CongruenceCase
 from braceforge.regular import (
@@ -99,35 +109,81 @@ def test_oracle_covers_structured_and_orbits_agree(p, q, kind):
     )
 
 
+def _kernel_transversal(spec, N):
+    """Smallest representative of each nonzero coset of N in the carrier."""
+    n = spec.n
+    add = spec.add_flat
+    return [
+        a for a in range(n) if a not in N and min(add[a * n + t] for t in N) == a
+    ]
+
+
+def _closure_lift_search(spec, k, class_index, kernel_index):
+    """The lift search the cocycle walk replaced, kept as its reference: join
+    N x {id} with every tuple of generators lifted over the kernel's
+    transversal, by closure in Hol(A), and keep each regular closure once."""
+    n, n_aut = spec.n, spec.n_aut
+    gens = subgroup_classes_of_order(spec, k)[class_index].generators
+    N = carrier_subgroups(spec, n // k)[kernel_index]
+    N_hol = frozenset(a * n_aut + spec.identity_aut for a in N)
+    seed_gens = _small_generating_set(spec, N_hol)
+    found = {}
+    for tup in itertools.product(_kernel_transversal(spec, N), repeat=len(gens)):
+        got = _hol_closure(
+            spec,
+            tuple(u * n_aut + f for u, f in zip(tup, gens)),
+            cap=n,
+            seed=N_hol,
+            seed_gens=seed_gens,
+            forbid_dup_pi1=True,
+        )
+        if got is not None and len(got) == n and got not in found:
+            found[got] = brace_from_regular(spec, got)
+    return list(found.values())
+
+
+def closure_search(spec):
+    """Every lambda table the reference lift search finds, sorted."""
+    return sorted(
+        B.lam for item in _work_items(spec) for B in _closure_lift_search(spec, *item)
+    )
+
+
+DESK_CARRIERS = [(p, q, kind) for p, q in DESK_PAIRS for kind in ("cyclic", "mixed")]
+
+
 @pytest.mark.parametrize(
     "p,q,kind",
     [(3, 2, "cyclic"), (3, 2, "mixed"), (2, 5, "mixed"), (3, 7, "cyclic")],
 )
 def test_pruning_and_lift_mode_do_not_change_the_result(p, q, kind):
-    spec = group_spec(p, q, kind)
+    # the cocycle walk (with its kernel-invariance precondition) finds what
+    # the unpruned closure search over the kernel transversal finds
     base = [B.lam for B in structured_subgroups(p, q, kind)]
-    unpruned = [B.lam for B in regular_subgroups_structured(spec, pruning=False)]
-    full = [B.lam for B in regular_subgroups_structured(spec, lifts="full")]
-    assert base == unpruned == full
+    assert base == closure_search(group_spec(p, q, kind))
 
 
-@pytest.mark.parametrize("p,q,kind", [(3, 2, "mixed"), (2, 5, "mixed")])
+@pytest.mark.parametrize("p,q,kind", DESK_CARRIERS)
 def test_each_lift_search_returns_every_subgroup_once(p, q, kind):
-    # full lifts close every kernel-coset mate, so they are where duplicates
-    # would come from; both domains must return the same distinct subgroups
+    # each tuple of coset lifts extends to at most one cocycle, so no work
+    # item may repeat a subgroup, and each must find the reference's
     spec = group_spec(p, q, kind)
     for k, ci, ni in _work_items(spec):
-        full = [B.lam for B in _lift_search(spec, k, ci, ni, True, "full")]
-        transversal = [B.lam for B in _lift_search(spec, k, ci, ni, True, "transversal")]
-        assert len(set(full)) == len(full)
-        assert sorted(full) == sorted(transversal)
+        got = [B.lam for B in _lift_search(spec, k, ci, ni)]
+        assert len(set(got)) == len(got)
+        want = [B.lam for B in _closure_lift_search(spec, k, ci, ni)]
+        assert sorted(got) == sorted(want), (k, ci, ni)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_unknown_lift_mode_is_rejected_up_front(jobs):
+def test_unknown_lift_mode_is_rejected_up_front(monkeypatch, jobs):
+    # the lift domain and the prunes are no longer options; the removed
+    # keywords are refused before any work starts
     spec = group_spec(3, 2, Kind.CYCLIC)
-    with pytest.raises(ValueError, match="bogus"):
-        regular_subgroups_structured(spec, lifts="bogus", jobs=jobs)
+    monkeypatch.setattr(regular, "_work_items", lambda spec: pytest.fail("work started"))
+    for removed in ({"lifts": "transversal"}, {"pruning": False}):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            regular_subgroups_structured(spec, jobs=jobs, **removed)
 
 
 # The survivor check is an exception, not an assert, so python -O keeps it,
@@ -141,14 +197,45 @@ def test_oracle_refuses_a_non_regular_survivor(monkeypatch):
 
 
 def test_lift_search_refuses_a_non_regular_survivor(monkeypatch):
+    # a fault in the coset tables: K acts trivially on the cosets.  The
+    # cocycles walked over it are homomorphisms K -> A/N, whose graphs are
+    # not subgroups where K really moves the cosets; the closedness check
+    # uses no coset table, so it catches them.
     spec = group_spec(3, 2, Kind.MIXED)
-    S = _order_n_subgroup_with_pure_automorphism(spec)
-    monkeypatch.setattr(regular, "_hol_closure", lambda *args, **kwargs: S)
+    real = regular._coset_tables
+
+    def trivial_action(*args):
+        cid, reps, cadd, act = real(*args)
+        return cid, reps, cadd, np.broadcast_to(np.arange(act.shape[1]), act.shape)
+
+    monkeypatch.setattr(regular, "_coset_tables", trivial_action)
     with pytest.raises(
         RuntimeError,
-        match=r"lift search \(k=\d+, class \d+, kernel \d+\) closed a non-regular",
+        match=r"lift search \(k=\d+, class \d+, kernel \d+\) built a lambda table "
+        "whose graph is not a subgroup",
     ):
         regular_subgroups_structured(spec)
+
+
+def test_structured_search_leaves_the_list_addition_table_unbuilt():
+    # add_flat serves the scalar closure loops (the oracle's); the lift
+    # search, the carrier lattice and the orbit partition read add_np.  A
+    # fresh spec, with the spec-keyed caches cleared, builds everything anew.
+    spec = GroupSpec(3, 7, Kind.MIXED)
+    caches = (
+        algebra.carrier_subgroups,
+        algebra._carrier_lattice,
+        algebra.subgroup_classes_of_order,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        orbit_partition(regular_subgroups_structured(spec), spec=spec)
+        assert "add_np" in vars(spec)
+        assert "add_flat" not in vars(spec)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_parallel_jobs_agree_with_serial():
@@ -394,7 +481,8 @@ def test_vectorized_prescan_matches_the_chain_walk(p, q, kind):
 # borrows none of it.
 STRUCTURED_NAMES = {
     "carrier_subgroups", "subgroup_classes_of_order", "sylow", "aut_torsion",
-    "_lift_search", "_work_items", "_kernel_transversal",
+    "_lift_search", "_work_items", "_coset_tables", "_cayley_walk",
+    "_additive_generators", "_check_subgroup_graphs",
 }
 
 
