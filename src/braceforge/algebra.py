@@ -2,14 +2,17 @@
 holomorph arithmetic.
 
 Elements and automorphisms are given small-integer indices.  The carrier's
-addition is one flat table.  Aut(A) is held only as its descriptors (a tuple,
-its index, and the same rows as one numpy array); the action and composition
-of automorphisms are computed from them for the automorphisms a call names
-(vectorized over index arrays, or cached per index for the pure-Python
-closure loops), never tabulated for all of Aut(A).  Index encoding (stable, used by every serialized artifact): CYCLIC
-(n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) -> a + p*b + p^2*c.
-Matrices act on column vectors in the ordered basis of the two order-p
-generators.
+addition is one flat table.  Aut(A) is held once, as `GroupSpec.aut_array`,
+one int64 descriptor row per automorphism built by broadcasting, with a
+dense descriptor-code -> index table beside it; `aut_lookup` and `aut_desc`
+are the only crossings between descriptors and indices.  The action and
+composition of automorphisms are computed from the array for the
+automorphisms a call names: vectorized over index arrays, or, for the
+pure-Python closure loops, memoized per index (action rows) and per pair
+(compositions) from single array rows.  Index encoding (stable, used by
+every serialized artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED
+(a, b, c) -> a + p*b + p^2*c.  Matrices act on column vectors in the
+ordered basis of the two order-p generators.
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ __all__ = [
     "AutSubgroupClass",
     "ClosureCapError",
     "aut_group_order",
-    "hol_mul",
-    "hol_inv",
-    "hol_act",
-    "hol_identity",
     "closure",
     "aut_closure",
     "carrier_subgroups",
@@ -188,103 +187,65 @@ class GroupSpec:
     # ---------------- automorphisms ----------------
 
     @cached_property
-    def aut_descriptors(self) -> tuple[AutDesc, ...]:
-        """All automorphisms as descriptors, in ascending descriptor order."""
+    def aut_array(self) -> np.ndarray:
+        """Every automorphism as an int64 descriptor row, row k for
+        automorphism k, in ascending descriptor order: columns (i, j) for
+        CYCLIC, units mod p^2 and mod q; (m00, m01, m10, m11, alpha) for
+        MIXED, an invertible matrix over F_p and a unit mod q."""
         p, q = self.p, self.q
-        out: list[AutDesc] = []
         if self.kind is Kind.CYCLIC:
-            for i in range(1, p * p):
-                if i % p == 0:
-                    continue
-                for j in range(1, q):
-                    out.append((i, j))
+            units = np.arange(1, p * p)
+            left = units[units % p != 0][:, None]
         else:
-            for m00 in range(p):
-                for m01 in range(p):
-                    for m10 in range(p):
-                        for m11 in range(p):
-                            if (m00 * m11 - m01 * m10) % p == 0:
-                                continue
-                            for alpha in range(1, q):
-                                out.append(((m00, m01, m10, m11), alpha))
-        if len(out) != aut_group_order(self):
+            m = np.indices((p, p, p, p)).reshape(4, -1).T  # lexicographic
+            left = m[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % p != 0]
+        alpha = np.arange(1, q)
+        D = np.concatenate(
+            (np.repeat(left, q - 1, axis=0), np.tile(alpha, len(left))[:, None]),
+            axis=1,
+        ).astype(np.int64)
+        if len(D) != self.n_aut:
             raise RuntimeError(
-                f"tabulated {len(out)} automorphisms, but |Aut(A)| = "
-                f"{aut_group_order(self)}"
+                f"tabulated {len(D)} automorphisms, but |Aut(A)| = {self.n_aut}"
             )
-        return tuple(out)
-
-    @cached_property
-    def aut_index(self) -> dict[AutDesc, int]:
-        return {f: k for k, f in enumerate(self.aut_descriptors)}
+        return D
 
     @cached_property
     def n_aut(self) -> int:
-        return len(self.aut_descriptors)
+        return aut_group_order(self)
+
+    def aut_lookup(self, descs: Iterable[AutDesc]) -> np.ndarray:
+        """Automorphism index of each descriptor, or -1 where it is not an
+        automorphism.  Entries may be any integers: each is reduced (mod
+        p^2 or p, and mod q) as a Python int before it meets the array."""
+        p, q = self.p, self.q
+        if self.kind is Kind.CYCLIC:
+            rows = [(i % (p * p), j % q) for i, j in descs]
+        else:
+            rows = [(*(x % p for x in m), alpha % q) for m, alpha in descs]
+        cols = np.array(rows, dtype=np.int64).reshape(-1, self.aut_array.shape[1]).T
+        return self._aut_code_index[self._aut_codes(cols)]
+
+    def aut_desc(self, f: int) -> AutDesc:
+        """The descriptor of automorphism f, as a tuple of Python ints."""
+        row = self.aut_array[f].tolist()
+        if self.kind is Kind.CYCLIC:
+            return tuple(row)
+        return (tuple(row[:4]), row[4])
 
     @cached_property
     def identity_aut(self) -> int:
-        if self.kind is Kind.CYCLIC:
-            return self.aut_index[(1, 1)]
-        return self.aut_index[((1, 0, 0, 1), 1)]
+        ident = (1, 1) if self.kind is Kind.CYCLIC else ((1, 0, 0, 1), 1)
+        return int(self.aut_lookup([ident])[0])
 
-    def apply_desc(self, f: AutDesc, x: Element) -> Element:
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            i, j = f
-            return (i * x[0] % (p * p), j * x[1] % q)
-        (m00, m01, m10, m11), alpha = f
-        return (
-            (m00 * x[0] + m01 * x[1]) % p,
-            (m10 * x[0] + m11 * x[1]) % p,
-            alpha * x[2] % q,
-        )
-
-    def compose_desc(self, f: AutDesc, g: AutDesc) -> AutDesc:
-        """Descriptor of f then-after g, i.e. x -> f(g(x))."""
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            return (f[0] * g[0] % (p * p), f[1] * g[1] % q)
-        a, b = f[0], g[0]
-        return (
-            (
-                (a[0] * b[0] + a[1] * b[2]) % p,
-                (a[0] * b[1] + a[1] * b[3]) % p,
-                (a[2] * b[0] + a[3] * b[2]) % p,
-                (a[2] * b[1] + a[3] * b[3]) % p,
-            ),
-            f[1] * g[1] % q,
-        )
-
-    def invert_desc(self, f: AutDesc) -> AutDesc:
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            return (pow(f[0], -1, p * p), pow(f[1], -1, q))
-        (m00, m01, m10, m11), alpha = f
-        d = pow(m00 * m11 - m01 * m10, -1, p)
-        return (
-            (m11 * d % p, -m01 * d % p, -m10 * d % p, m00 * d % p),
-            pow(alpha, -1, q),
-        )
-
-    @cached_property
-    def aut_array(self) -> np.ndarray:
-        """The descriptors as an int64 array, row k for automorphism k: columns
-        (i, j) for CYCLIC, (m00, m01, m10, m11, alpha) for MIXED."""
-        if self.kind is Kind.CYCLIC:
-            return np.array(self.aut_descriptors, dtype=np.int64)
-        return np.array(
-            [(*m, alpha) for m, alpha in self.aut_descriptors], dtype=np.int64
-        )
-
-    def _aut_codes(self, D: np.ndarray) -> np.ndarray:
-        """Dense integer code of each descriptor row (last axis of D)."""
+    def _aut_codes(self, cols):
+        """Dense integer code of a descriptor, from its columns (numpy arrays
+        or Python ints)."""
         p = self.p
         if self.kind is Kind.CYCLIC:
-            return D[..., 0] + p * p * D[..., 1]
+            return cols[0] + p * p * cols[1]
         return (
-            D[..., 0] + p * D[..., 1] + p**2 * D[..., 2] + p**3 * D[..., 3]
-            + p**4 * D[..., 4]
+            cols[0] + p * cols[1] + p**2 * cols[2] + p**3 * cols[3] + p**4 * cols[4]
         )
 
     @cached_property
@@ -294,35 +255,29 @@ class GroupSpec:
         p, q = self.p, self.q
         size = p * p * q if self.kind is Kind.CYCLIC else p**4 * q
         table = np.full(size, -1, dtype=np.intp)
-        table[self._aut_codes(self.aut_array)] = np.arange(self.n_aut)
+        table[self._aut_codes(self.aut_array.T)] = np.arange(self.n_aut)
         return table
 
-    def _compose_arrays(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Descriptor rows of f o g for descriptor rows f in A, g in B
-        (broadcast over the leading axes)."""
+    def _compose_cols(self, a, b):
+        """Descriptor columns of f o g from the columns a of f and b of g
+        (numpy arrays, broadcast, or Python ints)."""
         p, q = self.p, self.q
         if self.kind is Kind.CYCLIC:
-            return np.stack(
-                (A[..., 0] * B[..., 0] % (p * p), A[..., 1] * B[..., 1] % q), axis=-1
-            )
-        a0, a1, a2, a3, a4 = (A[..., c] for c in range(5))
-        b0, b1, b2, b3, b4 = (B[..., c] for c in range(5))
-        return np.stack(
-            (
-                (a0 * b0 + a1 * b2) % p,
-                (a0 * b1 + a1 * b3) % p,
-                (a2 * b0 + a3 * b2) % p,
-                (a2 * b1 + a3 * b3) % p,
-                a4 * b4 % q,
-            ),
-            axis=-1,
+            return (a[0] * b[0] % (p * p), a[1] * b[1] % q)
+        return (
+            (a[0] * b[0] + a[1] * b[2]) % p,
+            (a[0] * b[1] + a[1] * b[3]) % p,
+            (a[2] * b[0] + a[3] * b[2]) % p,
+            (a[2] * b[1] + a[3] * b[3]) % p,
+            a[4] * b[4] % q,
         )
 
     def compose_many(self, F, G) -> np.ndarray:
         """Indices of f o g, elementwise over the broadcast index arrays F, G."""
         D = self.aut_array
-        C = self._compose_arrays(D[np.asarray(F)], D[np.asarray(G)])
-        return self._aut_code_index[self._aut_codes(C)]
+        a = np.moveaxis(D[np.asarray(F)], -1, 0)
+        b = np.moveaxis(D[np.asarray(G)], -1, 0)
+        return self._aut_code_index[self._aut_codes(self._compose_cols(a, b))]
 
     def apply_rows(self, F) -> np.ndarray:
         """Action of each automorphism in F on element indices: shape
@@ -357,11 +312,12 @@ class GroupSpec:
     @cached_property
     def _compose_memo(self) -> _Memo:
         """f * n_aut + g -> index of f o g, filled on first use."""
-        descs, index, n_aut = self.aut_descriptors, self.aut_index, self.n_aut
+        D, index, n_aut = self.aut_array, self._aut_code_index, self.n_aut
 
         def compose(key: int) -> int:
             f, g = divmod(key, n_aut)
-            return index[self.compose_desc(descs[f], descs[g])]
+            fg = self._compose_cols(D[f].tolist(), D[g].tolist())
+            return int(index[self._aut_codes(fg)])
 
         return _Memo(compose)
 
@@ -370,15 +326,14 @@ class GroupSpec:
         square-and-multiply over the whole descriptor array."""
         D = self.aut_array
         ident = D[self.identity_aut]
-        acc = np.broadcast_to(ident, D.shape)
-        base, e = D, k
+        acc, base, e = ident, D.T, k
         while e:
             if e & 1:
-                acc = self._compose_arrays(acc, base)
+                acc = self._compose_cols(acc, base)
             e >>= 1
             if e:
-                base = self._compose_arrays(base, base)
-        return np.flatnonzero((acc == ident).all(axis=1))
+                base = self._compose_cols(base, base)
+        return np.flatnonzero(self._aut_codes(acc) == self._aut_codes(ident))
 
     @cached_property
     def aut_generators(self) -> tuple[int, ...]:
@@ -396,7 +351,7 @@ class GroupSpec:
                 descs.append(((primitive_root(p), 0, 0, 1), 1))
             if q > 2:
                 descs.append(((1, 0, 0, 1), primitive_root(q)))
-        gens = tuple(self.aut_index[f] for f in descs)
+        gens = tuple(self.aut_lookup(descs).tolist())
         # Close the generators breadth-first over index arrays: the whole
         # group is visited once, so no per-pair memo is filled.
         reached = np.zeros(self.n_aut, dtype=bool)
@@ -422,8 +377,9 @@ class GroupSpec:
         rows = self.apply_rows(self.aut_generators).astype(np.int64)
         tables = []
         for g, row in zip(self.aut_generators, rows):
-            g_inv = self.aut_index[self.invert_desc(self.aut_descriptors[g])]
-            tables.append((row, self.compose_many(self.compose_many(g, every), g_inv)))
+            left = self.compose_many(g, every)  # psi o f for every f
+            g_inv = int(np.flatnonzero(left == self.identity_aut)[0])
+            tables.append((row, self.compose_many(left, g_inv)))
         return tables
 
     # ---------------- holomorph ----------------
@@ -433,12 +389,15 @@ class GroupSpec:
         return self.n * self.n_aut
 
     def hol_encode(self, x: tuple[Element, AutDesc]) -> int:
-        a, f = x
-        return self.encode(a) * self.n_aut + self.aut_index[f]
+        a, desc = x
+        f = int(self.aut_lookup([desc])[0])
+        if f < 0:
+            raise ValueError(f"{desc!r} is not an automorphism of {self!r}")
+        return self.encode(a) * self.n_aut + f
 
     def hol_decode(self, h: int) -> tuple[Element, AutDesc]:
         a, f = divmod(h, self.n_aut)
-        return (self.decode(a), self.aut_descriptors[f])
+        return (self.decode(a), self.aut_desc(f))
 
 
 _SPEC_CACHE: dict[tuple[int, int, Kind], GroupSpec] = {}
@@ -461,38 +420,13 @@ def aut_group_order(spec: GroupSpec) -> int:
     return p * (p - 1) * (p - 1) * (p + 1) * (q - 1)
 
 
-def hol_identity(spec: GroupSpec) -> tuple[Element, AutDesc]:
-    return (spec.decode(0), spec.aut_descriptors[spec.identity_aut])
-
-
-def hol_mul(
-    spec: GroupSpec, x: tuple[Element, AutDesc], y: tuple[Element, AutDesc]
-) -> tuple[Element, AutDesc]:
-    """(a,f)(b,g) = (a + f(b), f o g)."""
-    (a, f), (b, g) = x, y
-    return (spec.add(a, spec.apply_desc(f, b)), spec.compose_desc(f, g))
-
-
-def hol_inv(spec: GroupSpec, x: tuple[Element, AutDesc]) -> tuple[Element, AutDesc]:
-    """(a,f)^-1 = (-f^-1(a), f^-1)."""
-    a, f = x
-    finv = spec.invert_desc(f)
-    return (spec.neg(spec.apply_desc(finv, a)), finv)
-
-
-def hol_act(spec: GroupSpec, x: tuple[Element, AutDesc], pt: Element) -> Element:
-    """Natural action on the carrier: (a,f) . x = a + f(x)."""
-    a, f = x
-    return spec.add(a, spec.apply_desc(f, pt))
-
-
 def closure(
     spec: GroupSpec,
     generators: Sequence[tuple[Element, AutDesc]],
     cap: int | None = None,
 ) -> frozenset[int]:
     """Subgroup of Hol(A) generated by the given (element, automorphism) pairs,
-    as encoded indices encode(a) * n_aut + aut_index(f).
+    as encoded indices encode(a) * n_aut + f, f the automorphism's index.
 
     Saturates products breadth-first; a finite group needs no explicit
     inverses.  Aborts with ClosureCapError if the closure exceeds `cap`

@@ -96,7 +96,7 @@ class SkewBrace:
         lam = tuple(lam)
         if len(lam) != spec.n:
             raise ValueError(f"lambda table has {len(lam)} entries, expected {spec.n}")
-        if any(not 0 <= f < spec.n_aut for f in lam):
+        if min(lam) < 0 or max(lam) >= spec.n_aut:
             raise ValueError("lambda table contains an invalid automorphism index")
         self.spec = spec
         self.lam = lam
@@ -141,7 +141,7 @@ class SkewBrace:
 
     def lambda_desc(self, x):
         """The automorphism lambda_x as a descriptor."""
-        return self.spec.aut_descriptors[self.lam[self.spec.encode(x)]]
+        return self.spec.aut_desc(self.lam[self.spec.encode(x)])
 
     @cached_property
     def lambda_image(self) -> tuple[int, ...]:

@@ -75,8 +75,7 @@ class CatalogEntry:
 
 def _lam(spec: GroupSpec, desc_of) -> SkewBrace:
     """Brace from a function mapping element tuples to aut descriptors."""
-    idx = spec.aut_index
-    return SkewBrace(spec, [idx[desc_of(x)] for x in spec.elements])
+    return SkewBrace(spec, spec.aut_lookup(desc_of(x) for x in spec.elements).tolist())
 
 
 def trivial_brace(spec: GroupSpec) -> SkewBrace:

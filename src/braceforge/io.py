@@ -194,7 +194,7 @@ def brace_to_json(B: SkewBrace, invariants: BraceInvariants | None = None) -> di
         "q": spec.q,
         "additive": spec.kind.value,
         "order": spec.n,
-        "auts": [descriptor_to_json(spec.kind, spec.aut_descriptors[g]) for g in used],
+        "auts": [descriptor_to_json(spec.kind, spec.aut_desc(g)) for g in used],
         "lambda": [local[g] for g in B.lam],
         "invariants": invariants_to_json(invariants),
     }
@@ -229,15 +229,13 @@ def brace_from_json(obj: Any) -> SkewBrace:
     auts = _expect(obj, "auts", list, where)
     aut_ids: list[int] = []
     for k, desc_obj in enumerate(auts):
-        desc = descriptor_from_json(spec.kind, desc_obj)
-        canon = spec.compose_desc(desc, spec.aut_descriptors[spec.identity_aut])
-        try:
-            aut_ids.append(spec.aut_index[canon])
-        except KeyError:
+        f = int(spec.aut_lookup([descriptor_from_json(spec.kind, desc_obj)])[0])
+        if f < 0:
             raise SchemaError(
                 f"{where}: auts[{k}] = {desc_obj!r} is not an automorphism of "
                 f"the {additive} carrier for ({p}, {q})"
-            ) from None
+            )
+        aut_ids.append(f)
     lam_local = _expect(obj, "lambda", list, where)
     if len(lam_local) != spec.n:
         raise SchemaError(

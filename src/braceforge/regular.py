@@ -283,8 +283,9 @@ def regular_subgroups_structured(spec: GroupSpec, *, jobs: int = 1) -> list[Skew
     items = _work_items(spec)
     if jobs > 1:
         # Touch the cached tables the lift search reads before forking so
-        # children share them.
-        spec.add_np, spec.aut_index, spec.aut_array, spec._aut_code_index
+        # children share them: identity_aut goes through aut_lookup, which
+        # builds the descriptor array and its code index.
+        spec.add_np, spec.identity_aut
         argv = [(spec.p, spec.q, spec.kind.value, k, ci, ni) for (k, ci, ni) in items]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             lams = [lam for got in pool.map(_lift_worker, argv) for lam in got]

@@ -15,14 +15,21 @@ from braceforge.algebra import (
     carrier_subgroups,
     closure,
     group_spec,
+    subgroup_classes_of_order,
+)
+
+from helpers import (
+    DESK_PAIRS,
+    all_descriptors,
+    apply_desc,
+    compose_desc,
+    descriptor_index,
     hol_act,
     hol_identity,
     hol_inv,
     hol_mul,
-    subgroup_classes_of_order,
+    invert_desc,
 )
-
-from helpers import DESK_PAIRS
 
 SMALL_SPECS = [
     group_spec(p, q, kind)
@@ -110,13 +117,13 @@ def test_aut_count_against_exhaustive_hom_scan(spec):
 
 def _scalar_orders(spec):
     """Order of every automorphism, by stepping its descriptor powers."""
-    descs = spec.aut_descriptors
+    descs = all_descriptors(spec)
     ident = descs[spec.identity_aut]
     out = []
     for d in descs:
         acc, k = d, 1
         while acc != ident:
-            acc = spec.compose_desc(acc, d)
+            acc = compose_desc(spec, acc, d)
             k += 1
         out.append(k)
     return out
@@ -124,25 +131,29 @@ def _scalar_orders(spec):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_automorphisms_are_additive_and_compose(spec):
-    """The vectorized and cached arithmetic against the scalar descriptor
-    code (apply_desc, compose_desc, invert_desc), exhaustively."""
-    descs = spec.aut_descriptors
+    """The descriptor array, its lookups, and the vectorized and cached
+    arithmetic against the scalar reference (all_descriptors, apply_desc,
+    compose_desc, invert_desc), exhaustively."""
+    descs = all_descriptors(spec)
     every = np.arange(spec.n_aut)
+    assert [spec.aut_desc(f) for f in every] == list(descs)
+    assert spec.aut_lookup(descs).tolist() == every.tolist()
     add = spec.add_np
     rows = spec.apply_rows(every)
     assert rows.shape == (spec.n_aut, spec.n) and rows.dtype == np.int32
     for f, d in enumerate(descs):
         row = rows[f]
-        want = [spec.encode(spec.apply_desc(d, x)) for x in spec.elements]
+        want = [spec.encode(apply_desc(spec, d, x)) for x in spec.elements]
         assert row.tolist() == want == spec.aut_row(f)
         assert row[0] == 0
         assert np.array_equal(row[add], add[row[:, None], row[None, :]])
     table = spec.compose_many(every[:, None], every[None, :])
+    index = descriptor_index(spec)
     for f, df in enumerate(descs):
-        finv = spec.aut_index[spec.invert_desc(df)]
+        finv = index[invert_desc(spec, df)]
         assert spec.compose_idx(finv, f) == spec.identity_aut
         for g, dg in enumerate(descs):
-            want = spec.aut_index[spec.compose_desc(df, dg)]
+            want = index[compose_desc(spec, df, dg)]
             assert table[f, g] == want == spec.compose_idx(f, g)
             assert np.array_equal(rows[want], rows[f][rows[g]])
     orders = _scalar_orders(spec)
@@ -154,15 +165,15 @@ def test_automorphisms_are_additive_and_compose(spec):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_conjugation_maps_match_scalar_conjugation(spec):
-    descs = spec.aut_descriptors
+    descs, index = all_descriptors(spec), descriptor_index(spec)
     assert len(spec.conj_tables) == len(spec.aut_generators)
     for g, (perm_elt, perm_aut) in zip(spec.aut_generators, spec.conj_tables):
-        psi, psi_inv = descs[g], spec.invert_desc(descs[g])
+        psi, psi_inv = descs[g], invert_desc(spec, descs[g])
         assert perm_elt.tolist() == spec.aut_row(g) == [
-            spec.encode(spec.apply_desc(psi, x)) for x in spec.elements
+            spec.encode(apply_desc(spec, psi, x)) for x in spec.elements
         ]
         assert perm_aut.tolist() == [
-            spec.aut_index[spec.compose_desc(spec.compose_desc(psi, d), psi_inv)]
+            index[compose_desc(spec, compose_desc(spec, psi, d), psi_inv)]
             for d in descs
         ]
 
@@ -249,7 +260,7 @@ def test_a_missing_cyclic_subgroup_is_reported(monkeypatch):
     spec = GroupSpec(3, 2, Kind.MIXED)
     pool = spec.aut_torsion(2)
     ident = spec.identity_aut
-    central = spec.aut_index[((2, 0, 0, 2), 1)]
+    central = int(spec.aut_lookup([((2, 0, 0, 2), 1)])[0])
     dropped = next(f for f in pool.tolist() if f not in (ident, central))
     monkeypatch.setattr(spec, "aut_torsion", lambda k: pool[pool != dropped])
     subgroup_classes_of_order.cache_clear()
@@ -262,9 +273,7 @@ def test_a_missing_cyclic_subgroup_is_reported(monkeypatch):
 
 def _hol_elements(spec):
     return [
-        (spec.decode(a), spec.aut_descriptors[f])
-        for a in range(spec.n)
-        for f in range(spec.n_aut)
+        (spec.decode(a), d) for a in range(spec.n) for d in all_descriptors(spec)
     ]
 
 
@@ -302,12 +311,12 @@ def test_hol_act_spec_example():
 
 def test_closure_known_orders():
     spec = group_spec(3, 2, Kind.CYCLIC)
-    ident = spec.aut_descriptors[spec.identity_aut]
+    ident = spec.aut_desc(spec.identity_aut)
     assert len(closure(spec, [((1, 0), ident)])) == 9
     H = closure(spec, [((1, 0), ident), ((0, 1), (8, 1))])
     assert len(H) == 18
     spec73 = group_spec(7, 3, Kind.MIXED)
-    ident73 = spec73.aut_descriptors[spec73.identity_aut]
+    ident73 = spec73.aut_desc(spec73.identity_aut)
     d1 = ((2, 0, 0, 2), 1)  # diag(g, g) with g = 2 of order 3 mod 7
     G = closure(
         spec73,
@@ -318,7 +327,8 @@ def test_closure_known_orders():
 
 def test_closure_properties_and_cap():
     spec = group_spec(3, 2, Kind.MIXED)
-    ids = closure(spec, [((1, 0, 0), (( 1, 1, 0, 1), 1)), ((0, 0, 1), spec.aut_descriptors[spec.identity_aut])])
+    ident = spec.aut_desc(spec.identity_aut)
+    ids = closure(spec, [((1, 0, 0), ((1, 1, 0, 1), 1)), ((0, 0, 1), ident)])
     for h in list(ids)[:20]:
         pair = spec.hol_decode(h)
         assert spec.hol_encode(hol_inv(spec, pair)) in ids
@@ -326,7 +336,7 @@ def test_closure_properties_and_cap():
             assert spec.hol_encode(hol_mul(spec, pair, spec.hol_decode(g))) in ids
     assert spec.hol_encode(hol_identity(spec)) in ids
     with pytest.raises(ClosureCapError):
-        closure(spec, [((1, 0, 0), spec.aut_descriptors[spec.identity_aut])], cap=2)
+        closure(spec, [((1, 0, 0), ident)], cap=2)
     with pytest.raises(ValueError):
         closure(spec, [])
 
@@ -392,10 +402,10 @@ def test_carrier_lattice_matches_saturating_joins(carrier):
 
 def _conjugate(spec, S, f):
     """f o S o f^-1, by the scalar descriptor code."""
-    descs, index = spec.aut_descriptors, spec.aut_index
-    d, dinv = descs[f], spec.invert_desc(descs[f])
+    descs, index = all_descriptors(spec), descriptor_index(spec)
+    d, dinv = descs[f], invert_desc(spec, descs[f])
     return frozenset(
-        index[spec.compose_desc(spec.compose_desc(d, descs[s]), dinv)] for s in S
+        index[compose_desc(spec, compose_desc(spec, d, descs[s]), dinv)] for s in S
     )
 
 
@@ -407,7 +417,7 @@ def test_aut_subgroup_classes_known_counts():
     hit = set()
     for s in (0, 1, 2):
         d = ((2, 0, 0, pow(2, s, 7)), 1)
-        S = aut_closure(spec, [spec.aut_index[d]])
+        S = aut_closure(spec, spec.aut_lookup([d]).tolist())
         for i, cls in enumerate(k3):
             if any(_conjugate(spec, S, f) == cls.elements for f in range(spec.n_aut)):
                 hit.add(i)

@@ -52,7 +52,7 @@ def test_brace_from_regular_rejects_non_regular():
     from braceforge.algebra import closure
 
     spec = group_spec(3, 2, Kind.MIXED)
-    ident = spec.aut_descriptors[spec.identity_aut]
+    ident = spec.aut_desc(spec.identity_aut)
     S = closure(
         spec,
         [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 0), ((2, 0, 0, 2), 1))],
@@ -67,6 +67,8 @@ def test_skewbrace_validates_the_lambda_table():
         SkewBrace(spec, [0] * 5)
     with pytest.raises(ValueError):
         SkewBrace(spec, [spec.n_aut] * spec.n)
+    with pytest.raises(ValueError):
+        SkewBrace(spec, [-1] + [spec.identity_aut] * (spec.n - 1))
 
 
 def test_verify_left_brace_catches_corruption():

@@ -117,7 +117,7 @@ def test_bs_brace_equals_its_generator_presentation():
     # the constructed lambda
     p, q, r = 3, 7, 2
     spec = group_spec(p, q, Kind.MIXED)
-    ident = spec.aut_descriptors[spec.identity_aut]
+    ident = spec.aut_desc(spec.identity_aut)
     for s in (1, 2):
         B = q1p_mixed_Bs(p, q, s)
         expected = closure(

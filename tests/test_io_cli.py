@@ -35,7 +35,7 @@ def test_descriptor_round_trip():
     cyc = group_spec(3, 2, Kind.CYCLIC)
     mix = group_spec(3, 2, Kind.MIXED)
     for spec in (cyc, mix):
-        for desc in spec.aut_descriptors:
+        for desc in map(spec.aut_desc, range(spec.n_aut)):
             doc = descriptor_to_json(spec.kind, desc)
             assert descriptor_from_json(spec.kind, doc) == desc
     assert descriptor_to_json(Kind.CYCLIC, (8, 1)) == {"i": 8, "j": 1}
@@ -56,11 +56,23 @@ def test_mult_class_string_round_trip():
             mult_class_from_str(bad)
 
 
+def _shifted(desc, k, p, q):
+    """The descriptor document with every entry moved by k times its modulus."""
+    if "i" in desc:
+        return {"i": desc["i"] + k * p * p, "j": desc["j"] + k * q}
+    m = [[x + k * p for x in row] for row in desc["m"]]
+    return {"m": m, "alpha": desc["alpha"] + k * q}
+
+
 def test_brace_json_round_trip_all_small_catalogs():
     for pair in [(3, 2), (2, 5)]:
         for e in catalog(*pair):
             doc = json.loads(canonical_dumps(brace_to_json(e.brace, e.expected)))
             assert brace_from_json(doc) == e.brace
+            # entries are reduced as integers, however large or negative
+            for k in (10**30, -(10**30), -1):
+                shifted = dict(doc, auts=[_shifted(a, k, *pair) for a in doc["auts"]])
+                assert brace_from_json(shifted) == e.brace
             cat_doc = catalog_entry_to_json(e)
             assert cat_doc["family"] == e.family
             assert cat_doc["params"] == dict(e.parameters)
@@ -81,6 +93,22 @@ def test_brace_json_rejects_malformed_documents():
     for bad in cases:
         with pytest.raises(SchemaError):
             brace_from_json(bad)
+    # a descriptor that is no automorphism is named by its place in auts
+    mixed = next(
+        brace_to_json(e.brace)
+        for e in catalog(3, 2)
+        if e.brace.spec.kind is Kind.MIXED and len(set(e.brace.lam)) > 1
+    )
+    for doc, desc in (
+        (good, {"i": 6, "j": 1}),  # i = 0 (mod p)
+        (mixed, {"m": [[1, 2], [2, 1]], "alpha": 1}),  # singular m
+        (mixed, {"m": [[1, 0], [0, 1]], "alpha": 4}),  # alpha = 0 (mod q)
+    ):
+        d = json.loads(canonical_dumps(doc))
+        k = len(d["auts"]) - 1
+        d["auts"][k] = desc
+        with pytest.raises(SchemaError, match=rf"auts\[{k}\] = .* is not an automorphism"):
+            brace_from_json(d)
 
 
 def test_solution_json_round_trip():

@@ -21,6 +21,7 @@ from braceforge.algebra import (
     subgroup_classes_of_order,
 )
 from braceforge.brace import brace_from_regular, regular_from_brace
+from braceforge.catalog import catalog_for_case
 from braceforge.cases import CongruenceCase
 from braceforge.regular import (
     OracleBoundError,
@@ -45,7 +46,7 @@ SMALL = [(3, 2, "cyclic"), (3, 2, "mixed"), (2, 5, "cyclic"), (2, 5, "mixed")]
 
 
 def _translations(spec):
-    ident = spec.aut_descriptors[spec.identity_aut]
+    ident = spec.aut_desc(spec.identity_aut)
     if spec.kind is Kind.CYCLIC:
         gens = [((1, 0), ident), ((0, 1), ident)]
     else:
@@ -56,7 +57,7 @@ def _translations(spec):
 def _order_n_subgroup_with_pure_automorphism(spec):
     # the translations of Z_3 x Z_3 with (0, -1 on the p-part): 18 elements
     # on the (3, 2) mixed carrier, with every first projection twice
-    ident = spec.aut_descriptors[spec.identity_aut]
+    ident = spec.aut_desc(spec.identity_aut)
     return closure(
         spec,
         [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 0), ((2, 0, 0, 2), 1))],
@@ -77,7 +78,7 @@ def test_translation_subgroup_is_regular(p, q, kind):
 
 def test_order_n_subgroup_with_pure_automorphism_is_not_regular():
     spec = group_spec(3, 2, Kind.MIXED)
-    ident = spec.aut_descriptors[spec.identity_aut]
+    ident = spec.aut_desc(spec.identity_aut)
     S = _order_n_subgroup_with_pure_automorphism(spec)
     assert len(S) == spec.n
     with pytest.raises(ValueError, match="repeated first projection"):
@@ -217,11 +218,13 @@ def test_lift_search_refuses_a_non_regular_survivor(monkeypatch):
         regular_subgroups_structured(spec)
 
 
-def test_structured_search_leaves_the_list_addition_table_unbuilt():
+def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
     # add_flat serves the scalar closure loops (the oracle's); the lift
     # search, the carrier lattice and the orbit partition read add_np.  A
-    # fresh spec, with the spec-keyed caches cleared, builds everything anew.
+    # fresh spec, with the spec-keyed caches cleared, builds everything anew;
+    # group_spec hands it to the catalog too.
     spec = GroupSpec(3, 7, Kind.MIXED)
+    monkeypatch.setitem(algebra._SPEC_CACHE, (3, 7, Kind.MIXED), spec)
     caches = (
         algebra.carrier_subgroups,
         algebra._carrier_lattice,
@@ -231,8 +234,17 @@ def test_structured_search_leaves_the_list_addition_table_unbuilt():
         cache.cache_clear()
     try:
         orbit_partition(regular_subgroups_structured(spec), spec=spec)
+        catalog_for_case(3, 7)
         assert "add_np" in vars(spec)
         assert "add_flat" not in vars(spec)
+        # Aut(A) is held once, as the descriptor array: no cached Python
+        # tuple, list or plain dict with an entry per automorphism.
+        per_aut = [
+            name
+            for name, value in vars(spec).items()
+            if type(value) in (tuple, list, dict) and len(value) == spec.n_aut
+        ]
+        assert per_aut == []
     finally:
         for cache in caches:
             cache.cache_clear()
@@ -378,7 +390,7 @@ def test_closure_duplicate_projection_prune_rejects_pure_automorphisms():
     # prune rejects a pure automorphism (0, f), f != id, wherever it shows up
     spec = group_spec(3, 2, Kind.MIXED)
     n_aut = spec.n_aut
-    neg = spec.aut_index[((2, 0, 0, 2), 1)]  # -1 on the p-part
+    neg = int(spec.aut_lookup([((2, 0, 0, 2), 1)])[0])  # -1 on the p-part
     x = spec.encode((1, 0, 0))
     minus_x = spec.encode((2, 0, 0))
     pure = neg
