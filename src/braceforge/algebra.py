@@ -1,18 +1,18 @@
 """Carriers Z_{p^2 q} and Z_p x Z_p x Z_q, their automorphism groups, and
-holomorph arithmetic.
+the subgroups of Aut(A) and of the carrier.
 
 Elements and automorphisms are given small-integer indices.  The carrier's
-addition is one flat table.  Aut(A) is held once, as `GroupSpec.aut_array`,
+addition is one n x n table.  Aut(A) is held once, as `GroupSpec.aut_array`,
 one int64 descriptor row per automorphism built by broadcasting, with a
 dense descriptor-code -> index table beside it; `aut_lookup` and `aut_desc`
 are the only crossings between descriptors and indices.  The action and
 composition of automorphisms are computed from the array for the
-automorphisms a call names: vectorized over index arrays, or, for the
-pure-Python closure loops, memoized per index (action rows) and per pair
-(compositions) from single array rows.  Index encoding (stable, used by
-every serialized artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED
-(a, b, c) -> a + p*b + p^2*c.  Matrices act on column vectors in the
-ordered basis of the two order-p generators.
+automorphisms a call names, vectorized over index arrays; for the
+pure-Python closure loop of Aut(A), compositions are also memoized per pair
+from single array rows.  Index encoding (stable, used by every serialized
+artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) ->
+a + p*b + p^2*c.  Matrices act on column vectors in the ordered basis of the
+two order-p generators.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ __all__ = [
     "GroupSpec",
     "group_spec",
     "AutSubgroupClass",
-    "ClosureCapError",
     "aut_group_order",
-    "closure",
     "aut_closure",
     "carrier_subgroups",
     "aut_orbits",
@@ -53,15 +51,11 @@ class Kind(str, Enum):
     MIXED = "mixed"    # Z_p x Z_p x Z_q
 
 
-class ClosureCapError(RuntimeError):
-    """A closure exceeded its configured size cap."""
-
-
 class _Memo(dict):
     """A dict that computes a missing value from its key and keeps it.
 
-    Lookups that hit run at plain-dict speed, which is what the closure loops
-    need from the per-automorphism caches.
+    Lookups that hit run at plain-dict speed, which is what the closure loop
+    of Aut(A) needs from the per-pair composition cache.
     """
 
     __slots__ = ("_compute",)
@@ -170,10 +164,6 @@ class GroupSpec:
     @cached_property
     def neg_np(self) -> np.ndarray:
         return np.array([self.encode(self.neg(x)) for x in self.elements], dtype=np.int32)
-
-    @cached_property
-    def add_flat(self) -> list[int]:
-        return self.add_np.ravel().tolist()
 
     def sylow(self, prime: int) -> frozenset[int]:
         """Indices of the (unique) Sylow subgroup of the carrier at this prime."""
@@ -297,14 +287,6 @@ class GroupSpec:
             )
         return rows.astype(np.int32)
 
-    def aut_row(self, f: int) -> list[int]:
-        """Action of automorphism f on element indices, cached per index."""
-        return self._aut_rows[f]
-
-    @cached_property
-    def _aut_rows(self) -> _Memo:
-        return _Memo(lambda f: self.apply_rows([f])[0].tolist())
-
     def compose_idx(self, f: int, g: int) -> int:
         """Index of f o g, memoized per pair."""
         return self._compose_memo[f * self.n_aut + g]
@@ -388,17 +370,6 @@ class GroupSpec:
     def hol_order(self) -> int:
         return self.n * self.n_aut
 
-    def hol_encode(self, x: tuple[Element, AutDesc]) -> int:
-        a, desc = x
-        f = int(self.aut_lookup([desc])[0])
-        if f < 0:
-            raise ValueError(f"{desc!r} is not an automorphism of {self!r}")
-        return self.encode(a) * self.n_aut + f
-
-    def hol_decode(self, h: int) -> tuple[Element, AutDesc]:
-        a, f = divmod(h, self.n_aut)
-        return (self.decode(a), self.aut_desc(f))
-
 
 _SPEC_CACHE: dict[tuple[int, int, Kind], GroupSpec] = {}
 
@@ -418,117 +389,6 @@ def aut_group_order(spec: GroupSpec) -> int:
     if spec.kind is Kind.CYCLIC:
         return p * (p - 1) * (q - 1)
     return p * (p - 1) * (p - 1) * (p + 1) * (q - 1)
-
-
-def closure(
-    spec: GroupSpec,
-    generators: Sequence[tuple[Element, AutDesc]],
-    cap: int | None = None,
-) -> frozenset[int]:
-    """Subgroup of Hol(A) generated by the given (element, automorphism) pairs,
-    as encoded indices encode(a) * n_aut + f, f the automorphism's index.
-
-    Saturates products breadth-first; a finite group needs no explicit
-    inverses.  Aborts with ClosureCapError if the closure exceeds `cap`
-    (default: |Hol(A)|, i.e. never).
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    gens = [spec.hol_encode(x) for x in generators]
-    got = _hol_closure(spec, gens, cap if cap is not None else spec.hol_order)
-    if got is None:
-        raise ClosureCapError(
-            f"closure of {len(gens)} generators in Hol({spec!r}) exceeded cap {cap}"
-        )
-    return got
-
-
-def _hol_closure(
-    spec: GroupSpec,
-    gens: Sequence[int],
-    cap: int,
-    seed: Iterable[int] = (),
-    seed_gens: Sequence[int] = (),
-    forbid_dup_pi1: bool = False,
-    tables: tuple | None = None,
-) -> frozenset[int] | None:
-    """Core closure on encoded indices.
-
-    `seed` may be an already-closed subgroup whose generators are `seed_gens`;
-    the result is then its join with `gens`.  Returns None when the size cap is
-    exceeded, or when `forbid_dup_pi1` is set and two elements share a first
-    projection: they quotient to a non-identity element fixing 0, so any
-    subgroup of a regular group has pairwise-distinct projections and a repeat
-    aborts the search immediately.  The identity is always present, so this
-    also rejects every pure automorphism (first projection 0).
-
-    `tables` = (rows, compose) supplies the automorphism arithmetic: rows[f] is
-    f's action row and compose[f * n_aut + g] the index of f o g.  By default
-    these are the spec's per-automorphism caches, filled only for the
-    automorphisms the closure meets; the naive oracle passes whole-Aut lists.
-    """
-    n_aut = spec.n_aut
-    add = spec.add_flat
-    rows, compose = (
-        tables if tables is not None else (spec._aut_rows, spec._compose_memo)
-    )
-    n = spec.n
-    ident = spec.identity_aut
-
-    all_gens = [(g // n_aut, g % n_aut) for g in (*seed_gens, *gens)]
-    seen = set(seed)
-    seen.add(ident)  # encoded identity: element 0, identity aut
-    seen.update((*seed_gens, *gens))
-    if len(seen) > cap:
-        return None
-    pi1_seen: set[int] | None = None
-    if forbid_dup_pi1:
-        pi1_seen = {h // n_aut for h in seen}
-        if len(pi1_seen) != len(seen):
-            return None
-    frontier = list(seen)
-    while frontier:
-        next_frontier = []
-        for h in frontier:
-            xa, xf = divmod(h, n_aut)
-            xan = xa * n
-            row = rows[xf]
-            xfk = xf * n_aut
-            for ga, gf in all_gens:
-                y = add[xan + row[ga]] * n_aut + compose[xfk + gf]
-                if y not in seen:
-                    if pi1_seen is not None:
-                        ya = y // n_aut
-                        if ya in pi1_seen:
-                            return None
-                        pi1_seen.add(ya)
-                    seen.add(y)
-                    if len(seen) > cap:
-                        return None
-                    next_frontier.append(y)
-        frontier = next_frontier
-    return frozenset(seen)
-
-
-def _small_generating_set(spec: GroupSpec, elements: frozenset[int]) -> tuple[int, ...]:
-    """Greedy deterministic generating set of a subgroup of Hol(A) (smallest
-    encoded indices first)."""
-    ident = spec.identity_aut
-    have: frozenset[int] = frozenset({ident})
-    gens: list[int] = []
-    for h in sorted(elements):
-        if h not in have:
-            gens.append(h)
-            got = _hol_closure(spec, gens, cap=len(elements))
-            if got is None:
-                raise RuntimeError(
-                    f"elements of a {len(elements)}-element set generate a "
-                    "larger subgroup; the set is not a subgroup"
-                )
-            have = got
-            if len(have) == len(elements):
-                break
-    return tuple(gens)
 
 
 def aut_closure(
@@ -555,6 +415,28 @@ def aut_closure(
                     next_frontier.append(y)
         frontier = next_frontier
     return frozenset(seen)
+
+
+def _greedy_generators(table: np.ndarray, members: Sequence[int]) -> list[int]:
+    """A generating set of the subgroup `members` (ascending) of the group
+    with Cayley table `table`, element 0 the identity: each member that the
+    earlier ones do not generate."""
+    span = np.zeros(len(table), dtype=bool)
+    span[0] = True
+    gens: list[int] = []
+    for t in members:
+        if span[t]:
+            continue
+        gens.append(t)
+        # Close the span under right multiplication by every generator.
+        frontier = np.flatnonzero(span)
+        while frontier.size:
+            img = np.unique(table[frontier[:, None], gens])
+            frontier = img[~span[img]]
+            span[frontier] = True
+        if span.sum() == len(members):
+            break
+    return gens
 
 
 @lru_cache(maxsize=None)

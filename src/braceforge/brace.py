@@ -4,7 +4,9 @@ detection, multiplicative-group classification, and brace isomorphism.
 
 A brace is stored as its lambda table (one automorphism index per element).
 The circle table a o b = a + lambda_a(b) is derived on first use and cached
-once, as the numpy array `circle_np`; every invariant reads that array.
+once, as the numpy array `circle_np`; the action rows of lambda
+(`lambda_rows`) are recomputed from the descriptor array when asked for.
+Every check and invariant reads these arrays and the carrier's `add_np`.
 """
 
 from __future__ import annotations
@@ -286,30 +288,24 @@ def lambda_identities_check(B: SkewBrace) -> bool:
     over the full fourth power of the carrier).
     """
     spec = B.spec
-    n = spec.n
-    add = spec.add_flat
-    Z = B.circle_np
-    for b in range(n):
-        if spec.aut_row(B.lam[b])[b] != b:
-            continue
-        nb, power, f = b, b, B.lam[b]
-        while nb != 0:
-            nb = add[nb * n + b]
-            power = int(Z[b, power])
-            f = spec.compose_idx(B.lam[b], f)
-            if power != nb or B.lam[nb] != f:
-                return False
-    ker = sorted(ker_lambda(B))
-    fix = sorted(fix_set(B))
-    for b in fix:
-        fb = B.lam[b]
-        row_b = spec.aut_row(fb)
-        for a in ker:
-            fab = B.lam[add[a * n + b]]
-            if fab != fb:
-                row_ab = spec.aut_row(fab)
-                if any(row_ab[c] != row_b[c] for c in ker):
-                    return False
+    add, Z = spec.add_np, B.circle_np
+    lam = np.asarray(B.lam)
+    rows = B.lambda_rows
+    # (i), for every such b at once: step nb = kb, its circle power and
+    # lambda_b^k until nb returns to 0.
+    b = np.flatnonzero(rows.diagonal() == np.arange(spec.n))[1:]
+    nb, power, f = b, b, lam[b]
+    while b.size:
+        nb, power, f = add[nb, b], Z[b, power], spec.compose_many(lam[b], f)
+        if (power != nb).any() or (lam[nb] != f).any():
+            return False
+        more = nb != 0
+        b, nb, power, f = b[more], nb[more], power[more], f[more]
+    # (ii): lambda_{a+b} agrees with lambda_b on ker for a in ker, b in Fix.
+    ker = np.flatnonzero(lam == spec.identity_aut)
+    for b in sorted(fix_set(B)):
+        if (rows[np.ix_(add[ker, b], ker)] != rows[b, ker]).any():
+            return False
     return True
 
 
@@ -348,15 +344,12 @@ def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:
     Raises if I is not a subgroup of the additive group.
     """
     spec = B.spec
-    n = spec.n
-    I = frozenset(I)
-    add = spec.add_flat
-    if 0 not in I or any(add[a * n + b] not in I for a in I for b in I):
-        raise ValueError("I is not an additive subgroup")
-    left = all(spec.aut_row(f)[a] in I for f in B.lambda_image for a in I)
-    members = np.asarray(sorted(I))
-    in_I = np.zeros(n, dtype=bool)
+    members = np.unique(np.fromiter(I, dtype=np.intp))
+    in_I = np.zeros(spec.n, dtype=bool)
     in_I[members] = True
+    if not in_I[0] or not in_I[spec.add_np[np.ix_(members, members)]].all():
+        raise ValueError("I is not an additive subgroup")
+    left = bool(in_I[spec.apply_rows(B.lambda_image)[:, members]].all())
     Z = B.circle_np
     # a o i o a' for every a and every i in I
     conj = Z[Z[:, members], B.circle_inv_np[:, None]]

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Kind, _small_generating_set, group_spec
+from .algebra import Kind, _greedy_generators, group_spec
 from .brace import (
     G_F,
     G_K,
@@ -31,7 +31,6 @@ from .brace import (
     BraceInvariants,
     MultClass,
     SkewBrace,
-    regular_from_brace,
 )
 from .cases import classify_case, ensure_in_scope
 from .regular import EnumerationReport
@@ -297,11 +296,17 @@ def solution_from_json(obj: Any) -> tuple[Solution, dict[str, bool]]:
 
 def subgroup_to_json(B: SkewBrace) -> list:
     """Generators of the brace's regular subgroup {(a, lambda_a)}, as a list
-    of (element index, automorphism descriptor) pairs."""
+    of (element index, automorphism descriptor) pairs.
+
+    a -> (a, lambda_a) is an isomorphism from the circle group (A, o) onto
+    the subgroup, so the generators are read off the circle table: each
+    element, smallest first, that the earlier ones do not generate.
+    """
     spec = B.spec
-    gens = _small_generating_set(spec, regular_from_brace(B))
-    pairs = [spec.hol_decode(h) for h in gens]
-    return [[spec.encode(a), descriptor_to_json(spec.kind, f)] for a, f in pairs]
+    gens = _greedy_generators(B.circle_np, range(spec.n))
+    return [
+        [a, descriptor_to_json(spec.kind, spec.aut_desc(B.lam[a]))] for a in gens
+    ]
 
 
 def report_to_json(report: EnumerationReport) -> dict:

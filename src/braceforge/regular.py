@@ -10,9 +10,12 @@ holding its lambda table:
   values on K's generators along K's Cayley graph and reads lambda off the
   cocycles that are bijective, and
 * the naive oracle grows subgroups from at most three cyclic pieces of the
-  holomorph, with only order-arithmetic pruning.  It closes them as sets of
-  encoded indices a * |Aut(A)| + f and turns each one it keeps into its
-  table with `brace_from_regular`, its regularity check.
+  holomorph, with only order-arithmetic pruning and the rule that a
+  subgroup of a regular group repeats no first projection, which also keeps
+  every join at most |A| elements.  It closes them as sets of encoded
+  indices a * |Aut(A)| + f, in the one Hol(A) closure of the package
+  (`_oracle_join`), and turns each one it keeps into its table with
+  `brace_from_regular`, its regularity check.
 
 Ordering by table is ordering by the subgroup's sorted encoded indices.
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .algebra import (
     GroupSpec,
-    _hol_closure,
+    _greedy_generators,
     aut_orbits,
     carrier_subgroups,
     group_spec,
@@ -180,18 +183,6 @@ def _cayley_walk(spec: GroupSpec, gens: tuple[int, ...]) -> tuple[list[int], lis
     return elems, edges
 
 
-def _additive_generators(spec: GroupSpec, N: np.ndarray) -> list[int]:
-    """A generating set of the carrier subgroup N, greedily from its
-    smallest elements."""
-    span, gens = np.zeros(1, dtype=np.intp), []
-    for t in N.tolist():
-        if len(span) < len(N) and t not in span:
-            gens.append(t)
-            while len(grown := np.union1d(span, spec.add_np[span, t])) > len(span):
-                span = grown
-    return gens
-
-
 def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
     """Raise unless each row's graph {(a, lam[r, a])} is a subgroup of
     Hol(A), checked without the coset tables that built it.
@@ -208,7 +199,8 @@ def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
     loc = loc.reshape(lam.shape)
     rows = spec.apply_rows(image)
     moves = [(u, spec.compose_many(image, g)[loc]) for u, g in zip(lifted.T, gens)]
-    moves += [(np.full(len(lam), t), lam) for t in _additive_generators(spec, N)]
+    translations = _greedy_generators(spec.add_np, N.tolist())
+    moves += [(np.full(len(lam), t), lam) for t in translations]
     ok = bool((lam[:, 0] == spec.identity_aut).all())
     for u, want in moves:
         target = spec.add_np[every, rows[loc, u[:, None]]]
@@ -378,15 +370,54 @@ def _oracle_cyclic_subgroups(
     ]
 
 
+def _oracle_join(spec: GroupSpec, tables: tuple, seed, gens) -> frozenset[int] | None:
+    """The subgroup of Hol(A) generated by the encoded indices `gens`, which
+    include generators of the subgroup `seed`, or None as soon as two of its
+    elements share a first projection: they differ by a non-identity element
+    fixing 0, so the join has no regular overgroup.  The identity, at first
+    projection 0, is always present, so a pure automorphism is rejected too,
+    and a join that survives has at most |A| elements.
+
+    `tables` = (add, rows, compose) is the oracle's whole-Aut arithmetic as
+    Python lists: add[a * n + b], rows[f][a] = f(a) and compose[f * n_aut + g]
+    the index of f o g.
+    """
+    add, rows, compose = tables
+    n, n_aut = spec.n, spec.n_aut
+    split = [divmod(g, n_aut) for g in gens]
+    seen = {spec.identity_aut, *seed, *gens}
+    pi1_seen = {h // n_aut for h in seen}
+    if len(pi1_seen) != len(seen):
+        return None
+    frontier = list(seen)
+    while frontier:
+        next_frontier = []
+        for h in frontier:
+            xa, xf = divmod(h, n_aut)
+            xan, row, xfk = xa * n, rows[xf], xf * n_aut
+            for ga, gf in split:
+                y = add[xan + row[ga]] * n_aut + compose[xfk + gf]
+                if y not in seen:
+                    ya = y // n_aut
+                    if ya in pi1_seen:
+                        return None
+                    pi1_seen.add(ya)
+                    seen.add(y)
+                    next_frontier.append(y)
+        frontier = next_frontier
+    return frozenset(seen)
+
+
 def regular_subgroups_oracle(
     spec: GroupSpec, bound: int = ORACLE_BOUND
 ) -> list[SkewBrace]:
     """Exhaustive regular-subgroup scan with no structural assumptions.
 
     Joins up to three cyclic subgroups of Hol(A), pruning only by Lagrange
-    bounds, the size cap and the fact that a subgroup of a regular group has
-    pairwise distinct first projections (two elements sharing one differ by
-    a pure automorphism, which fixes 0).
+    bounds and the fact that a subgroup of a regular group has pairwise
+    distinct first projections (two elements sharing one differ by a pure
+    automorphism, which fixes 0).  The latter also caps every join it keeps
+    at |A| elements (`_oracle_join`).
 
     * A vectorized prescan (`_oracle_prescan`) keeps the elements of order
       dividing |A| with no pure-automorphism power.  Each cyclic subgroup
@@ -409,16 +440,16 @@ def regular_subgroups_oracle(
             f"|Hol| = {spec.hol_order} exceeds the oracle bound {bound}"
         )
     n, n_aut = spec.n, spec.n_aut
-    add = spec.add_flat
     # The oracle visits all of Hol(A), so it tabulates all of Aut(A): action
     # rows (|Hol| entries, within the bound) and the compose table
     # f * n_aut + g -> f o g (|Aut|^2 entries, under a million at the default
-    # bound), as numpy arrays for the prescan and lists for the closures.
+    # bound), as numpy arrays for the prescan and lists for the joins.
     # Nothing else tabulates Aut(A) whole.
     rows_np, compose_np = _whole_aut_tables(spec)
     cyclic = _oracle_cyclic_subgroups(spec, rows_np, compose_np)
+    add = spec.add_np.ravel().tolist()
     rows, compose = rows_np.tolist(), compose_np.ravel().tolist()
-    tables = (rows, compose)
+    tables = (add, rows, compose)
 
     results: set[frozenset[int]] = set()
     partial: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...]]] = {}
@@ -464,10 +495,7 @@ def regular_subgroups_oracle(
                 # projection with S puts a pure automorphism in the join.
                 if any(x // n_aut in pi1_S for x in products):
                     continue
-                T = _hol_closure(
-                    spec, (h,), cap=n, seed=S, seed_gens=gens,
-                    forbid_dup_pi1=True, tables=tables,
-                )
+                T = _oracle_join(spec, tables, S, gens + (h,))
                 if T is None:
                     continue
                 if len(T) == n:

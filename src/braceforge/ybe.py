@@ -49,17 +49,18 @@ class Solution:
     __slots__ = ("_sigma", "_tau", "__dict__")
 
     def __init__(self, sigma, tau):
-        sigma = np.array(sigma, dtype=np.int32, order="C")
-        tau = np.array(tau, dtype=np.int32, order="C")
+        sigma, tau = np.asarray(sigma), np.asarray(tau)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square table of rows")
         if tau.shape != sigma.shape:
             raise ValueError("tau must have the same shape as sigma")
         n = sigma.shape[0]
-        if sigma.size and not (0 <= sigma.min() and sigma.max() < n):
-            raise ValueError("sigma entries out of range")
-        if tau.size and not (0 <= tau.min() and tau.max() < n):
-            raise ValueError("tau entries out of range")
+        # Range-check before narrowing to int32, which would wrap 2**32 to 0.
+        for name, table in (("sigma", sigma), ("tau", tau)):
+            if table.size and not (0 <= table.min() and table.max() < n):
+                raise ValueError(f"{name} entries out of range")
+        sigma = np.array(sigma, dtype=np.int32, order="C")
+        tau = np.array(tau, dtype=np.int32, order="C")
         sigma.flags.writeable = tau.flags.writeable = False
         self._sigma = sigma
         self._tau = tau

@@ -154,3 +154,79 @@ def hol_act(spec, x, pt):
     """Natural action on the carrier: (a,f) . x = a + f(x)."""
     a, f = x
     return spec.add(a, apply_desc(spec, f, pt))
+
+
+def hol_encode(spec, x) -> int:
+    """Encoded index a * n_aut + f of the pair (element tuple, descriptor)."""
+    a, desc = x
+    return spec.encode(a) * spec.n_aut + descriptor_index(spec)[desc]
+
+
+def hol_decode(spec, h):
+    a, f = divmod(h, spec.n_aut)
+    return (spec.decode(a), all_descriptors(spec)[f])
+
+
+class _Memo(dict):
+    """A dict that computes a missing value from its key and keeps it."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
+
+
+@lru_cache(maxsize=None)
+def hol_tables(spec):
+    """Holomorph arithmetic on encoded indices, from the scalar formulas:
+    add[a * n + b] the index of a + b, rows[f][a] that of f(a), and
+    compose[f * n_aut + g] the index of f o g.  rows and compose are filled
+    for the automorphisms (and pairs) a caller meets."""
+    descs, index, n_aut = all_descriptors(spec), descriptor_index(spec), spec.n_aut
+    els = spec.elements
+    add = [spec.encode(spec.add(x, y)) for x in els for y in els]
+    rows = _Memo(lambda f: [spec.encode(apply_desc(spec, descs[f], x)) for x in els])
+    compose = _Memo(
+        lambda key: index[compose_desc(spec, descs[key // n_aut], descs[key % n_aut])]
+    )
+    return add, rows, compose
+
+
+def hol_join(spec, gens, cap=None, forbid_dup_pi1=False):
+    """The subgroup of Hol(A) generated by the encoded indices `gens`, by
+    breadth-first products.  None when it passes `cap` elements or, with
+    `forbid_dup_pi1`, as soon as two elements share a first projection (so
+    no regular subgroup contains it)."""
+    add, rows, compose = hol_tables(spec)
+    n, n_aut = spec.n, spec.n_aut
+    split = [divmod(g, n_aut) for g in gens]
+    seen = {hol_encode(spec, hol_identity(spec)), *gens}
+    pi1 = {h // n_aut for h in seen}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for h in frontier:
+            xa, xf = divmod(h, n_aut)
+            for ga, gf in split:
+                y = add[xa * n + rows[xf][ga]] * n_aut + compose[xf * n_aut + gf]
+                if y not in seen:
+                    seen.add(y)
+                    pi1.add(y // n_aut)
+                    new.append(y)
+        if (cap is not None and len(seen) > cap) or (
+            forbid_dup_pi1 and len(pi1) != len(seen)
+        ):
+            return None
+        frontier = new
+    return frozenset(seen)
+
+
+def hol_closure(spec, generators, cap=None):
+    """The subgroup of Hol(A) generated by (element tuple, descriptor)
+    pairs, as encoded indices; None when it passes `cap` elements."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    return hol_join(spec, [hol_encode(spec, x) for x in generators], cap)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from braceforge.algebra import Kind, group_spec
+from braceforge.algebra import Kind, carrier_subgroups, group_spec
 from braceforge.brace import (
     ZP2Q,
     ZP2xZQ,
@@ -24,9 +24,9 @@ from braceforge.brace import (
     regular_from_brace,
     verify_left_brace,
 )
-from braceforge.catalog import cyclic_pq_brace, trivial_brace
+from braceforge.catalog import cyclic_pq_brace, mixed_pq_brace, trivial_brace
 
-from helpers import DESK_PAIRS, catalog, orbits
+from helpers import DESK_PAIRS, catalog, hol_closure, hol_tables, orbits
 
 
 def test_trivial_brace_is_the_additive_group_twice():
@@ -49,11 +49,9 @@ def test_brace_round_trip_through_regular_subgroup():
 
 
 def test_brace_from_regular_rejects_non_regular():
-    from braceforge.algebra import closure
-
     spec = group_spec(3, 2, Kind.MIXED)
     ident = spec.aut_desc(spec.identity_aut)
-    S = closure(
+    S = hol_closure(
         spec,
         [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 0), ((2, 0, 0, 2), 1))],
     )
@@ -85,6 +83,15 @@ def test_lambda_identities_on_catalog_braces():
     for p, q in [(3, 2), (2, 5)]:
         for e in catalog(p, q):
             assert lambda_identities_check(e.brace), e.family
+
+
+def test_lambda_identities_reject_a_corrupted_table():
+    # lambda_3 moved to the next automorphism index: (6, 0) lies in ker
+    # lambda, so (i) wants lambda of its double (3, 0) to be the identity
+    B = cyclic_pq_brace(3, 2)
+    lam = list(B.lam)
+    lam[3] = (lam[3] + 1) % B.spec.n_aut
+    assert not lambda_identities_check(SkewBrace(B.spec, lam))
 
 
 def test_bi_skew_equals_lambda_additivity():
@@ -149,6 +156,68 @@ def test_ideal_checks_rejects_non_subgroups():
     B = trivial_brace(group_spec(3, 2, Kind.CYCLIC))
     with pytest.raises(ValueError):
         ideal_checks(B, [0, 1])  # {0, 1} is not additively closed in Z_18
+
+
+def test_ideal_checks_reject_a_subgroup_lambda_moves():
+    # lambda_(0,1,0) = C = [[1, 1], [0, 1]] maps (0, 1, 0) to (1, 1, 0)
+    B = mixed_pq_brace(3, 7)
+    I = {B.spec.encode((0, b, 0)) for b in range(3)}
+    assert ideal_checks(B, I) == {"left_ideal": False, "ideal": False}
+
+
+def _lambda_identities_loop(B):
+    """lambda_identities_check as scalar loops over the helpers' tables."""
+    spec, lam = B.spec, B.lam
+    n, n_aut = spec.n, spec.n_aut
+    add, rows, compose = hol_tables(spec)
+    for b in range(1, n):
+        if rows[lam[b]][b] != b:
+            continue
+        nb, power, f = b, b, lam[b]
+        while nb != 0:
+            nb = add[nb * n + b]
+            power = add[b * n + rows[lam[b]][power]]
+            f = compose[lam[b] * n_aut + f]
+            if power != nb or lam[nb] != f:
+                return False
+    ker = [a for a in range(n) if lam[a] == spec.identity_aut]
+    fix = [b for b in range(n) if all(rows[f][b] == b for f in set(lam))]
+    return all(
+        rows[lam[add[a * n + b]]][c] == rows[lam[b]][c]
+        for b in fix
+        for a in ker
+        for c in ker
+    )
+
+
+def _ideal_flags_loop(B, I):
+    """ideal_checks' verdicts as scalar loops over the helpers' tables."""
+    spec, lam, n = B.spec, B.lam, B.spec.n
+    add, rows, _ = hol_tables(spec)
+
+    def circle(a, b):
+        return add[a * n + rows[lam[a]][b]]
+
+    inv = [next(b for b in range(n) if circle(a, b) == 0) for a in range(n)]
+    left = all(rows[f][i] in I for f in set(lam) for i in I)
+    normal = left and all(circle(circle(a, i), inv[a]) in I for a in range(n) for i in I)
+    return {"left_ideal": left, "ideal": normal}
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (2, 5), (3, 7)])
+def test_lambda_checks_match_the_scalar_loops(p, q):
+    # on every catalog brace, each of its one-entry corruptions (lambda_x
+    # moved to the next automorphism index) and every carrier subgroup
+    for e in catalog(p, q):
+        B = e.brace
+        spec = B.spec
+        for I in carrier_subgroups(spec):
+            assert ideal_checks(B, I) == _ideal_flags_loop(B, I), e.family
+        for x in range(1, spec.n):
+            lam = list(B.lam)
+            lam[x] = (lam[x] + 1) % spec.n_aut
+            C = SkewBrace(spec, lam)
+            assert lambda_identities_check(C) == _lambda_identities_loop(C), (e.family, x)
 
 
 def test_mult_class_against_cayley_oracle():

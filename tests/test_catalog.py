@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from braceforge.algebra import Kind, closure, group_spec
+from braceforge.algebra import Kind, group_spec
 from braceforge.brace import (
     braces_isomorphic,
     brace_invariants,
@@ -33,7 +33,7 @@ from braceforge.catalog import (
     trivial_brace,
 )
 
-from helpers import DESK_PAIRS, brace_orbit_key, catalog
+from helpers import DESK_PAIRS, brace_orbit_key, catalog, hol_closure
 
 # classes per pair, split by carrier, straight from the per-family tables
 EXPECTED_SIZES = {
@@ -120,7 +120,7 @@ def test_bs_brace_equals_its_generator_presentation():
     ident = spec.aut_desc(spec.identity_aut)
     for s in (1, 2):
         B = q1p_mixed_Bs(p, q, s)
-        expected = closure(
+        expected = hol_closure(
             spec,
             [
                 ((0, 0, 1), ident),

@@ -25,7 +25,7 @@ from braceforge.io import (
 from braceforge.regular import tabulate
 from braceforge.ybe import solution_from_brace, solution_properties, verify_ybe
 
-from helpers import catalog, orbits
+from helpers import DESK_PAIRS, catalog, hol_encode, hol_join, orbits
 
 
 # ---------------- serialization ----------------
@@ -124,8 +124,12 @@ def test_solution_json_round_trip():
     with pytest.raises(SchemaError):
         solution_from_json(doc)
     doc["n"] = sol.n
-    # a float, a bool or a numeric string in a table is refused, not converted
-    for key, bad in (("tau", 0.9), ("sigma", True), ("tau", "1")):
+    # a float, a bool or a numeric string in a table is refused, not
+    # converted; an integer out of range is refused, not narrowed to int32
+    for key, bad in (
+        ("tau", 0.9), ("sigma", True), ("tau", "1"),
+        ("sigma", 2**32), ("tau", 2**64), ("sigma", -1),
+    ):
         d = json.loads(canonical_dumps(doc))
         d[key][0][1] = bad
         with pytest.raises(SchemaError, match=key):
@@ -145,15 +149,22 @@ def test_report_json_structure():
 
 
 def test_subgroup_generators_decode_back():
-    spec = group_spec(3, 2, Kind.MIXED)
-    for oc in orbits(3, 2, "mixed"):
-        gens = subgroup_to_json(oc.brace)
-        from braceforge.algebra import closure
-
-        pairs = [
-            (spec.decode(a), descriptor_from_json(spec.kind, d)) for a, d in gens
-        ]
-        assert closure(spec, pairs) == regular_from_brace(oc.brace)
+    # on every class of every desk carrier, the JSON generators generate the
+    # class's regular subgroup under the tests' own Hol(A) closure, and none
+    # lies in the subgroup the ones before it generate
+    for p, q in DESK_PAIRS:
+        for kind in ("cyclic", "mixed"):
+            spec = group_spec(p, q, kind)
+            for oc in orbits(p, q, kind):
+                gens = [
+                    hol_encode(
+                        spec, (spec.decode(a), descriptor_from_json(spec.kind, d))
+                    )
+                    for a, d in subgroup_to_json(oc.brace)
+                ]
+                assert hol_join(spec, gens) == regular_from_brace(oc.brace)
+                for i, h in enumerate(gens):
+                    assert h not in hol_join(spec, gens[:i])
 
 
 # ---------------- command line ----------------

@@ -13,16 +13,14 @@ from braceforge import algebra, regular
 from braceforge.algebra import (
     GroupSpec,
     Kind,
-    _hol_closure,
-    _small_generating_set,
     carrier_subgroups,
-    closure,
     group_spec,
     subgroup_classes_of_order,
 )
 from braceforge.brace import brace_from_regular, regular_from_brace
 from braceforge.catalog import catalog_for_case
 from braceforge.cases import CongruenceCase
+from braceforge.io import report_to_json
 from braceforge.regular import (
     OracleBoundError,
     _lift_search,
@@ -36,6 +34,9 @@ from braceforge.regular import (
 
 from helpers import (
     DESK_PAIRS,
+    hol_closure,
+    hol_join,
+    hol_tables,
     oracle_eligible,
     oracle_subgroups,
     orbits,
@@ -51,14 +52,14 @@ def _translations(spec):
         gens = [((1, 0), ident), ((0, 1), ident)]
     else:
         gens = [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 1), ident)]
-    return closure(spec, gens)
+    return hol_closure(spec, gens)
 
 
 def _order_n_subgroup_with_pure_automorphism(spec):
     # the translations of Z_3 x Z_3 with (0, -1 on the p-part): 18 elements
     # on the (3, 2) mixed carrier, with every first projection twice
     ident = spec.aut_desc(spec.identity_aut)
-    return closure(
+    return hol_closure(
         spec,
         [((1, 0, 0), ident), ((0, 1, 0), ident), ((0, 0, 0), ((2, 0, 0, 2), 1))],
     )
@@ -85,7 +86,7 @@ def test_order_n_subgroup_with_pure_automorphism_is_not_regular():
         brace_from_regular(spec, S)
     # undersized subgroups are never regular
     with pytest.raises(ValueError, match="order 3 is not regular"):
-        brace_from_regular(spec, closure(spec, [((1, 0, 0), ident)]))
+        brace_from_regular(spec, hol_closure(spec, [((1, 0, 0), ident)]))
 
 
 @pytest.mark.parametrize("p,q,kind", SMALL)
@@ -113,29 +114,38 @@ def test_oracle_covers_structured_and_orbits_agree(p, q, kind):
 def _kernel_transversal(spec, N):
     """Smallest representative of each nonzero coset of N in the carrier."""
     n = spec.n
-    add = spec.add_flat
+    add = hol_tables(spec)[0]
     return [
         a for a in range(n) if a not in N and min(add[a * n + t] for t in N) == a
     ]
 
 
+def _generating_set(spec, S):
+    """Greedy generators of the subgroup S of Hol(A): each element, smallest
+    first, that the earlier ones do not generate."""
+    gens, have = [], {spec.identity_aut}
+    for h in sorted(S):
+        if h not in have:
+            gens.append(h)
+            have = hol_join(spec, gens)
+    return gens
+
+
 def _closure_lift_search(spec, k, class_index, kernel_index):
     """The lift search the cocycle walk replaced, kept as its reference: join
     N x {id} with every tuple of generators lifted over the kernel's
-    transversal, by closure in Hol(A), and keep each regular closure once."""
+    transversal, by the reference closure in Hol(A), and keep each regular
+    closure once."""
     n, n_aut = spec.n, spec.n_aut
     gens = subgroup_classes_of_order(spec, k)[class_index].generators
     N = carrier_subgroups(spec, n // k)[kernel_index]
-    N_hol = frozenset(a * n_aut + spec.identity_aut for a in N)
-    seed_gens = _small_generating_set(spec, N_hol)
+    N_gens = _generating_set(spec, {a * n_aut + spec.identity_aut for a in N})
     found = {}
     for tup in itertools.product(_kernel_transversal(spec, N), repeat=len(gens)):
-        got = _hol_closure(
+        got = hol_join(
             spec,
-            tuple(u * n_aut + f for u, f in zip(tup, gens)),
+            N_gens + [u * n_aut + f for u, f in zip(tup, gens)],
             cap=n,
-            seed=N_hol,
-            seed_gens=seed_gens,
             forbid_dup_pi1=True,
         )
         if got is not None and len(got) == n and got not in found:
@@ -192,7 +202,7 @@ def test_unknown_lift_mode_is_rejected_up_front(monkeypatch, jobs):
 def test_oracle_refuses_a_non_regular_survivor(monkeypatch):
     spec = group_spec(3, 2, Kind.MIXED)
     S = _order_n_subgroup_with_pure_automorphism(spec)
-    monkeypatch.setattr(regular, "_hol_closure", lambda *args, **kwargs: S)
+    monkeypatch.setattr(regular, "_oracle_join", lambda *args, **kwargs: S)
     with pytest.raises(RuntimeError, match="naive oracle closed a non-regular subgroup"):
         regular_subgroups_oracle(spec)
 
@@ -219,10 +229,10 @@ def test_lift_search_refuses_a_non_regular_survivor(monkeypatch):
 
 
 def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
-    # add_flat serves the scalar closure loops (the oracle's); the lift
-    # search, the carrier lattice and the orbit partition read add_np.  A
-    # fresh spec, with the spec-keyed caches cleared, builds everything anew;
-    # group_spec hands it to the catalog too.
+    # The oracle's joins read a flat addition list of their own; the lift
+    # search, the carrier lattice, the orbit partition and the JSON report
+    # read add_np.  A fresh spec, with the spec-keyed caches cleared, builds
+    # everything anew; group_spec hands it to the catalog too.
     spec = GroupSpec(3, 7, Kind.MIXED)
     monkeypatch.setitem(algebra._SPEC_CACHE, (3, 7, Kind.MIXED), spec)
     caches = (
@@ -233,10 +243,15 @@ def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
     for cache in caches:
         cache.cache_clear()
     try:
-        orbit_partition(regular_subgroups_structured(spec), spec=spec)
+        ocs = orbit_partition(regular_subgroups_structured(spec), spec=spec)
+        report_to_json(tabulate(ocs, spec=spec))
         catalog_for_case(3, 7)
         assert "add_np" in vars(spec)
         assert "add_flat" not in vars(spec)
+        # No per-automorphism memo: the one memo a spec may cache is the
+        # per-pair composition memo of the Aut-class layer.
+        memos = [name for name, value in vars(spec).items() if isinstance(value, dict)]
+        assert memos in ([], ["_compose_memo"])
         # Aut(A) is held once, as the descriptor array: no cached Python
         # tuple, list or plain dict with an entry per automorphism.
         per_aut = [
@@ -372,34 +387,45 @@ def test_tabulate_flags_the_headline_discrepancy():
     assert any("authoritative" in w for w in report.warnings)
 
 
+def _oracle_tables(spec):
+    """The whole-Aut list tables the oracle hands its joins."""
+    rows, compose = regular._whole_aut_tables(spec)
+    return spec.add_np.ravel().tolist(), rows.tolist(), compose.ravel().tolist()
+
+
 def test_closure_duplicate_projection_prune_is_sound():
-    # forbid_dup_pi1 must not reject any genuinely regular subgroup: a
+    # the oracle's join must not reject any genuinely regular subgroup: a
     # regular subgroup never repeats a projection, so the pruned closure of
     # its elements is itself.
     spec = group_spec(2, 5, Kind.MIXED)
+    tables = _oracle_tables(spec)
     for B in structured_subgroups(2, 5, "mixed"):
         G = regular_from_brace(B)
         firsts = {h // spec.n_aut for h in G}
         assert len(firsts) == len(G)
-        got = _hol_closure(spec, sorted(G), cap=spec.n, forbid_dup_pi1=True)
-        assert got == G
+        assert regular._oracle_join(spec, tables, frozenset(), sorted(G)) == G
 
 
 def test_closure_duplicate_projection_prune_rejects_pure_automorphisms():
-    # the identity (first projection 0) is always in the closure, so the
+    # the identity (first projection 0) is always in the join, so the
     # prune rejects a pure automorphism (0, f), f != id, wherever it shows up
     spec = group_spec(3, 2, Kind.MIXED)
+    tables = _oracle_tables(spec)
     n_aut = spec.n_aut
     neg = int(spec.aut_lookup([((2, 0, 0, 2), 1)])[0])  # -1 on the p-part
     x = spec.encode((1, 0, 0))
     minus_x = spec.encode((2, 0, 0))
     pure = neg
-    assert _hol_closure(spec, (pure,), cap=spec.n, forbid_dup_pi1=True) is None
+    assert regular._oracle_join(spec, tables, frozenset(), (pure,)) is None
     # (-x, id)(x, -1) = (0, -1): a product of two generators with distinct,
     # nonzero first projections
     gens = (x * n_aut + neg, minus_x * n_aut + spec.identity_aut)
-    assert pure in _hol_closure(spec, gens, cap=spec.hol_order)
-    assert _hol_closure(spec, gens, cap=spec.hol_order, forbid_dup_pi1=True) is None
+    assert pure in hol_join(spec, gens)
+    assert regular._oracle_join(spec, tables, frozenset(), gens) is None
+    # a seed already holding the translation by -x: the one new generator
+    # still meets the pure automorphism
+    seed = hol_join(spec, gens[1:])
+    assert regular._oracle_join(spec, tables, seed, gens) is None
 
 
 # Every regular subgroup of Hol(A) (not one per class) on each desk carrier
@@ -441,12 +467,12 @@ def _chain_walk(spec):
     qualifying h with <h>."""
     n, n_aut = spec.n, spec.n_aut
     ident = spec.identity_aut
-    add = spec.add_flat
+    add, rows, compose = hol_tables(spec)
 
     def mul(x, y):
         xa, xf = divmod(x, n_aut)
         ya, yf = divmod(y, n_aut)
-        return add[xa * n + spec.aut_row(xf)[ya]] * n_aut + spec.compose_idx(xf, yf)
+        return add[xa * n + rows[xf][ya]] * n_aut + compose[xf * n_aut + yf]
 
     cyc = {}
     for h in range(spec.hol_order):
@@ -473,9 +499,10 @@ def _chain_walk(spec):
 def test_vectorized_prescan_matches_the_chain_walk(p, q, kind):
     spec = group_spec(p, q, kind)
     rows, compose = regular._whole_aut_tables(spec)
+    _, ref_rows, ref_compose = hol_tables(spec)
     every = range(spec.n_aut)
-    assert rows.tolist() == [spec.aut_row(f) for f in every]
-    assert compose.tolist() == [[spec.compose_idx(f, g) for g in every] for f in every]
+    assert rows.tolist() == [ref_rows[f] for f in every]
+    assert compose.ravel().tolist() == [ref_compose[k] for k in range(spec.n_aut**2)]
     cyc = _chain_walk(spec)
     cand, order = regular._oracle_prescan(spec, rows, compose)
     assert cand.tolist() == sorted(cyc)
@@ -494,7 +521,7 @@ def test_vectorized_prescan_matches_the_chain_walk(p, q, kind):
 STRUCTURED_NAMES = {
     "carrier_subgroups", "subgroup_classes_of_order", "sylow", "aut_torsion",
     "_lift_search", "_work_items", "_coset_tables", "_cayley_walk",
-    "_additive_generators", "_check_subgroup_graphs",
+    "_greedy_generators", "_check_subgroup_graphs",
 }
 
 
@@ -525,4 +552,4 @@ def test_oracle_borrows_nothing_from_the_structured_search():
             obj = getattr(module, name, None)
             if inspect.isfunction(obj) and obj.__module__.startswith("braceforge"):
                 todo.append(obj)
-    assert regular._oracle_prescan in seen and regular._hol_closure in seen
+    assert regular._oracle_prescan in seen and regular._oracle_join in seen
