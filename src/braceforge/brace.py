@@ -34,7 +34,6 @@ __all__ = [
     "BraceInvariants",
     "VerifyResult",
     "brace_from_regular",
-    "regular_from_brace",
     "verify_left_brace",
     "ker_lambda",
     "fix_set",
@@ -183,13 +182,6 @@ def brace_from_regular(spec: GroupSpec, elements: frozenset[int]) -> SkewBrace:
             raise ValueError("subgroup is not regular: repeated first projection")
         lam[a] = f
     return SkewBrace(spec, lam)
-
-
-def regular_from_brace(B: SkewBrace) -> frozenset[int]:
-    """The graph {(a, lambda_a)} of the lambda map, a regular subgroup, as
-    encoded indices."""
-    n_aut = B.spec.n_aut
-    return frozenset(a * n_aut + f for a, f in enumerate(B.lam))
 
 
 def verify_left_brace(B: SkewBrace) -> VerifyResult:

@@ -12,7 +12,10 @@ Output is byte-deterministic for a fixed configuration regardless of
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import GroupSpec, Kind, group_spec
@@ -28,6 +31,7 @@ from .io import (
     invariants_to_json,
     load_json_file,
     report_to_json,
+    solution_document_chunks,
     solution_to_json,
 )
 from .reference import headline_total, per_family_total
@@ -40,7 +44,7 @@ from .regular import (
     regular_subgroups_structured,
     tabulate,
 )
-from .ybe import solution_from_brace, solution_properties, verify_ybe
+from .ybe import Solution, solution_from_brace, solution_properties, verify_ybe
 
 __all__ = ["RunConfig", "main"]
 
@@ -70,15 +74,48 @@ class RunConfig:
         return [Kind.CYCLIC, Kind.MIXED]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or an iterable of text chunks as they come, to `out`
+    (or stdout).
+
+    If making or writing a chunk fails, the partly written `out` is removed
+    before the error propagates, so a failed run leaves no file; a write
+    error becomes ValueError("cannot write ...").  Only a regular file is
+    removed, never a device, a pipe or a symlink.  Text already on stdout
+    cannot be taken back.
+    """
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
-    else:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
+            sys.stdout.writelines(chunks)
+        except BrokenPipeError:
+            # The reader left early (`| head`): the rest goes to the null
+            # device, so every chunk is still made and the exit code still
+            # reports every check.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            sys.stdout.writelines(chunks)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
+    removable = not os.path.islink(out) and stat.S_ISREG(
+        os.fstat(fh.fileno()).st_mode
+    )
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException as exc:
+        if removable:
+            try:
+                os.remove(out)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
             raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
+        raise
 
 
 def _enumerate_kind(
@@ -269,6 +306,13 @@ def cmd_verify(path: str, fmt: str, out: str | None) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _checked_solution(brace) -> tuple[Solution, dict[str, bool]]:
+    sol = solution_from_brace(brace)
+    checks = solution_properties(sol)
+    checks["ybe"] = verify_ybe(sol).ok
+    return sol, checks
+
+
 def cmd_ybe(cfg: RunConfig) -> int:
     entries = [
         e
@@ -276,40 +320,43 @@ def cmd_ybe(cfg: RunConfig) -> int:
         if e.brace.spec.kind in cfg.kinds()
     ]
     ok = True
-    lines = []
-    docs = []
-    for e in entries:
-        sol = solution_from_brace(e.brace)
-        checks = solution_properties(sol)
-        checks["ybe"] = verify_ybe(sol).ok
-        good = all(checks.values())
-        ok = ok and good
-        if cfg.fmt == "table":
-            params = ",".join(f"{k}={v}" for k, v in sorted(e.parameters.items()))
-            lines.append(
-                f"{'ok ' if good else 'BAD'} {e.brace.spec.kind.value:<6} "
-                f"{e.family}({params})  n={sol.n} ybe={checks['ybe']} "
-                f"involutive={checks['involutive']} "
-                f"nondegenerate={checks['nondegenerate']}"
-            )
-        else:
-            docs.append(
-                {
+    if cfg.fmt == "json":
+
+        def documents():
+            # One solution at a time: each is dropped before the next is
+            # derived, and the document is written as it goes.
+            nonlocal ok
+            for e in entries:
+                sol, checks = _checked_solution(e.brace)
+                ok = ok and all(checks.values())
+                yield {
                     "family": e.family,
                     "params": dict(e.parameters),
                     "additive": e.brace.spec.kind.value,
                     "solution": solution_to_json(sol, checks),
                 }
-            )
-    if cfg.fmt == "table":
+                del sol
+
+        _emit(solution_document_chunks(cfg.p, cfg.q, documents()), cfg.out)
+        return EXIT_OK if ok else EXIT_MISMATCH
+    lines = []
+    for e in entries:
+        sol, checks = _checked_solution(e.brace)
+        good = all(checks.values())
+        ok = ok and good
+        params = ",".join(f"{k}={v}" for k, v in sorted(e.parameters.items()))
         lines.append(
-            f"{len(entries)} solutions, all checks pass"
-            if ok
-            else f"{len(entries)} solutions, CHECK FAILURES"
+            f"{'ok ' if good else 'BAD'} {e.brace.spec.kind.value:<6} "
+            f"{e.family}({params})  n={sol.n} ybe={checks['ybe']} "
+            f"involutive={checks['involutive']} "
+            f"nondegenerate={checks['nondegenerate']}"
         )
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        _emit(canonical_dumps({"p": cfg.p, "q": cfg.q, "solutions": docs}), cfg.out)
+    lines.append(
+        f"{len(entries)} solutions, all checks pass"
+        if ok
+        else f"{len(entries)} solutions, CHECK FAILURES"
+    )
+    _emit("\n".join(lines) + "\n", cfg.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

@@ -7,13 +7,17 @@ stored as descriptors -- CYCLIC ``{"i": ..., "j": ...}``, MIXED
 independent of any internal numbering.  ``lambda`` holds, per element index,
 an index into the file's own ``auts`` list.
 
-All dumps go through :func:`canonical_dumps` (sorted keys, fixed indent,
-trailing newline) so identical inputs produce identical bytes.
+Every document is written in one layout, ``json.dumps(sort_keys=True,
+indent=2)`` plus a trailing newline, so identical inputs produce identical
+bytes.  :func:`canonical_dumps` builds it as one string; the ``ybe`` solution
+document, whose integer matrices are by far the largest output, is written
+in chunks by :func:`solution_document_chunks`, one solution at a time.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 import numpy as np
@@ -52,6 +56,7 @@ __all__ = [
     "catalog_entry_to_json",
     "solution_to_json",
     "solution_from_json",
+    "solution_document_chunks",
     "subgroup_to_json",
     "report_to_json",
 ]
@@ -273,6 +278,55 @@ def solution_to_json(sol: Solution, checks: dict[str, bool]) -> dict:
             "nondegenerate": bool(checks["nondegenerate"]),
         },
     }
+
+
+def solution_document_chunks(
+    p: int, q: int, solutions: Iterable[dict]
+) -> Iterator[str]:
+    """The text of ``canonical_dumps({"p": p, "q": q, "solutions": [...]})``
+    in chunks, with the solution documents taken from `solutions` one at a
+    time: the next is asked for only once the previous one is written, and
+    no reference to it is kept.
+    """
+    yield f'{{\n  "p": {json.dumps(p)},\n  "q": {json.dumps(q)},\n  "solutions": '
+    sep = "[\n    "
+    for doc in solutions:
+        yield sep
+        yield from _chunks(doc, 2)
+        sep = ",\n    "
+        del doc
+    yield ("[]" if sep == "[\n    " else "\n  ]") + "\n}\n"
+
+
+def _chunks(obj: Any, level: int) -> Iterator[str]:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` as it appears `level`
+    levels deep in an indented document, in chunks.
+
+    Dicts with string keys and non-empty lists are written item by item; a
+    list of plain ints (a matrix row) is one chunk, joined without the
+    pure-Python encoder.  Anything else is one ``json.dumps``, re-indented:
+    JSON strings hold no raw newline, so every newline in it is layout.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{" + pad
+        for key in sorted(obj):
+            yield sep + json.dumps(key) + ": "
+            yield from _chunks(obj[key], level + 1)
+            sep = "," + pad
+        yield pad[:-2] + "}"
+    elif isinstance(obj, list) and obj:
+        if set(map(type, obj)) == {int}:
+            yield "[" + pad + ("," + pad).join(map(str, obj)) + pad[:-2] + "]"
+            return
+        sep = "[" + pad
+        for item in obj:
+            yield sep
+            yield from _chunks(item, level + 1)
+            sep = "," + pad
+        yield pad[:-2] + "]"
+    else:
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad[:-2])
 
 
 def solution_from_json(obj: Any) -> tuple[Solution, dict[str, bool]]:

@@ -372,11 +372,16 @@ def _oracle_cyclic_subgroups(
 
 def _oracle_join(spec: GroupSpec, tables: tuple, seed, gens) -> frozenset[int] | None:
     """The subgroup of Hol(A) generated by the encoded indices `gens`, which
-    include generators of the subgroup `seed`, or None as soon as two of its
-    elements share a first projection: they differ by a non-identity element
-    fixing 0, so the join has no regular overgroup.  The identity, at first
-    projection 0, is always present, so a pure automorphism is rejected too,
-    and a join that survives has at most |A| elements.
+    include generators of the subgroup `seed` (empty: the trivial group), or
+    None as soon as two of its elements share a first projection: they
+    differ by a non-identity element fixing 0, so the join has no regular
+    overgroup.  The identity, at first projection 0, is always present, so a
+    pure automorphism is rejected too, and a join that survives has at most
+    |A| elements.
+
+    Right products by `gens` from any one element g of the join reach all
+    of g*T = T, so the walk starts at the generators outside the seed; the
+    seed's elements are only marked seen, never multiplied.
 
     `tables` = (add, rows, compose) is the oracle's whole-Aut arithmetic as
     Python lists: add[a * n + b], rows[f][a] = f(a) and compose[f * n_aut + g]
@@ -385,11 +390,12 @@ def _oracle_join(spec: GroupSpec, tables: tuple, seed, gens) -> frozenset[int] |
     add, rows, compose = tables
     n, n_aut = spec.n, spec.n_aut
     split = [divmod(g, n_aut) for g in gens]
-    seen = {spec.identity_aut, *seed, *gens}
+    seen = {spec.identity_aut, *seed}
+    frontier = [g for g in gens if g not in seen]
+    seen.update(frontier)
     pi1_seen = {h // n_aut for h in seen}
     if len(pi1_seen) != len(seen):
         return None
-    frontier = list(seen)
     while frontier:
         next_frontier = []
         for h in frontier:

@@ -195,6 +195,13 @@ def hol_tables(spec):
     return add, rows, compose
 
 
+def regular_from_brace(B: SkewBrace) -> frozenset[int]:
+    """The graph {(a, lambda_a)} of the lambda map, a regular subgroup, as
+    encoded indices."""
+    n_aut = B.spec.n_aut
+    return frozenset(a * n_aut + f for a, f in enumerate(B.lam))
+
+
 def hol_join(spec, gens, cap=None, forbid_dup_pi1=False):
     """The subgroup of Hol(A) generated by the encoded indices `gens`, by
     breadth-first products.  None when it passes `cap` elements or, with

@@ -21,12 +21,18 @@ from braceforge.brace import (
     lambda_identities_check,
     lambda_is_additive,
     mult_group_class,
-    regular_from_brace,
     verify_left_brace,
 )
 from braceforge.catalog import cyclic_pq_brace, mixed_pq_brace, trivial_brace
 
-from helpers import DESK_PAIRS, catalog, hol_closure, hol_tables, orbits
+from helpers import (
+    DESK_PAIRS,
+    catalog,
+    hol_closure,
+    hol_tables,
+    orbits,
+    regular_from_brace,
+)
 
 
 def test_trivial_brace_is_the_additive_group_twice():

@@ -8,7 +8,6 @@ from braceforge.algebra import Kind, group_spec
 from braceforge.brace import (
     braces_isomorphic,
     brace_invariants,
-    regular_from_brace,
     verify_left_brace,
 )
 from braceforge.catalog import (
@@ -33,7 +32,13 @@ from braceforge.catalog import (
     trivial_brace,
 )
 
-from helpers import DESK_PAIRS, brace_orbit_key, catalog, hol_closure
+from helpers import (
+    DESK_PAIRS,
+    brace_orbit_key,
+    catalog,
+    hol_closure,
+    regular_from_brace,
+)
 
 # classes per pair, split by carrier, straight from the per-family tables
 EXPECTED_SIZES = {

@@ -1,12 +1,16 @@
 """JSON round-trips, schema rejection, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from braceforge import cli
 from braceforge.algebra import Kind, group_spec
-from braceforge.brace import MultClass, regular_from_brace
+from braceforge.brace import MultClass
 from braceforge.catalog import cyclic_pq_brace, trivial_brace
 from braceforge.io import (
     SchemaError,
@@ -18,6 +22,7 @@ from braceforge.io import (
     descriptor_to_json,
     mult_class_from_str,
     report_to_json,
+    solution_document_chunks,
     solution_from_json,
     solution_to_json,
     subgroup_to_json,
@@ -25,7 +30,16 @@ from braceforge.io import (
 from braceforge.regular import tabulate
 from braceforge.ybe import solution_from_brace, solution_properties, verify_ybe
 
-from helpers import DESK_PAIRS, catalog, hol_encode, hol_join, orbits
+from helpers import (
+    DESK_PAIRS,
+    catalog,
+    hol_encode,
+    hol_join,
+    orbits,
+    regular_from_brace,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------- serialization ----------------
@@ -242,6 +256,113 @@ def test_ybe_command_json(capsys):
         sol, checks = solution_from_json(item["solution"])
         assert checks == {"ybe": True, "involutive": True, "nondegenerate": True}
         assert verify_ybe(sol).ok
+
+
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
+def test_ybe_json_stream_equals_canonical_dumps(capsys, p, q):
+    # the streamed document has the bytes of the one-string writer, fed
+    # the same solutions built whole from the library
+    docs = []
+    for e in catalog(p, q):
+        sol = solution_from_brace(e.brace)
+        checks = solution_properties(sol)
+        checks["ybe"] = verify_ybe(sol).ok
+        docs.append(
+            {
+                "family": e.family,
+                "params": dict(e.parameters),
+                "additive": e.brace.spec.kind.value,
+                "solution": solution_to_json(sol, checks),
+            }
+        )
+    for additive in ("cyclic", "mixed", "both"):
+        code, out, _ = run_cli(
+            capsys, "ybe", "--p", str(p), "--q", str(q), "--format", "json",
+            "--additive", additive,
+        )
+        kept = [d for d in docs if additive in ("both", d["additive"])]
+        want = canonical_dumps({"p": p, "q": q, "solutions": kept})
+        assert code == 0
+        # not `assert out == want`: pytest's diff of multi-MB strings is slow
+        if out != want:
+            at = len(os.path.commonprefix([out, want]))
+            pytest.fail(f"{additive}: differs from canonical_dumps at offset {at}")
+
+
+def test_solution_document_chunks_match_canonical_dumps():
+    # the layout of every JSON value, not only of integer matrices: empty
+    # containers, bools and floats among ints, non-string keys, tuples
+    odd = [
+        {"params": {}, "e": [], "b": [True, 1, 2.5, None, "s\n\u00e9", [1, False]]},
+        {"z": {1: 2, 0: 3}, "y": (1, 2), "w": [[[]], [[1], [2, 3]]], "v": -5},
+    ]
+    for k in range(len(odd) + 1):
+        doc = {"p": 3, "q": 2, "solutions": odd[:k]}
+        assert "".join(solution_document_chunks(3, 2, odd[:k])) == canonical_dumps(doc)
+
+
+def test_ybe_json_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "ybe", "--p", "3", "--q", "2", "--format", "json", "--out", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"braceforge: error: cannot write {path}: ")
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_ybe_json_write_error_mid_stream_is_a_usage_error(capsys):
+    # the file opens, the writes fail; a device is never removed
+    code, out, err = run_cli(
+        capsys, "ybe", "--p", "3", "--q", "2", "--format", "json", "--out", "/dev/full"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("braceforge: error: cannot write /dev/full: ")
+    assert os.path.exists("/dev/full")
+
+
+def test_ybe_json_reader_leaving_early_is_not_an_error():
+    # `braceforge ybe ... | head -1`: the document (about 0.5 MB) outgrows
+    # the pipe buffer, so the writes go on after the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braceforge.cli", "ybe", "--p", "7", "--q", "3",
+         "--additive", "cyclic", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0, err.decode()[-2000:]
+    assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_ybe_json_failure_mid_stream_leaves_no_file(tmp_path, capsys, monkeypatch, error):
+    path = tmp_path / "solutions.json"
+    calls = []
+
+    def failing(brace):
+        calls.append(brace)
+        if len(calls) == 2:
+            assert path.exists()  # the document is under way
+            raise error("derivation failed")
+        return solution_from_brace(brace)
+
+    monkeypatch.setattr(cli, "solution_from_brace", failing)
+    argv = ["ybe", "--p", "3", "--q", "2", "--format", "json", "--out", str(path)]
+    if error is ValueError:
+        # reported as a usage error, like any ValueError
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "derivation failed" in err
+    else:
+        with pytest.raises(RuntimeError, match="derivation failed"):
+            cli.main(argv)
+    assert len(calls) == 2
+    assert not path.exists()
 
 
 def test_compare_command(capsys):

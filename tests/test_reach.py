@@ -7,11 +7,13 @@ never a MemoryError or an hours-long run.  (17, 3) mixed has |Aut(A)| =
 per automorphism peaks near 350 MiB of address space.  (2, 241), n = 964,
 is the second-largest order in scope: checking its YBE solutions by the n^3
 braid scan alone ran for over 400 s, by the cycle-set criterion it takes a
-few seconds.
+few seconds.  Its JSON export is a 346 MB file: built as one string it
+peaked at 2.7 GiB, streamed one solution at a time it stays near 150 MiB.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import resource
 import subprocess
@@ -19,6 +21,11 @@ import sys
 from pathlib import Path
 
 ADDRESS_CAP = 3 << 29  # 1.5 GiB
+# sha256 of `ybe --p 2 --q 241 --format json`, as the whole-document writer
+# produced it; the file is too large to commit.
+P2_Q241_YBE_JSON_SHA256 = (
+    "99ad344f3d7e95d668cdee7fb22a1f7eeb131981eb102f3da13806eb3205e444"
+)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -48,3 +55,18 @@ def test_p2_q241_ybe_export_finishes():
     res = _run_cli("ybe", "--p", "2", "--q", "241", "--jobs", "1", timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]
     assert "11 solutions, all checks pass" in res.stdout
+
+
+def test_p2_q241_ybe_json_export_fits_the_memory_cap(tmp_path):
+    out = tmp_path / "solutions.json"
+    try:
+        res = _run_cli("ybe", "--p", "2", "--q", "241", "--format", "json",
+                       "--out", str(out), "--jobs", "1", timeout=300)
+        assert res.returncode == 0, res.stderr[-2000:]
+        digest = hashlib.sha256()
+        with open(out, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        assert digest.hexdigest() == P2_Q241_YBE_JSON_SHA256
+    finally:
+        out.unlink(missing_ok=True)

@@ -17,7 +17,7 @@ from braceforge.algebra import (
     group_spec,
     subgroup_classes_of_order,
 )
-from braceforge.brace import brace_from_regular, regular_from_brace
+from braceforge.brace import brace_from_regular
 from braceforge.catalog import catalog_for_case
 from braceforge.cases import CongruenceCase
 from braceforge.io import report_to_json
@@ -40,6 +40,7 @@ from helpers import (
     oracle_eligible,
     oracle_subgroups,
     orbits,
+    regular_from_brace,
     structured_subgroups,
 )
 
