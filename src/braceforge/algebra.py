@@ -161,10 +161,6 @@ class GroupSpec:
             + p * p * ((cc[:, None] + cc[None, :]) % q)
         ).astype(np.int32)
 
-    @cached_property
-    def neg_np(self) -> np.ndarray:
-        return np.array([self.encode(self.neg(x)) for x in self.elements], dtype=np.int32)
-
     def sylow(self, prime: int) -> frozenset[int]:
         """Indices of the (unique) Sylow subgroup of the carrier at this prime."""
         if prime not in (self.p, self.q):

@@ -7,6 +7,11 @@ The circle table a o b = a + lambda_a(b) is derived on first use and cached
 once, as the numpy array `circle_np`; the action rows of lambda
 (`lambda_rows`) are recomputed from the descriptor array when asked for.
 Every check and invariant reads these arrays and the carrier's `add_np`.
+
+Since every lambda_a is an automorphism, the brace axiom holds by
+construction and associativity is lambda being a homomorphism
+(A, o) -> Aut(A, +); `verify_left_brace` decides both from lambda in
+O(n^2), with no scan over triples.
 """
 
 from __future__ import annotations
@@ -185,12 +190,21 @@ def brace_from_regular(spec: GroupSpec, elements: frozenset[int]) -> SkewBrace:
 
 
 def verify_left_brace(B: SkewBrace) -> VerifyResult:
-    """Exhaustively check that B is a skew brace over its carrier.
+    """Check that B is a skew brace over its carrier, in O(n^2).
 
-    Checks: lambda(0) = id, every circle row is a permutation, circle
-    associativity, the brace axiom a o (b+c) = a o b - a + a o c, and that
-    lambda is a homomorphism (A, o) -> Aut(A, +).  All checks run over the
-    whole carrier; the first few violations are reported as witnesses.
+    Checks: lambda(0) = id, every circle row is a permutation, and lambda
+    is a homomorphism (A, o) -> Aut(A, +).  These decide the axioms because
+    every lambda_a is an automorphism (SkewBrace admits only indices into
+    aut_array), so a o b = a + lambda_a(b) gives:
+
+    * the brace axiom a o (b+c) = a o b - a + a o c by construction, as
+      lambda_a is additive;
+    * associativity exactly when lambda_{a o b} = lambda_a lambda_b, since
+      (a o b) o c = a + lambda_a(b) + lambda_{a o b}(c) and
+      a o (b o c) = a + lambda_a(b) + lambda_a lambda_b(c).
+
+    With a two-sided identity 0 and bijective rows, (A, o) is then a group.
+    The first few violations are reported as witnesses.
     """
     spec = B.spec
     n = spec.n
@@ -202,29 +216,6 @@ def verify_left_brace(B: SkewBrace) -> VerifyResult:
     bad_rows = np.nonzero((rows_sorted != np.arange(n)[None, :]).any(axis=1))[0]
     for a in bad_rows[:3]:
         problems.append(f"circle row of {spec.decode(int(a))} is not a permutation")
-    add = spec.add_np
-    neg = spec.neg_np
-    for a in range(n):
-        za = Z[a]
-        lhs_assoc = za[Z]
-        rhs_assoc = Z[za]
-        if not np.array_equal(lhs_assoc, rhs_assoc):
-            b, c = map(int, np.argwhere(lhs_assoc != rhs_assoc)[0])
-            problems.append(
-                "associativity fails at "
-                f"{spec.decode(a)}, {spec.decode(b)}, {spec.decode(c)}"
-            )
-            break
-    for a in range(n):
-        lhs_brace = Z[a][add]
-        rhs_brace = add[add[Z[a], int(neg[a])][:, None], Z[a][None, :]]
-        if not np.array_equal(lhs_brace, rhs_brace):
-            b, c = map(int, np.argwhere(lhs_brace != rhs_brace)[0])
-            problems.append(
-                "brace axiom fails at "
-                f"{spec.decode(a)}, {spec.decode(b)}, {spec.decode(c)}"
-            )
-            break
     bad = _lambda_hom_witness(B, Z)
     if bad is not None:
         a, b = bad

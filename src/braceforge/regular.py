@@ -27,7 +27,6 @@ is represented by its smallest table, a brace carrying its invariants.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -274,6 +273,8 @@ def regular_subgroups_structured(spec: GroupSpec, *, jobs: int = 1) -> list[Skew
     """
     items = _work_items(spec)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # Touch the cached tables the lift search reads before forking so
         # children share them: identity_aut goes through aut_lookup, which
         # builds the descriptor array and its code index.

@@ -34,6 +34,7 @@ from conftest import record_criterion
 from test_regular import closure_search
 from helpers import (
     DESK_PAIRS,
+    brace_axiom_scan,
     brace_orbit_key,
     catalog,
     oracle_eligible,
@@ -195,10 +196,12 @@ def test_criterion_09_catalog_gate():
         for e in catalog(*pair):
             res = verify_left_brace(e.brace)
             assert res.ok, (pair, e.family, res.problems)
+            scan = brace_axiom_scan(e.brace)
+            assert scan.ok, (pair, e.family, scan.problems)
             got = brace_invariants(e.brace)
             assert got == e.expected, (pair, e.family, got, e.expected)
             checked += 1
-    return f"{checked} constructor braces verified, invariants exact"
+    return f"{checked} constructor braces verified and scanned, invariants exact"
 
 
 @criterion(10)

@@ -1,5 +1,7 @@
 """Brace construction, verification, invariants, and isomorphism."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from braceforge.catalog import cyclic_pq_brace, mixed_pq_brace, trivial_brace
 
 from helpers import (
     DESK_PAIRS,
+    brace_axiom_scan,
     catalog,
     hol_closure,
     hol_tables,
@@ -83,6 +86,49 @@ def test_verify_left_brace_catches_corruption():
     res = verify_left_brace(SkewBrace(B.spec, lam))
     assert not res.ok
     assert res.problems  # a decoded witness is reported
+
+
+def _corruptions(B: SkewBrace, rng: random.Random):
+    """Three one-entry corruptions of B's lambda table: an entry moved to
+    another value of lambda(A), lambda_0 moved off the identity, and an
+    entry moved to an automorphism outside lambda(A) (when one exists)."""
+    spec, lam = B.spec, B.lam
+    image = set(B.lambda_image)
+    a = rng.randrange(1, spec.n)
+    changed = list(lam)
+    others = sorted(image - {lam[a]})
+    changed[a] = rng.choice(others) if others else (lam[a] + 1) % spec.n_aut
+    yield "changed entry", changed
+    moved0 = list(lam)
+    moved0[0] = rng.choice([f for f in range(spec.n_aut) if f != spec.identity_aut])
+    yield "non-identity lambda_0", moved0
+    outside = [f for f in range(spec.n_aut) if f not in image]
+    if outside:
+        foreign = list(lam)
+        foreign[rng.randrange(1, spec.n)] = rng.choice(outside)
+        yield "automorphism outside lambda(A)", foreign
+
+
+@pytest.mark.parametrize("pair", DESK_PAIRS, ids=str)
+def test_verify_left_brace_agrees_with_the_axiom_scan_on_corruptions(pair):
+    """The O(n^2) verdict equals the n^3 scan's on corrupted catalog braces
+    of both desk carriers, and names a multiplicativity witness."""
+    rng = random.Random(repr(pair))
+    carriers, rejected = set(), 0
+    for e in catalog(*pair):
+        carriers.add(e.brace.spec.kind)
+        for how, lam in _corruptions(e.brace, rng):
+            C = SkewBrace(e.brace.spec, lam)
+            res = verify_left_brace(C)
+            assert res.ok == brace_axiom_scan(C).ok, (e.family, how, res.problems)
+            if not res.ok:
+                rejected += 1
+                assert any(
+                    msg.startswith("lambda is not multiplicative at ")
+                    for msg in res.problems
+                ), (e.family, how, res.problems)
+    assert carriers == {Kind.CYCLIC, Kind.MIXED}
+    assert rejected
 
 
 def test_lambda_identities_on_catalog_braces():

@@ -34,6 +34,7 @@ from braceforge.catalog import (
 
 from helpers import (
     DESK_PAIRS,
+    brace_axiom_scan,
     brace_orbit_key,
     catalog,
     hol_closure,
@@ -63,6 +64,8 @@ def test_catalog_entries_verify_and_match_expected_invariants(pair):
     for e in catalog(*pair):
         res = verify_left_brace(e.brace)
         assert res.ok, (e.family, e.parameters, res.problems)
+        scan = brace_axiom_scan(e.brace)
+        assert scan.ok, (e.family, e.parameters, scan.problems)
         assert brace_invariants(e.brace) == e.expected, (e.family, e.parameters)
 
 

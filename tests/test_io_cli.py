@@ -450,6 +450,20 @@ def test_output_identical_across_jobs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only `--jobs` above 1 starts a pool; every other run skips the import
+    probe = "import sys, braceforge.cli; print('concurrent.futures' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout == "False\n"
+
+
 def test_trivial_brace_file_verifies(tmp_path, capsys):
     # the smallest possible stored artifact: the flip brace
     spec = group_spec(2, 5, Kind.MIXED)

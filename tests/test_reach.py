@@ -9,6 +9,10 @@ is the second-largest order in scope: checking its YBE solutions by the n^3
 braid scan alone ran for over 400 s, by the cycle-set criterion it takes a
 few seconds.  Its JSON export is a 346 MB file: built as one string it
 peaked at 2.7 GiB, streamed one solution at a time it stays near 150 MiB.
+(3, 109), n = 981, is the largest order in scope: verifying its 14 catalog
+braces by scanning every triple for associativity and the brace axiom took
+about 185 s, deciding both from lambda being a homomorphism takes about a
+second.
 """
 
 from __future__ import annotations
@@ -70,3 +74,9 @@ def test_p2_q241_ybe_json_export_fits_the_memory_cap(tmp_path):
         assert digest.hexdigest() == P2_Q241_YBE_JSON_SHA256
     finally:
         out.unlink(missing_ok=True)
+
+
+def test_p3_q109_catalog_verifies_inside_the_memory_cap():
+    res = _run_cli("catalog", "--p", "3", "--q", "109", timeout=60)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert "14 entries, all verified" in res.stdout
