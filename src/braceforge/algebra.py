@@ -90,9 +90,6 @@ class GroupSpec:
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.kind))
 
-    def __reduce__(self):
-        return (group_spec, (self.p, self.q, self.kind.value))
-
     # ---------------- carrier elements ----------------
 
     @property

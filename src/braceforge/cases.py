@@ -135,17 +135,11 @@ def bset_for(q: int) -> tuple[int, ...]:
     return out
 
 
-def derive_params(
-    pair: PrimePair | tuple[int, int],
-    case: CongruenceCase | None = None,
-    *,
-    rank: int = 0,
-) -> ParamSet:
+def derive_params(pair: PrimePair | tuple[int, int], *, rank: int = 0) -> ParamSet:
     """Derive the constants a case needs; deterministic for a given rank."""
     p, q = _unpack(pair)
     pp = pair if isinstance(pair, PrimePair) else PrimePair(p, q)
-    if case is None:
-        case = classify_case(pp)
+    case = classify_case(pp)
     ensure_in_scope(case)
 
     kw: dict[str, object] = {}

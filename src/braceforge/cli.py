@@ -5,8 +5,8 @@ which is reported as a warning); 1 = a comparison mismatched or a
 verification failed; 2 = bad usage (an unwritable --out path included),
 malformed input, or a refused pair.
 
-Output is byte-deterministic for a fixed configuration regardless of
---jobs.
+Output is byte-deterministic for a fixed configuration.  Every op runs in
+one process; --jobs is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class RunConfig:
     oracle_bound: int = ORACLE_BOUND
     fmt: str = "table"
     out: str | None = None
-    jobs: int = 1
 
     def kinds(self) -> list[Kind]:
         if self.additive == "cyclic":
@@ -124,7 +123,7 @@ def _enumerate_kind(
     """Run the configured enumerator(s); returns (orbits, methods_agree)."""
     structured = oracle = None
     if cfg.method in ("structured", "both"):
-        structured = regular_subgroups_structured(spec, jobs=cfg.jobs)
+        structured = regular_subgroups_structured(spec)
     if cfg.method in ("oracle", "both"):
         oracle = regular_subgroups_oracle(spec, bound=cfg.oracle_bound)
     agree: bool | None = None
@@ -476,7 +475,10 @@ def _add_pair_args(sub: argparse.ArgumentParser, with_method: bool) -> None:
     sub.add_argument("--format", choices=["table", "json"], default="table")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument(
-        "--jobs", type=_positive_int, default=1, help="parallel search workers"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility; every op runs in one process",
     )
 
 
@@ -522,7 +524,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         oracle_bound=getattr(args, "oracle_bound", ORACLE_BOUND),
         fmt=args.format,
         out=args.out,
-        jobs=args.jobs,
     )
 
 

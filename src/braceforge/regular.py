@@ -37,7 +37,6 @@ from .algebra import (
     _greedy_generators,
     aut_orbits,
     carrier_subgroups,
-    group_spec,
     subgroup_classes_of_order,
 )
 from .brace import BraceInvariants, SkewBrace, brace_from_regular, brace_invariants
@@ -256,13 +255,7 @@ def _lift_search(
     return [SkewBrace(spec, row) for row in lam.tolist()]
 
 
-def _lift_worker(args: tuple) -> list[tuple[int, ...]]:
-    p, q, kind, k, ci, ni = args
-    spec = group_spec(p, q, kind)
-    return [B.lam for B in _lift_search(spec, k, ci, ni)]
-
-
-def regular_subgroups_structured(spec: GroupSpec, *, jobs: int = 1) -> list[SkewBrace]:
+def regular_subgroups_structured(spec: GroupSpec) -> list[SkewBrace]:
     """Every regular subgroup of Hol(A) reachable from some (K, N) pair, as
     its brace, sorted by lambda table.
 
@@ -271,20 +264,7 @@ def regular_subgroups_structured(spec: GroupSpec, *, jobs: int = 1) -> list[Skew
     any regular subgroup appears for the conjugated data).  Distinct (K, N)
     pairs give disjoint subgroups, so nothing is found twice.
     """
-    items = _work_items(spec)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Touch the cached tables the lift search reads before forking so
-        # children share them: identity_aut goes through aut_lookup, which
-        # builds the descriptor array and its code index.
-        spec.add_np, spec.identity_aut
-        argv = [(spec.p, spec.q, spec.kind.value, k, ci, ni) for (k, ci, ni) in items]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            lams = [lam for got in pool.map(_lift_worker, argv) for lam in got]
-        found = [SkewBrace(spec, lam) for lam in lams]
-    else:
-        found = [B for k, ci, ni in items for B in _lift_search(spec, k, ci, ni)]
+    found = [B for k, ci, ni in _work_items(spec) for B in _lift_search(spec, k, ci, ni)]
     return sorted(found, key=lambda B: B.lam)
 
 
@@ -555,17 +535,14 @@ class EnumerationReport:
         ]
 
 
-def tabulate(
-    orbits, case: CongruenceCase | None = None, spec: GroupSpec | None = None
-) -> EnumerationReport:
+def tabulate(orbits, spec: GroupSpec | None = None) -> EnumerationReport:
     """Cross-tabulate orbit classes and compare with the stored tables."""
     orbits = tuple(orbits)
     if spec is None:
         if not orbits:
             raise ValueError("cannot infer the carrier from an empty orbit list")
         spec = orbits[0].brace.spec
-    if case is None:
-        case = classify_case(PrimePair(spec.p, spec.q))
+    case = classify_case(PrimePair(spec.p, spec.q))
     cells: dict[tuple[int, str], int] = {}
     for oc in orbits:
         key = (oc.ker_order, str(oc.invariants.mult_class))

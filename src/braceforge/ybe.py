@@ -55,8 +55,11 @@ class Solution:
         if tau.shape != sigma.shape:
             raise ValueError("tau must have the same shape as sigma")
         n = sigma.shape[0]
-        # Range-check before narrowing to int32, which would wrap 2**32 to 0.
+        # Type- and range-check before narrowing to int32, which would
+        # truncate 1.5 to 1, read a bool as 0/1 and wrap 2**32 to 0.
         for name, table in (("sigma", sigma), ("tau", tau)):
+            if not np.issubdtype(table.dtype, np.integer):
+                raise ValueError(f"{name} entries must be integers")
             if table.size and not (0 <= table.min() and table.max() < n):
                 raise ValueError(f"{name} entries out of range")
         sigma = np.array(sigma, dtype=np.int32, order="C")

@@ -81,7 +81,7 @@ def test_criterion_01_pair_3_2():
     counts = {}
     for kind in ("cyclic", "mixed"):
         spec = group_spec(3, 2, kind)
-        subs = regular_subgroups_structured(spec, jobs=1)
+        subs = regular_subgroups_structured(spec)
         report = tabulate(orbit_partition(subs, spec=spec))
         assert report.matches, report.cell_rows()
         raw_oracle = regular_subgroups_oracle(spec)
@@ -144,7 +144,7 @@ def test_criterion_06_pair_3_19():
     counts = {}
     for kind in ("cyclic", "mixed"):
         spec = group_spec(3, 19, kind)
-        subs = regular_subgroups_structured(spec, jobs=1)
+        subs = regular_subgroups_structured(spec)
         report = tabulate(orbit_partition(subs, spec=spec))
         assert report.matches, report.cell_rows()
         counts[kind] = report.total

@@ -451,7 +451,7 @@ def test_output_identical_across_jobs(tmp_path):
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # only `--jobs` above 1 starts a pool; every other run skips the import
+    # no op starts a process pool, so the CLI never imports one
     probe = "import sys, braceforge.cli; print('concurrent.futures' in sys.modules)"
     res = subprocess.run(
         [sys.executable, "-c", probe],

@@ -3,13 +3,14 @@
 import ast
 import inspect
 import itertools
+import multiprocessing.process
 import sys
 import textwrap
 
 import numpy as np
 import pytest
 
-from braceforge import algebra, regular
+from braceforge import algebra, cli, regular
 from braceforge.algebra import (
     GroupSpec,
     Kind,
@@ -187,15 +188,14 @@ def test_each_lift_search_returns_every_subgroup_once(p, q, kind):
         assert sorted(got) == sorted(want), (k, ci, ni)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_unknown_lift_mode_is_rejected_up_front(monkeypatch, jobs):
-    # the lift domain and the prunes are no longer options; the removed
-    # keywords are refused before any work starts
+def test_unknown_lift_mode_is_rejected_up_front(monkeypatch):
+    # the lift domain, the prunes and the worker count are no longer
+    # options; the removed keywords are refused before any work starts
     spec = group_spec(3, 2, Kind.CYCLIC)
     monkeypatch.setattr(regular, "_work_items", lambda spec: pytest.fail("work started"))
-    for removed in ({"lifts": "transversal"}, {"pruning": False}):
+    for removed in ({"lifts": "transversal"}, {"pruning": False}, {"jobs": 2}):
         with pytest.raises(TypeError, match=next(iter(removed))):
-            regular_subgroups_structured(spec, jobs=jobs, **removed)
+            regular_subgroups_structured(spec, **removed)
 
 
 # The survivor check is an exception, not an assert, so python -O keeps it,
@@ -266,11 +266,19 @@ def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
             cache.cache_clear()
 
 
-def test_parallel_jobs_agree_with_serial():
-    spec = group_spec(3, 2, Kind.MIXED)
-    serial = {B.lam for B in structured_subgroups(3, 2, "mixed")}
-    parallel = {B.lam for B in regular_subgroups_structured(spec, jobs=2)}
-    assert serial == parallel
+def test_parallel_jobs_agree_with_serial(monkeypatch, tmp_path):
+    # `--jobs` is accepted and changes nothing: every op runs in one
+    # process, so a run that may start no process still gives the same bytes
+    argv = ["enumerate", "--p", "3", "--q", "2", "--additive", "mixed", "--format", "json"]
+    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+    assert cli.main([*argv, "--jobs", "1", "--out", str(serial)]) == 0
+
+    def refuse(self):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert cli.main([*argv, "--jobs", "2", "--out", str(parallel)]) == 0
+    assert parallel.read_bytes() == serial.read_bytes()
 
 
 def test_oracle_bound_refusal():

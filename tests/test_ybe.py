@@ -75,6 +75,13 @@ def test_solution_validation():
         Solution(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int))
     with pytest.raises(ValueError):
         Solution([[0, 1], [1, 0]], [[0, 2], [1, 0]])  # entry out of range
+    # non-integer tables are refused, not truncated or read as 0/1
+    good = np.array([[0, 1], [1, 0]])
+    for bad in (np.array([[0.9, 1.5], [1.2, 0.0]]), np.array([[False, True], [True, False]])):
+        with pytest.raises(ValueError, match="sigma entries must be integers"):
+            Solution(bad, good)
+        with pytest.raises(ValueError, match="tau entries must be integers"):
+            Solution(good, bad)
     # a degenerate "solution" is detected
     const = np.zeros((3, 3), dtype=int)
     props = solution_properties(Solution(const, const))
