@@ -188,12 +188,14 @@ def test_each_lift_search_returns_every_subgroup_once(p, q, kind):
         assert sorted(got) == sorted(want), (k, ci, ni)
 
 
-def test_unknown_lift_mode_is_rejected_up_front(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_lift_mode_is_rejected_up_front(monkeypatch, jobs):
     # the lift domain, the prunes and the worker count are no longer
-    # options; the removed keywords are refused before any work starts
+    # options; the removed keywords are refused before any work starts,
+    # the worker count even at its old serial value 1
     spec = group_spec(3, 2, Kind.CYCLIC)
     monkeypatch.setattr(regular, "_work_items", lambda spec: pytest.fail("work started"))
-    for removed in ({"lifts": "transversal"}, {"pruning": False}, {"jobs": 2}):
+    for removed in ({"lifts": "transversal"}, {"pruning": False}, {"jobs": jobs}):
         with pytest.raises(TypeError, match=next(iter(removed))):
             regular_subgroups_structured(spec, **removed)
 
