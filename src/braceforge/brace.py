@@ -1,6 +1,6 @@
 """Skew braces over the two carriers: construction from regular subgroups,
-axiom verification, lambda/kernel/fix machinery, ideal checks, bi-skew
-detection, multiplicative-group classification, and brace isomorphism.
+axiom verification, lambda/kernel/fix machinery, bi-skew detection and
+multiplicative-group classification.
 
 A brace is stored as its lambda table (one automorphism index per element).
 The circle table a o b = a + lambda_a(b) is derived on first use and cached
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,14 +42,10 @@ __all__ = [
     "verify_left_brace",
     "ker_lambda",
     "fix_set",
-    "lambda_identities_check",
     "is_bi_skew",
     "lambda_is_additive",
-    "ideal_checks",
     "mult_group_class",
     "brace_invariants",
-    "braces_isomorphic",
-    "cayley_isomorphic",
 ]
 
 # Multiplicative-class labels.  "rp" = the order-p action on Z_q, "h" = the
@@ -254,40 +250,6 @@ def fix_set(B: SkewBrace) -> frozenset[int]:
     return frozenset(int(i) for i in np.nonzero(mask)[0])
 
 
-def lambda_identities_check(B: SkewBrace) -> bool:
-    """Power and kernel/fix identities of the lambda map.
-
-    (i) For every b with lambda_b(b) = b and every n >= 1, the n-th circle
-    power of b equals nb and lambda_{nb} = lambda_b^n.
-
-    (ii) For a, c in ker(lambda) and b, d in Fix(B):
-    (a+b) o (c+d) = a + b + lambda_b(c) + d.  Since lambda_{a+b} is additive
-    and fixes d, this reduces to lambda_{a+b} and lambda_b agreeing on
-    ker(lambda), which is what gets checked (exactly, but without looping
-    over the full fourth power of the carrier).
-    """
-    spec = B.spec
-    add, Z = spec.add_np, B.circle_np
-    lam = np.asarray(B.lam)
-    rows = B.lambda_rows
-    # (i), for every such b at once: step nb = kb, its circle power and
-    # lambda_b^k until nb returns to 0.
-    b = np.flatnonzero(rows.diagonal() == np.arange(spec.n))[1:]
-    nb, power, f = b, b, lam[b]
-    while b.size:
-        nb, power, f = add[nb, b], Z[b, power], spec.compose_many(lam[b], f)
-        if (power != nb).any() or (lam[nb] != f).any():
-            return False
-        more = nb != 0
-        b, nb, power, f = b[more], nb[more], power[more], f[more]
-    # (ii): lambda_{a+b} agrees with lambda_b on ker for a in ker, b in Fix.
-    ker = np.flatnonzero(lam == spec.identity_aut)
-    for b in sorted(fix_set(B)):
-        if (rows[np.ix_(add[ker, b], ker)] != rows[b, ker]).any():
-            return False
-    return True
-
-
 def is_bi_skew(B: SkewBrace) -> bool:
     """True iff x + (y o z) = (x+y) o x' o (x+z) holds for all x, y, z."""
     spec = B.spec
@@ -314,26 +276,6 @@ def lambda_is_additive(B: SkewBrace) -> bool:
     loop).
     """
     return _lambda_hom_witness(B, B.spec.add_np) is None
-
-
-def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:
-    """Left-ideal and ideal flags for an additive subgroup I (element indices).
-
-    left_ideal: I is lambda-invariant; ideal: additionally normal in (A, o).
-    Raises if I is not a subgroup of the additive group.
-    """
-    spec = B.spec
-    members = np.unique(np.fromiter(I, dtype=np.intp))
-    in_I = np.zeros(spec.n, dtype=bool)
-    in_I[members] = True
-    if not in_I[0] or not in_I[spec.add_np[np.ix_(members, members)]].all():
-        raise ValueError("I is not an additive subgroup")
-    left = bool(in_I[spec.apply_rows(B.lambda_image)[:, members]].all())
-    Z = B.circle_np
-    # a o i o a' for every a and every i in I
-    conj = Z[Z[:, members], B.circle_inv_np[:, None]]
-    normal = left and bool(in_I[conj].all())
-    return {"left_ideal": left, "ideal": normal}
 
 
 def mult_group_class(B: SkewBrace) -> MultClass:
@@ -429,93 +371,3 @@ def brace_invariants(B: SkewBrace) -> BraceInvariants:
         mult_class=mult_group_class(B),
         bi_skew=lambda_is_additive(B),
     )
-
-
-def braces_isomorphic(B1: SkewBrace, B2: SkewBrace) -> bool:
-    """True iff the braces' regular subgroups are Aut(A)-conjugate."""
-    if B1.spec != B2.spec:
-        raise ValueError("braces live over different carriers")
-    from .regular import orbit_min_key  # local import to avoid a cycle
-
-    if B1.lam == B2.lam:
-        return True
-    return orbit_min_key(B1)[0] == orbit_min_key(B2)[0]
-
-
-def cayley_isomorphic(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> bool:
-    """Generic backtracking isomorphism test on two Cayley tables.
-
-    Debug oracle for the invariant-based classifier; meant for orders <= 200.
-    Tables use indices 0..n-1 with 0 the identity.
-    """
-    n = len(t1)
-    if len(t2) != n:
-        return False
-    if n > 200:
-        raise ValueError("cayley_isomorphic is a small-order debug oracle (n <= 200)")
-    T1 = [list(r) for r in t1]
-    T2 = [list(r) for r in t2]
-
-    def orders(T: list[list[int]]) -> list[int]:
-        out = []
-        for a in range(n):
-            o, x = 1, a
-            while x != 0:
-                x = T[x][a]
-                o += 1
-            out.append(o)
-        return out
-
-    o1, o2 = orders(T1), orders(T2)
-    if sorted(o1) != sorted(o2):
-        return False
-    # Greedy generating chain of G1 with the subgroup closed at each step.
-    gens: list[int] = []
-    sub = {0}
-    while len(sub) < n:
-        g = min(a for a in range(n) if a not in sub)
-        gens.append(g)
-        frontier = [0]
-        sub = {0}
-        while frontier:
-            new = []
-            for x in frontier:
-                for h in gens:
-                    y = T1[x][h]
-                    if y not in sub:
-                        sub.add(y)
-                        new.append(y)
-            frontier = new
-    by_order: dict[int, list[int]] = {}
-    for a in range(n):
-        by_order.setdefault(o2[a], []).append(a)
-
-    def extend(k: int, images: list[int]) -> bool:
-        if k == len(gens):
-            # Build the full map from the generator images and verify it.
-            phi = {0: 0}
-            frontier = [0]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for g, img in zip(gens, images):
-                        y = T1[x][g]
-                        fy = T2[phi[x]][img]
-                        if y in phi:
-                            if phi[y] != fy:
-                                return False
-                        else:
-                            phi[y] = fy
-                            new.append(y)
-                frontier = new
-            if len(set(phi.values())) != n:
-                return False
-            return all(
-                phi[T1[a][b]] == T2[phi[a]][phi[b]] for a in range(n) for b in range(n)
-            )
-        for cand in by_order[o1[gens[k]]]:
-            if extend(k + 1, images + [cand]):
-                return True
-        return False
-
-    return extend(0, [])

@@ -267,11 +267,17 @@ def catalog_entry_to_json(entry) -> dict:
 # ---------------- YBE solutions ----------------
 
 
+class _Rows(list):
+    """The rows of an n x n integer matrix whose entries lie in range(n), as
+    a Solution guarantees: :func:`solution_document_chunks` writes them from
+    a table of n decimal tokens."""
+
+
 def solution_to_json(sol: Solution, checks: dict[str, bool]) -> dict:
     return {
         "n": sol.n,
-        "sigma": sol.sigma.tolist(),
-        "tau": sol.tau.tolist(),
+        "sigma": _Rows(sol.sigma.tolist()),
+        "tau": _Rows(sol.tau.tolist()),
         "checks": {
             "ybe": bool(checks["ybe"]),
             "involutive": bool(checks["involutive"]),
@@ -303,9 +309,10 @@ def _chunks(obj: Any, level: int) -> Iterator[str]:
     levels deep in an indented document, in chunks.
 
     Dicts with string keys and non-empty lists are written item by item; a
-    list of plain ints (a matrix row) is one chunk, joined without the
-    pure-Python encoder.  Anything else is one ``json.dumps``, re-indented:
-    JSON strings hold no raw newline, so every newline in it is layout.
+    solution matrix (`_Rows`) is one chunk per row, each entry looked up in
+    a token table made once per matrix.  Anything else is one
+    ``json.dumps``, re-indented: JSON strings hold no raw newline, so every
+    newline in it is layout.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
@@ -315,10 +322,15 @@ def _chunks(obj: Any, level: int) -> Iterator[str]:
             yield from _chunks(obj[key], level + 1)
             sep = "," + pad
         yield pad[:-2] + "}"
+    elif type(obj) is _Rows and obj:
+        token = list(map(str, range(len(obj)))).__getitem__
+        inner = pad + "  "
+        sep, comma = "[" + pad, "," + inner
+        for row in obj:
+            yield sep + "[" + inner + comma.join(map(token, row)) + pad + "]"
+            sep = "," + pad
+        yield pad[:-2] + "]"
     elif isinstance(obj, list) and obj:
-        if set(map(type, obj)) == {int}:
-            yield "[" + pad + ("," + pad).join(map(str, obj)) + pad[:-2] + "]"
-            return
         sep = "[" + pad
         for item in obj:
             yield sep

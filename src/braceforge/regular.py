@@ -10,12 +10,14 @@ holding its lambda table:
   values on K's generators along K's Cayley graph and reads lambda off the
   cocycles that are bijective, and
 * the naive oracle grows subgroups from at most three cyclic pieces of the
-  holomorph, with only order-arithmetic pruning and the rule that a
-  subgroup of a regular group repeats no first projection, which also keeps
-  every join at most |A| elements.  It closes them as sets of encoded
-  indices a * |Aut(A)| + f, in the one Hol(A) closure of the package
-  (`_oracle_join`), and turns each one it keeps into its table with
-  `brace_from_regular`, its regularity check.
+  holomorph, with only order-arithmetic pruning, the rule that a subgroup
+  of a regular group repeats no first projection, which also keeps every
+  join at most |A| elements, and invariance under Aut(A)-conjugation: it
+  grows from one piece per conjugation orbit and expands what it finds to
+  whole orbits, conjugating with its own whole-Aut tables.  It closes
+  subgroups as sets of encoded indices a * |Aut(A)| + f, in the one Hol(A)
+  closure of the package (`_oracle_join`), and turns each one it keeps
+  into its table with `brace_from_regular`, its regularity check.
 
 Ordering by table is ordering by the subgroup's sorted encoded indices.
 
@@ -296,16 +298,21 @@ def _oracle_prescan(
 
     h qualifies when its order divides |A| and no non-identity power of h is
     a pure automorphism (first projection 0): such a power fixes 0, and two
-    powers sharing a first projection differ by one.  Every element steps
-    through its powers at once, at most |A| steps; it leaves the scan when a
-    power reaches first projection 0, and one still in it after |A| steps has
-    order above |A|.
+    powers sharing a first projection differ by one.  h = (a, f) with
+    h^m = 1 has f^m = 1, so the scan starts only from the f with f^|A| = id,
+    read off the compose table, and from a != 0 (the identity and the pure
+    automorphisms do not qualify).  Every element steps through its powers
+    at once, at most |A| steps; it leaves the scan when a power reaches
+    first projection 0, and one still in it after |A| steps has order above
+    |A|.
     """
     n, n_aut = spec.n, spec.n_aut
     ident = spec.identity_aut
-    # Elements below n_aut have first projection 0: the identity and the
-    # pure automorphisms, none of which qualifies.
-    h = np.arange(n_aut, spec.hol_order)
+    every = np.arange(n_aut)
+    f_power = every
+    for _ in range(n - 1):
+        f_power = compose[f_power, every]
+    h = (np.arange(1, n)[:, None] * n_aut + np.flatnonzero(f_power == ident)).ravel()
     a, f = np.divmod(h, n_aut)
     xa, xf = a, f
     order = np.zeros(spec.hol_order, dtype=np.int64)
@@ -329,26 +336,29 @@ def _oracle_cyclic_subgroups(
     """Each cyclic subgroup generated by a prescan candidate, once, as
     (smallest generator, elements), ascending by generator.
 
-    The translations always qualify, so there is at least one candidate.
-    Only the candidates' powers are held, one row each.
+    The candidates are met in ascending order, and one that is no generator
+    h^k (k prime to the order) of an earlier subgroup is the smallest
+    generator of its own, whose powers are walked once.  The translations
+    always qualify, so there is at least one candidate.
     """
     n_aut = spec.n_aut
-    cand, m = _oracle_prescan(spec, rows, compose)
-    # powers[i, k] = cand[i]^k; past its order a row just cycles.
-    powers = np.empty((cand.size, int(m.max())), dtype=np.int64)
-    powers[:, 0] = spec.identity_aut
-    a, f = np.divmod(cand, n_aut)
-    xa, xf = a, f
-    for k in range(1, powers.shape[1]):
-        powers[:, k] = xa * n_aut + xf
-        xa, xf = _hol_times(spec, rows, compose, xa, xf, a, f)
-    ks = np.arange(powers.shape[1])
-    is_generator = (np.gcd(ks, m[:, None]) == 1) & (ks < m[:, None])
-    smallest = np.where(is_generator, powers, spec.hol_order).min(axis=1)
-    return [
-        (int(cand[i]), frozenset(powers[i, : m[i]].tolist()))
-        for i in np.flatnonzero(smallest == cand)
-    ]
+    cand, order = _oracle_prescan(spec, rows, compose)
+    # One scalar read per table and step: cheaper than list copies of the
+    # tables for the few entries a walk meets.
+    add, act, then = spec.add_np.item, rows.item, compose.item
+    met: set[int] = set()
+    out = []
+    for h, m in zip(cand.tolist(), order.tolist()):
+        if h in met:
+            continue
+        ha, hf = divmod(h, n_aut)
+        powers, xa, xf = [spec.identity_aut], ha, hf
+        for _ in range(1, m):
+            powers.append(xa * n_aut + xf)
+            xa, xf = add(xa, act(xf, ha)), then(xf, hf)
+        met.update(x for k, x in enumerate(powers) if gcd(k, m) == 1)
+        out.append((h, frozenset(powers)))
+    return out
 
 
 def _oracle_join(spec: GroupSpec, tables: tuple, seed, gens) -> frozenset[int] | None:
@@ -395,31 +405,51 @@ def _oracle_join(spec: GroupSpec, tables: tuple, seed, gens) -> frozenset[int] |
     return frozenset(seen)
 
 
+def _oracle_conjugates(aut: tuple, x) -> np.ndarray:
+    """psi h psi^-1 = (psi(a), psi f psi^-1) for each encoded index
+    h = a * n_aut + f in x, one row per psi in Aut(A).
+
+    `aut` = (rows, compose, inverse) is the oracle's whole-Aut arithmetic as
+    arrays, inverse[psi] the index of psi^-1.
+    """
+    rows, compose, inverse = aut
+    n_aut = len(inverse)
+    a, f = np.divmod(np.asarray(x), n_aut)
+    psi = np.arange(n_aut)[:, None]
+    return rows[psi, a] * n_aut + compose[compose[psi, f], inverse[:, None]]
+
+
 def regular_subgroups_oracle(
     spec: GroupSpec, bound: int = ORACLE_BOUND
 ) -> list[SkewBrace]:
     """Exhaustive regular-subgroup scan with no structural assumptions.
 
     Joins up to three cyclic subgroups of Hol(A), pruning only by Lagrange
-    bounds and the fact that a subgroup of a regular group has pairwise
+    bounds, the fact that a subgroup of a regular group has pairwise
     distinct first projections (two elements sharing one differ by a pure
-    automorphism, which fixes 0).  The latter also caps every join it keeps
-    at |A| elements (`_oracle_join`).
+    automorphism, which fixes 0), the fact that the second projection of an
+    element of order dividing |A| has order dividing |A|, and invariance
+    under Aut(A)-conjugation, (a, f) -> (psi(a), psi f psi^-1), which maps
+    regular subgroups to regular subgroups.  Distinct first projections also
+    cap every join it keeps at |A| elements (`_oracle_join`).
 
     * A vectorized prescan (`_oracle_prescan`) keeps the elements of order
       dividing |A| with no pure-automorphism power.  Each cyclic subgroup
       they generate is then tried once, by its smallest generator: the join
       <S, h> depends only on <h>.
-    * Depth 2 joins each unordered pair of distinct cyclic subgroups once
-      (the added generator above the seed's); depth 3 joins every depth-2
-      join of order below |A| with every cyclic subgroup.
+    * Depth 2 joins one cyclic subgroup per conjugation orbit with every
+      cyclic subgroup; depth 3 joins one non-cyclic depth-2 join of order
+      below |A| per orbit with every cyclic subgroup.  A regular subgroup
+      built from a chain of cyclic subgroups has a conjugate built from the
+      conjugated chain, which starts at the chosen representatives.
     * Joining a right-coset mate s*h of an already-tried generator gives the
       same subgroup, so cosets are skipped wholesale.
     * Those products s*h are the first layer of the join's closure: one
       outside S whose first projection S already has rejects the join
       before the closure starts.
 
-    Each survivor becomes a brace through `brace_from_regular`, which
+    Every regular subgroup found is expanded to its whole conjugation orbit,
+    and each member becomes a brace through `brace_from_regular`, which
     checks its regularity; they are returned sorted by lambda table.
     """
     if spec.hol_order > bound:
@@ -430,41 +460,41 @@ def regular_subgroups_oracle(
     # The oracle visits all of Hol(A), so it tabulates all of Aut(A): action
     # rows (|Hol| entries, within the bound) and the compose table
     # f * n_aut + g -> f o g (|Aut|^2 entries, under a million at the default
-    # bound), as numpy arrays for the prescan and lists for the joins.
-    # Nothing else tabulates Aut(A) whole.
+    # bound), as numpy arrays for the prescan and the conjugations and lists
+    # for the joins.  Nothing else tabulates Aut(A) whole.
     rows_np, compose_np = _whole_aut_tables(spec)
     cyclic = _oracle_cyclic_subgroups(spec, rows_np, compose_np)
     add = spec.add_np.ravel().tolist()
     rows, compose = rows_np.tolist(), compose_np.ravel().tolist()
     tables = (add, rows, compose)
+    aut = (rows_np, compose_np, np.nonzero(compose_np == spec.identity_aut)[1])
+    # owner[x]: the position in `cyclic` of <x>, the smallest listed subgroup
+    # holding x, so every generator of a listed subgroup leads to it.
+    owner = np.full(spec.hol_order, -1, dtype=np.intp)
+    for i in sorted(range(len(cyclic)), key=lambda i: -len(cyclic[i][1])):
+        owner[list(cyclic[i][1])] = i
+    owner[spec.identity_aut] = -1
+    smallest = np.array([h for h, _ in cyclic])
+    sizes = np.array([len(C) for _, C in cyclic])
 
     results: set[frozenset[int]] = set()
-    partial: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...]]] = {}
-    for h, C in cyclic:
+    seeds: list[tuple[frozenset[int], tuple[int, ...]]] = []
+    met = np.zeros(len(cyclic), dtype=bool)
+    for i, (h, C) in enumerate(cyclic):
         if len(C) == n:
             results.add(C)
-        else:
-            partial[tuple(sorted(C))] = (C, (h,))
+        elif not met[i]:
+            met[owner[_oracle_conjugates(aut, [h])[:, 0]]] = True
+            seeds.append((C, (h,)))
 
-    processed: set[tuple[int, ...]] = set()
-    current = partial
     for depth in (2, 3):
-        grown: dict[tuple[int, ...], tuple[frozenset[int], tuple[int, ...]]] = {}
-        for key in sorted(current):
-            if key in processed:
-                continue
-            processed.add(key)
-            S, gens = current[key]
+        grown: dict[frozenset[int], tuple[int, ...]] = {}
+        for S, gens in seeds:
             members = [divmod(s, n_aut) for s in S]
             pi1_S = {sa for sa, _ in members}
-            # <<a>, <b>> = <<b>, <a>>: at depth 2 each pair is tried once,
-            # from the seed with the smaller generator.  An order-|A| cyclic
-            # subgroup never seeds, but a join with one is that subgroup or
-            # too large, so skipping it here loses nothing.
-            low = gens[0] if depth == 2 else -1
             covered: set[int] = set()
             for h, ch in cyclic:
-                if h <= low or h in S or h in covered:
+                if h in S or h in covered:
                     continue
                 if len(S) * len(ch) // len(S & ch) > n:
                     continue
@@ -487,12 +517,26 @@ def regular_subgroups_oracle(
                     continue
                 if len(T) == n:
                     results.add(T)
-                elif depth < 3 and n % len(T) == 0:
-                    grown.setdefault(tuple(sorted(T)), (T, gens + (h,)))
-        current = grown
+                elif depth == 2 and n % len(T) == 0:
+                    grown.setdefault(T, gens + (h,))
+        # One grown join per orbit, each held as the positions of the cyclic
+        # subgroups inside it.  A cyclic one is some listed subgroup, whose
+        # orbit already seeded depth 2 against every cyclic subgroup.
+        seeds, met_joins = [], set()
+        for T, gens in grown.items():
+            inside = np.unique(owner[list(T)])[1:]  # owner[identity] = -1
+            if sizes[inside].max() == len(T) or tuple(inside.tolist()) in met_joins:
+                continue
+            seeds.append((T, gens))
+            images = owner[_oracle_conjugates(aut, smallest[inside])]
+            met_joins.update(map(tuple, np.sort(images, axis=1).tolist()))
 
+    orbit_members: set[frozenset[int]] = set()
+    for G in results:
+        if G not in orbit_members:
+            orbit_members.update(map(frozenset, _oracle_conjugates(aut, list(G)).tolist()))
     try:
-        survivors = [brace_from_regular(spec, T) for T in results]
+        survivors = [brace_from_regular(spec, T) for T in orbit_members]
     except ValueError as exc:
         # A ValueError would read as a usage error at the command line.
         raise RuntimeError(

@@ -28,7 +28,6 @@ from .brace import SkewBrace, VerifyResult
 __all__ = [
     "Solution",
     "solution_from_brace",
-    "flip_solution",
     "verify_ybe",
     "braid_scan",
     "solution_properties",
@@ -105,12 +104,6 @@ def solution_from_brace(B: SkewBrace) -> Solution:
     # T[x, y] = tau_y(x); tau rows are the transpose.
     T = Z[inv[sigma], Z]
     return Solution(sigma, T.T)
-
-
-def flip_solution(n: int) -> Solution:
-    """r(x, y) = (y, x), the solution of the trivial brace."""
-    rows = np.tile(np.arange(n, dtype=np.int32), (n, 1))
-    return Solution(rows, rows)
 
 
 # Entries of the m x m table of composed sigma rows (m^2 n int32, 16 MiB)

@@ -1,6 +1,7 @@
 """Cached expensive computations shared across test modules, the scalar
-reference for automorphism and holomorph arithmetic, and the direct n^3
-scan of the brace axioms.
+reference for automorphism and holomorph arithmetic, the direct n^3 scan
+of the brace axioms, the oracle's prescan over the whole holomorph, and
+the brace and YBE checks that only the tests use.
 
 Enumerating regular subgroups for the larger pairs takes seconds; the
 caches make sure each (pair, carrier) is searched once per pytest run
@@ -14,12 +15,13 @@ compare the two.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 import numpy as np
 
 from braceforge.algebra import Kind, group_spec
-from braceforge.brace import SkewBrace, VerifyResult
+from braceforge.brace import SkewBrace, VerifyResult, fix_set
 from braceforge.catalog import catalog_for_case
 from braceforge.regular import (
     orbit_min_key,
@@ -27,6 +29,7 @@ from braceforge.regular import (
     regular_subgroups_oracle,
     regular_subgroups_structured,
 )
+from braceforge.ybe import Solution
 
 # Every desk-scale pair exercised by the acceptance criteria.
 DESK_PAIRS = [(3, 2), (2, 5), (2, 7), (5, 3), (3, 7), (3, 19), (5, 13), (7, 3)]
@@ -269,9 +272,185 @@ def hol_join(spec, gens, cap=None, forbid_dup_pi1=False):
     return frozenset(seen)
 
 
+def whole_hol_prescan(spec, rows, compose):
+    """The oracle's prescan started from every element of Hol(A) with a
+    nonzero first projection, not only from those whose automorphism has
+    order dividing |A|: the qualifying elements, ascending, and their
+    orders.  rows and compose are the oracle's whole-Aut arrays."""
+    n, n_aut = spec.n, spec.n_aut
+    ident = spec.identity_aut
+    h = np.arange(n_aut, spec.hol_order)
+    a, f = np.divmod(h, n_aut)
+    xa, xf = a, f
+    order = np.zeros(spec.hol_order, dtype=np.int64)
+    for k in range(2, n + 1):
+        xa, xf = spec.add_np[xa, rows[xf, a]], compose[xf, f]
+        back = xa == 0
+        if back.any():
+            order[h[back & (xf == ident)]] = k
+            keep = ~back
+            h, a, f, xa, xf = h[keep], a[keep], f[keep], xa[keep], xf[keep]
+            if not h.size:
+                break
+    cand = np.flatnonzero(order)
+    cand = cand[n % order[cand] == 0]
+    return cand, order[cand]
+
+
 def hol_closure(spec, generators, cap=None):
     """The subgroup of Hol(A) generated by (element tuple, descriptor)
     pairs, as encoded indices; None when it passes `cap` elements."""
     if not generators:
         raise ValueError("need at least one generator")
     return hol_join(spec, [hol_encode(spec, x) for x in generators], cap)
+
+
+# ---------------- brace and YBE checks only the tests use ----------------
+
+
+def lambda_identities_check(B: SkewBrace) -> bool:
+    """Power and kernel/fix identities of the lambda map.
+
+    (i) For every b with lambda_b(b) = b and every n >= 1, the n-th circle
+    power of b equals nb and lambda_{nb} = lambda_b^n.
+
+    (ii) For a, c in ker(lambda) and b, d in Fix(B):
+    (a+b) o (c+d) = a + b + lambda_b(c) + d.  Since lambda_{a+b} is additive
+    and fixes d, this reduces to lambda_{a+b} and lambda_b agreeing on
+    ker(lambda), which is what gets checked (exactly, but without looping
+    over the full fourth power of the carrier).
+    """
+    spec = B.spec
+    add, Z = spec.add_np, B.circle_np
+    lam = np.asarray(B.lam)
+    rows = B.lambda_rows
+    # (i), for every such b at once: step nb = kb, its circle power and
+    # lambda_b^k until nb returns to 0.
+    b = np.flatnonzero(rows.diagonal() == np.arange(spec.n))[1:]
+    nb, power, f = b, b, lam[b]
+    while b.size:
+        nb, power, f = add[nb, b], Z[b, power], spec.compose_many(lam[b], f)
+        if (power != nb).any() or (lam[nb] != f).any():
+            return False
+        more = nb != 0
+        b, nb, power, f = b[more], nb[more], power[more], f[more]
+    # (ii): lambda_{a+b} agrees with lambda_b on ker for a in ker, b in Fix.
+    ker = np.flatnonzero(lam == spec.identity_aut)
+    for b in sorted(fix_set(B)):
+        if (rows[np.ix_(add[ker, b], ker)] != rows[b, ker]).any():
+            return False
+    return True
+
+
+def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:
+    """Left-ideal and ideal flags for an additive subgroup I (element indices).
+
+    left_ideal: I is lambda-invariant; ideal: additionally normal in (A, o).
+    Raises if I is not a subgroup of the additive group.
+    """
+    spec = B.spec
+    members = np.unique(np.fromiter(I, dtype=np.intp))
+    in_I = np.zeros(spec.n, dtype=bool)
+    in_I[members] = True
+    if not in_I[0] or not in_I[spec.add_np[np.ix_(members, members)]].all():
+        raise ValueError("I is not an additive subgroup")
+    left = bool(in_I[spec.apply_rows(B.lambda_image)[:, members]].all())
+    Z = B.circle_np
+    # a o i o a' for every a and every i in I
+    conj = Z[Z[:, members], B.circle_inv_np[:, None]]
+    normal = left and bool(in_I[conj].all())
+    return {"left_ideal": left, "ideal": normal}
+
+
+def braces_isomorphic(B1: SkewBrace, B2: SkewBrace) -> bool:
+    """True iff the braces' regular subgroups are Aut(A)-conjugate."""
+    if B1.spec != B2.spec:
+        raise ValueError("braces live over different carriers")
+    if B1.lam == B2.lam:
+        return True
+    return orbit_min_key(B1)[0] == orbit_min_key(B2)[0]
+
+
+def cayley_isomorphic(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> bool:
+    """Generic backtracking isomorphism test on two Cayley tables.
+
+    Debug oracle for the invariant-based classifier; meant for orders <= 200.
+    Tables use indices 0..n-1 with 0 the identity.
+    """
+    n = len(t1)
+    if len(t2) != n:
+        return False
+    if n > 200:
+        raise ValueError("cayley_isomorphic is a small-order debug oracle (n <= 200)")
+    T1 = [list(r) for r in t1]
+    T2 = [list(r) for r in t2]
+
+    def orders(T: list[list[int]]) -> list[int]:
+        out = []
+        for a in range(n):
+            o, x = 1, a
+            while x != 0:
+                x = T[x][a]
+                o += 1
+            out.append(o)
+        return out
+
+    o1, o2 = orders(T1), orders(T2)
+    if sorted(o1) != sorted(o2):
+        return False
+    # Greedy generating chain of G1 with the subgroup closed at each step.
+    gens: list[int] = []
+    sub = {0}
+    while len(sub) < n:
+        g = min(a for a in range(n) if a not in sub)
+        gens.append(g)
+        frontier = [0]
+        sub = {0}
+        while frontier:
+            new = []
+            for x in frontier:
+                for h in gens:
+                    y = T1[x][h]
+                    if y not in sub:
+                        sub.add(y)
+                        new.append(y)
+            frontier = new
+    by_order: dict[int, list[int]] = {}
+    for a in range(n):
+        by_order.setdefault(o2[a], []).append(a)
+
+    def extend(k: int, images: list[int]) -> bool:
+        if k == len(gens):
+            # Build the full map from the generator images and verify it.
+            phi = {0: 0}
+            frontier = [0]
+            while frontier:
+                new = []
+                for x in frontier:
+                    for g, img in zip(gens, images):
+                        y = T1[x][g]
+                        fy = T2[phi[x]][img]
+                        if y in phi:
+                            if phi[y] != fy:
+                                return False
+                        else:
+                            phi[y] = fy
+                            new.append(y)
+                frontier = new
+            if len(set(phi.values())) != n:
+                return False
+            return all(
+                phi[T1[a][b]] == T2[phi[a]][phi[b]] for a in range(n) for b in range(n)
+            )
+        for cand in by_order[o1[gens[k]]]:
+            if extend(k + 1, images + [cand]):
+                return True
+        return False
+
+    return extend(0, [])
+
+
+def flip_solution(n: int) -> Solution:
+    """r(x, y) = (y, x), the solution of the trivial brace."""
+    rows = np.tile(np.arange(n, dtype=np.int32), (n, 1))
+    return Solution(rows, rows)

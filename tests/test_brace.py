@@ -13,14 +13,10 @@ from braceforge.brace import (
     ZQ_RTIMES_ZP2_rp,
     SkewBrace,
     brace_from_regular,
-    braces_isomorphic,
     brace_invariants,
-    cayley_isomorphic,
     fix_set,
-    ideal_checks,
     is_bi_skew,
     ker_lambda,
-    lambda_identities_check,
     lambda_is_additive,
     mult_group_class,
     verify_left_brace,
@@ -30,9 +26,13 @@ from braceforge.catalog import cyclic_pq_brace, mixed_pq_brace, trivial_brace
 from helpers import (
     DESK_PAIRS,
     brace_axiom_scan,
+    braces_isomorphic,
     catalog,
+    cayley_isomorphic,
     hol_closure,
     hol_tables,
+    ideal_checks,
+    lambda_identities_check,
     orbits,
     regular_from_brace,
 )

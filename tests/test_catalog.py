@@ -5,11 +5,7 @@ from collections import Counter
 import pytest
 
 from braceforge.algebra import Kind, group_spec
-from braceforge.brace import (
-    braces_isomorphic,
-    brace_invariants,
-    verify_left_brace,
-)
+from braceforge.brace import brace_invariants, verify_left_brace
 from braceforge.catalog import (
     cyclic_pq_brace,
     cyclic_semidirect_brace,
@@ -36,6 +32,7 @@ from helpers import (
     DESK_PAIRS,
     brace_axiom_scan,
     brace_orbit_key,
+    braces_isomorphic,
     catalog,
     hol_closure,
     regular_from_brace,

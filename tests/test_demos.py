@@ -1,8 +1,4 @@
-"""The narrative demos run to completion, each in a fresh interpreter.
-
-Demo 05 (the oracle cross-check on (5, 3) mixed) is left out: criteria 4 and
-12 of the acceptance gate run the same cross-check on that carrier.
-"""
+"""The narrative demos run to completion, each in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -15,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_enumerate_classes.py", "02_catalog_constructors.py",
-         "03_brace_arithmetic.py", "04_yang_baxter_solutions.py"]
+         "03_brace_arithmetic.py", "04_yang_baxter_solutions.py",
+         "05_oracle_crosscheck.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

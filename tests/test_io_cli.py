@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from braceforge import cli
@@ -28,11 +29,12 @@ from braceforge.io import (
     subgroup_to_json,
 )
 from braceforge.regular import tabulate
-from braceforge.ybe import solution_from_brace, solution_properties, verify_ybe
+from braceforge.ybe import Solution, solution_from_brace, solution_properties, verify_ybe
 
 from helpers import (
     DESK_PAIRS,
     catalog,
+    flip_solution,
     hol_encode,
     hol_join,
     orbits,
@@ -299,6 +301,19 @@ def test_solution_document_chunks_match_canonical_dumps():
     for k in range(len(odd) + 1):
         doc = {"p": 3, "q": 2, "solutions": odd[:k]}
         assert "".join(solution_document_chunks(3, 2, odd[:k])) == canonical_dumps(doc)
+    # solution matrices, written from a token table: 1 x 1, and entries past
+    # 100; beside them, int lists that keep the generic path
+    checks = {"ybe": True, "involutive": True, "nondegenerate": True}
+    shifted = np.roll(np.tile(np.arange(103), (103, 1)), 1, axis=1)
+    matrices = [
+        {"solution": solution_to_json(Solution([[0]], [[0]]), checks)},
+        {"solution": solution_to_json(flip_solution(101), checks)},
+        {"solution": solution_to_json(Solution(shifted, shifted[::-1]), checks)},
+        {"negative": [[-1, 0], [2, -300]], "bools": [[True, False], [0, 1]],
+         "mixed": [[1, 2.0], [3, "4"], [None, 5]]},
+    ]
+    doc = {"p": 3, "q": 2, "solutions": matrices}
+    assert "".join(solution_document_chunks(3, 2, matrices)) == canonical_dumps(doc)
 
 
 def test_ybe_json_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -12,7 +12,10 @@ peaked at 2.7 GiB, streamed one solution at a time it stays near 150 MiB.
 (3, 109), n = 981, is the largest order in scope: verifying its 14 catalog
 braces by scanning every triple for associativity and the brace axiom took
 about 185 s, deciding both from lambda being a homomorphism takes about a
-second.
+second.  (2, 109) cyclic, |Hol| = 94 176, is the largest carrier within the
+naive oracle's bound: joining every pair of cyclic subgroups took 325 s
+there, joining from one cyclic subgroup per Aut(A)-orbit takes a few
+seconds.
 """
 
 from __future__ import annotations
@@ -80,3 +83,10 @@ def test_p3_q109_catalog_verifies_inside_the_memory_cap():
     res = _run_cli("catalog", "--p", "3", "--q", "109", timeout=60)
     assert res.returncode == 0, res.stderr[-2000:]
     assert "14 entries, all verified" in res.stdout
+
+
+def test_p2_q109_cyclic_oracle_crosscheck_fits_the_memory_cap():
+    res = _run_cli("enumerate", "--p", "2", "--q", "109", "--additive", "cyclic",
+                   "--method", "both", timeout=60)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert "structured and oracle enumerations agree" in res.stdout

@@ -35,14 +35,20 @@ from braceforge.regular import (
 
 from helpers import (
     DESK_PAIRS,
+    all_descriptors,
     hol_closure,
+    hol_decode,
+    hol_encode,
+    hol_inv,
     hol_join,
+    hol_mul,
     hol_tables,
     oracle_eligible,
     oracle_subgroups,
     orbits,
     regular_from_brace,
     structured_subgroups,
+    whole_hol_prescan,
 )
 
 SMALL = [(3, 2, "cyclic"), (3, 2, "mixed"), (2, 5, "cyclic"), (2, 5, "mixed")]
@@ -526,13 +532,44 @@ def test_vectorized_prescan_matches_the_chain_walk(p, q, kind):
     assert regular._oracle_cyclic_subgroups(spec, rows, compose) == want
 
 
+@pytest.mark.parametrize("p,q,kind", list(ORACLE_COUNTS))
+def test_prescan_pruned_by_automorphism_order_matches_the_whole_hol_scan(p, q, kind):
+    # h = (a, f) with h^m = 1 has f^m = 1: starting only from the f of order
+    # dividing |A| loses no candidate and changes no order
+    spec = group_spec(p, q, kind)
+    rows, compose = regular._whole_aut_tables(spec)
+    cand, order = regular._oracle_prescan(spec, rows, compose)
+    want_cand, want_order = whole_hol_prescan(spec, rows, compose)
+    assert cand.tolist() == want_cand.tolist()
+    assert order.tolist() == want_order.tolist()
+
+
+@pytest.mark.parametrize("p,q,kind", [(3, 2, "mixed"), (2, 7, "mixed")])
+def test_oracle_output_is_closed_under_conjugation(p, q, kind):
+    # psi (a, f) psi^-1 = (psi(a), psi f psi^-1) for every automorphism psi,
+    # by the scalar Hol(A) arithmetic, maps the oracle's output to itself
+    spec = group_spec(p, q, kind)
+    found = {regular_from_brace(B) for B in oracle_subgroups(p, q, kind)}
+    zero = spec.decode(0)
+    for psi in all_descriptors(spec):
+        x = (zero, psi)
+        x_inv = hol_inv(spec, x)
+        for G in found:
+            image = frozenset(
+                hol_encode(spec, hol_mul(spec, hol_mul(spec, x, hol_decode(spec, h)), x_inv))
+                for h in G
+            )
+            assert image in found, (psi, sorted(G))
+
+
 # The structured search's reasoning (Sylow subgroups, kernels, projection
-# classes, Aut torsion pools); the oracle is a check on it only while it
-# borrows none of it.
+# classes, Aut torsion pools, its conjugation-orbit code); the oracle is a
+# check on it only while it borrows none of it.
 STRUCTURED_NAMES = {
     "carrier_subgroups", "subgroup_classes_of_order", "sylow", "aut_torsion",
     "_lift_search", "_work_items", "_coset_tables", "_cayley_walk",
-    "_greedy_generators", "_check_subgroup_graphs",
+    "_greedy_generators", "_check_subgroup_graphs", "conj_tables", "aut_orbits",
+    "orbit_min_key", "_conjugate_lambda",
 }
 
 

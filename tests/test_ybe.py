@@ -12,14 +12,13 @@ from braceforge.catalog import cyclic_semidirect_brace, q1p_mixed_Bs, trivial_br
 from braceforge.ybe import (
     Solution,
     braid_scan,
-    flip_solution,
     sigma_group_order,
     solution_from_brace,
     solution_properties,
     verify_ybe,
 )
 
-from helpers import catalog
+from helpers import catalog, flip_solution
 
 
 def test_trivial_brace_gives_the_flip():
