@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import primitive_root
+from .arith import power, primitive_root
 from .cases import PrimePair
 
 __all__ = [
@@ -301,13 +301,7 @@ class GroupSpec:
         square-and-multiply over the whole descriptor array."""
         D = self.aut_array
         ident = D[self.identity_aut]
-        acc, base, e = ident, D.T, k
-        while e:
-            if e & 1:
-                acc = self._compose_cols(acc, base)
-            e >>= 1
-            if e:
-                base = self._compose_cols(base, base)
+        acc = power(self._compose_cols, ident, D.T, k)
         return np.flatnonzero(self._aut_codes(acc) == self._aut_codes(ident))
 
     @cached_property
@@ -333,9 +327,11 @@ class GroupSpec:
         reached[self.identity_aut] = True
         frontier = np.array([self.identity_aut])
         while frontier.size:
-            images = np.unique(self.compose_many(frontier[:, None], np.array(gens)))
-            frontier = images[~reached[images]]
-            reached[frontier] = True
+            # A mask, not np.unique: a bare np.unique imports numpy.ma.
+            hit = np.zeros(self.n_aut, dtype=bool)
+            hit[self.compose_many(frontier[:, None], np.array(gens))] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
         got = int(reached.sum())
         if got != self.n_aut:
             raise RuntimeError(
@@ -424,9 +420,11 @@ def _greedy_generators(table: np.ndarray, members: Sequence[int]) -> list[int]:
         # Close the span under right multiplication by every generator.
         frontier = np.flatnonzero(span)
         while frontier.size:
-            img = np.unique(table[frontier[:, None], gens])
-            frontier = img[~span[img]]
-            span[frontier] = True
+            # A mask, not np.unique: a bare np.unique imports numpy.ma.
+            hit = np.zeros(len(table), dtype=bool)
+            hit[table[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(hit & ~span)
+            span |= hit
         if span.sum() == len(members):
             break
     return gens

@@ -1,8 +1,10 @@
-"""Elementary modular arithmetic: primality, unit orders, residue scans.
+"""Elementary arithmetic: primality, unit orders, residue scans, divisors
+and powers.
 
-Everything here works on plain ints at the small moduli this package needs
-(carriers have order at most 1000), so trial division and linear scans are
-deliberate choices.
+Everything here but `power` works on plain ints at the small moduli this
+package needs (carriers have order at most 1000), so trial division and
+linear scans are deliberate choices.  `power` takes any associative product,
+elementwise over arrays included.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ __all__ = [
     "legendre",
     "quadratic_nonresidues",
     "dlog",
+    "divisors",
+    "power",
 ]
 
 
@@ -98,3 +102,24 @@ def dlog(x: int, base: int, m: int) -> int:
             return e
         v = v * base % m
     raise ValueError(f"{x} is not a power of {base} modulo {m}")
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def power(mul, one, x, e: int):
+    """x^e under the associative product `mul` with identity `one`, by
+    square-and-multiply: at most 2 log2(e) + 1 products.  Each multiplies
+    two powers of x, which commute, so the order of the factors does not
+    matter.  Works on whole arrays of elements at once when `mul` does.
+    """
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import dlog, legendre, unit_of_order
+from .arith import divisors, dlog, legendre, power, unit_of_order
 from .algebra import GroupSpec
 
 __all__ = [
@@ -151,18 +151,19 @@ class SkewBrace:
 
     @cached_property
     def circle_orders(self) -> np.ndarray:
-        """Order of each element in (A, o); all elements are stepped through
-        their powers x -> x o a at once, at most exponent-many steps."""
+        """Order of each element in (A, o): the least divisor d of |A| with
+        x^d = 0, each power taken for every element at once by
+        square-and-multiply through circle_np."""
         Z = self.circle_np
-        cols = np.arange(self.spec.n)
-        orders = np.zeros(self.spec.n, dtype=np.int64)
-        x, k = cols, 1
-        while True:
-            orders[(x == 0) & (orders == 0)] = k
+        n = self.spec.n
+        x = np.arange(n)
+        orders = np.zeros(n, dtype=np.int64)
+        for d in divisors(n):
             if orders.all():
-                return orders
-            x = Z[x, cols]
-            k += 1
+                break
+            x_d = power(lambda u, v: Z[u, v], np.zeros_like(x), x, d)
+            orders[(x_d == 0) & (orders == 0)] = d
+        return orders
 
 
 def brace_from_regular(spec: GroupSpec, elements: frozenset[int]) -> SkewBrace:

@@ -34,6 +34,7 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .arith import divisors, power
 from .algebra import (
     GroupSpec,
     _greedy_generators,
@@ -53,6 +54,7 @@ __all__ = [
     "regular_subgroups_structured",
     "regular_subgroups_oracle",
     "orbit_partition",
+    "orbit_keys",
     "orbit_min_key",
     "tabulate",
 ]
@@ -94,6 +96,13 @@ def orbit_min_key(B: SkewBrace) -> tuple[tuple[int, ...], int]:
     isomorphic iff their keys match."""
     [(min_lam, size)] = aut_orbits(B.spec, [B.lam], _conjugate_lambda)
     return min_lam, size
+
+
+def orbit_keys(spec: GroupSpec, braces) -> set[tuple[int, ...]]:
+    """The orbit-minimal lambda tables of the conjugation orbits that the
+    braces' regular subgroups meet, found in one pass over all of them."""
+    orbits = aut_orbits(spec, (B.lam for B in braces), _conjugate_lambda)
+    return {key for key, _ in orbits}
 
 
 def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
@@ -301,32 +310,33 @@ def _oracle_prescan(
     powers sharing a first projection differ by one.  h = (a, f) with
     h^m = 1 has f^m = 1, so the scan starts only from the f with f^|A| = id,
     read off the compose table, and from a != 0 (the identity and the pure
-    automorphisms do not qualify).  Every element steps through its powers
-    at once, at most |A| steps; it leaves the scan when a power reaches
-    first projection 0, and one still in it after |A| steps has order above
-    |A|.
+    automorphisms do not qualify).
+
+    The exponents k with h^k at first projection 0 (in the stabilizer of 0,
+    a subgroup) are the multiples of some e, and the order of h is one.  So h qualifies exactly when the
+    least divisor d of |A| with h^d at first projection 0 has h^d = 1, and
+    then its order is d.  Each candidate's power at each divisor is taken by
+    square-and-multiply, for every candidate still undecided at once.
     """
     n, n_aut = spec.n, spec.n_aut
     ident = spec.identity_aut
     every = np.arange(n_aut)
-    f_power = every
-    for _ in range(n - 1):
-        f_power = compose[f_power, every]
+    f_power = power(lambda u, v: compose[u, v], np.full_like(every, ident), every, n)
     h = (np.arange(1, n)[:, None] * n_aut + np.flatnonzero(f_power == ident)).ravel()
-    a, f = np.divmod(h, n_aut)
-    xa, xf = a, f
     order = np.zeros(spec.hol_order, dtype=np.int64)
-    for k in range(2, n + 1):
-        xa, xf = _hol_times(spec, rows, compose, xa, xf, a, f)
+
+    def times(x, y):
+        return _hol_times(spec, rows, compose, *x, *y)
+
+    for d in divisors(n):
+        a, f = np.divmod(h, n_aut)
+        xa, xf = power(times, (np.zeros_like(a), np.full_like(f, ident)), (a, f), d)
         back = xa == 0
-        if back.any():
-            order[h[back & (xf == ident)]] = k
-            keep = ~back
-            h, a, f, xa, xf = h[keep], a[keep], f[keep], xa[keep], xf[keep]
-            if not h.size:
-                break
+        order[h[back & (xf == ident)]] = d
+        h = h[~back]
+        if not h.size:
+            break
     cand = np.flatnonzero(order)
-    cand = cand[n % order[cand] == 0]
     return cand, order[cand]
 
 
@@ -524,7 +534,10 @@ def regular_subgroups_oracle(
         # orbit already seeded depth 2 against every cyclic subgroup.
         seeds, met_joins = [], set()
         for T, gens in grown.items():
-            inside = np.unique(owner[list(T)])[1:]  # owner[identity] = -1
+            # A mask, not np.unique: a bare np.unique imports numpy.ma.
+            hit = np.zeros(len(cyclic) + 1, dtype=bool)
+            hit[owner[list(T)]] = True  # owner[identity] = -1: the spare slot
+            inside = np.flatnonzero(hit[:-1])
             if sizes[inside].max() == len(T) or tuple(inside.tolist()) in met_joins:
                 continue
             seeds.append((T, gens))

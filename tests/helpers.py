@@ -272,6 +272,22 @@ def hol_join(spec, gens, cap=None, forbid_dup_pi1=False):
     return frozenset(seen)
 
 
+def circle_orders_by_stepping(B: SkewBrace) -> np.ndarray:
+    """Order of each element in (A, o), every element stepped through its
+    powers x -> x o a at once, at most exponent-many steps: the reference
+    for SkewBrace.circle_orders."""
+    Z = B.circle_np
+    cols = np.arange(B.spec.n)
+    orders = np.zeros(B.spec.n, dtype=np.int64)
+    x, k = cols, 1
+    while True:
+        orders[(x == 0) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        x = Z[x, cols]
+        k += 1
+
+
 def whole_hol_prescan(spec, rows, compose):
     """The oracle's prescan started from every element of Hol(A) with a
     nonzero first projection, not only from those whose automorphism has

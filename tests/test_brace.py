@@ -29,6 +29,7 @@ from helpers import (
     braces_isomorphic,
     catalog,
     cayley_isomorphic,
+    circle_orders_by_stepping,
     hol_closure,
     hol_tables,
     ideal_checks,
@@ -306,15 +307,16 @@ def _scalar_orders_and_centre(B):
 
 @pytest.mark.parametrize("p,q", DESK_PAIRS)
 def test_circle_orders_and_centre_match_the_scalar_walk(p, q):
-    # circle_orders steps every element at once and mult_group_class counts
-    # the centre from one commutation mask; the centre is seen through the
-    # labels it decides: abelian, and ZQ_RTIMES_ZP2 rp (centre p) vs h
+    # circle_orders takes powers at the divisors of |A| and mult_group_class
+    # counts the centre from one commutation mask; the centre is seen through
+    # the labels it decides: abelian, and ZQ_RTIMES_ZP2 rp (centre p) vs h
     braces = [e.brace for e in catalog(p, q)] + [
         oc.brace for kind in ("cyclic", "mixed") for oc in orbits(p, q, kind)
     ]
     for B in braces:
         orders, centre = _scalar_orders_and_centre(B)
         assert list(B.circle_orders) == orders
+        assert list(circle_orders_by_stepping(B)) == orders
         label = mult_group_class(B).label
         assert (label in (ZP2Q, ZP2xZQ)) == (centre == B.spec.n), label
         if label in (ZQ_RTIMES_ZP2_rp, ZQ_RTIMES_ZP2_h):

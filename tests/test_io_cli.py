@@ -1,5 +1,6 @@
 """JSON round-trips, schema rejection, and the command-line surface."""
 
+import gc
 import json
 import os
 import subprocess
@@ -477,6 +478,65 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     )
     assert res.returncode == 0, res.stderr[-2000:]
     assert res.stdout == "False\n"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the program entry, run(), freezes the import heap; in-process
+    # callers of main() keep their own GC state
+    before = gc.get_freeze_count()
+    assert cli.main(["compare", "--p", "3", "--q", "2"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_import_heap_and_importing_does_not():
+    probe = "\n".join([
+        "import gc, sys, braceforge.cli as cli",
+        "print('after import', gc.get_freeze_count(), file=sys.stderr)",
+        "sys.argv = ['braceforge', 'compare', '--p', '3', '--q', '2']",
+        "try:",
+        "    cli.run()",
+        "except SystemExit as exc:",
+        "    print('after run', exc.code, gc.get_freeze_count(), file=sys.stderr)",
+    ])
+    res = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert "perfect bijection" in res.stdout
+    imported, ran = res.stderr.splitlines()[-2:]
+    assert imported == "after import 0"
+    _, _, code, frozen = ran.split()
+    assert code == "0" and int(frozen) > 0, ran
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--p", "3", "--q", "2"],
+        ["enumerate", "--p", "2", "--q", "7", "--method", "both", "--additive", "mixed"],
+    ],
+)
+def test_ops_leave_numpy_ma_unloaded(argv):
+    # a bare np.unique imports numpy.ma, about a megabyte and 10-18 ms a process
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "braceforge.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    loaded = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in res.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "numpy" in loaded and "braceforge.regular" in loaded
+    assert "numpy.ma" not in loaded
 
 
 def test_trivial_brace_file_verifies(tmp_path, capsys):
