@@ -327,11 +327,10 @@ class GroupSpec:
         reached[self.identity_aut] = True
         frontier = np.array([self.identity_aut])
         while frontier.size:
-            # A mask, not np.unique: a bare np.unique imports numpy.ma.
-            hit = np.zeros(self.n_aut, dtype=bool)
-            hit[self.compose_many(frontier[:, None], np.array(gens))] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached |= hit
+            products = self.compose_many(frontier[:, None], np.array(gens))
+            images = _distinct(products, self.n_aut)
+            frontier = images[~reached[images]]
+            reached[frontier] = True
         got = int(reached.sum())
         if got != self.n_aut:
             raise RuntimeError(
@@ -406,6 +405,16 @@ def aut_closure(
     return frozenset(seen)
 
 
+def _distinct(idx: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of the index array `idx`, all in range(size),
+    ascending: what np.unique(idx) gives, read off a boolean mask.  A bare
+    np.unique imports numpy.ma (numpy 2.4), about 15 ms and 1 MiB in every
+    process that calls it."""
+    hit = np.zeros(size, dtype=bool)
+    hit[idx] = True
+    return np.flatnonzero(hit)
+
+
 def _greedy_generators(table: np.ndarray, members: Sequence[int]) -> list[int]:
     """A generating set of the subgroup `members` (ascending) of the group
     with Cayley table `table`, element 0 the identity: each member that the
@@ -420,11 +429,9 @@ def _greedy_generators(table: np.ndarray, members: Sequence[int]) -> list[int]:
         # Close the span under right multiplication by every generator.
         frontier = np.flatnonzero(span)
         while frontier.size:
-            # A mask, not np.unique: a bare np.unique imports numpy.ma.
-            hit = np.zeros(len(table), dtype=bool)
-            hit[table[frontier[:, None], gens]] = True
-            frontier = np.flatnonzero(hit & ~span)
-            span |= hit
+            img = _distinct(table[frontier[:, None], gens], len(table))
+            frontier = img[~span[img]]
+            span[frontier] = True
         if span.sum() == len(members):
             break
     return gens

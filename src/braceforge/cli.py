@@ -39,7 +39,6 @@ from .reference import headline_total, per_family_total
 from .regular import (
     ORACLE_BOUND,
     OracleBoundError,
-    orbit_keys,
     orbit_min_key,
     orbit_partition,
     regular_subgroups_oracle,
@@ -128,14 +127,13 @@ def _enumerate_kind(
         structured = regular_subgroups_structured(spec)
     if cfg.method in ("oracle", "both"):
         oracle = regular_subgroups_oracle(spec, bound=cfg.oracle_bound)
-    subgroups = structured if structured is not None else oracle
-    orbits = orbit_partition(subgroups, spec=spec)
     agree: bool | None = None
     if structured is not None and oracle is not None:
-        # Each class brace is its orbit's minimal lambda table, so the
-        # partition already holds the structured side's orbit keys.
-        agree = {oc.brace.lam for oc in orbits} == orbit_keys(spec, oracle)
-    return orbits, agree
+        keys_s = {orbit_min_key(B)[0] for B in structured}
+        keys_o = {orbit_min_key(B)[0] for B in oracle}
+        agree = keys_s == keys_o
+    subgroups = structured if structured is not None else oracle
+    return orbit_partition(subgroups, spec=spec), agree
 
 
 def _format_report_table(report, agree: bool | None) -> list[str]:

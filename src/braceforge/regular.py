@@ -37,6 +37,7 @@ import numpy as np
 from .arith import divisors, power
 from .algebra import (
     GroupSpec,
+    _distinct,
     _greedy_generators,
     aut_orbits,
     carrier_subgroups,
@@ -54,7 +55,6 @@ __all__ = [
     "regular_subgroups_structured",
     "regular_subgroups_oracle",
     "orbit_partition",
-    "orbit_keys",
     "orbit_min_key",
     "tabulate",
 ]
@@ -96,13 +96,6 @@ def orbit_min_key(B: SkewBrace) -> tuple[tuple[int, ...], int]:
     isomorphic iff their keys match."""
     [(min_lam, size)] = aut_orbits(B.spec, [B.lam], _conjugate_lambda)
     return min_lam, size
-
-
-def orbit_keys(spec: GroupSpec, braces) -> set[tuple[int, ...]]:
-    """The orbit-minimal lambda tables of the conjugation orbits that the
-    braces' regular subgroups meet, found in one pass over all of them."""
-    orbits = aut_orbits(spec, (B.lam for B in braces), _conjugate_lambda)
-    return {key for key, _ in orbits}
 
 
 def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
@@ -313,10 +306,11 @@ def _oracle_prescan(
     automorphisms do not qualify).
 
     The exponents k with h^k at first projection 0 (in the stabilizer of 0,
-    a subgroup) are the multiples of some e, and the order of h is one.  So h qualifies exactly when the
-    least divisor d of |A| with h^d at first projection 0 has h^d = 1, and
-    then its order is d.  Each candidate's power at each divisor is taken by
-    square-and-multiply, for every candidate still undecided at once.
+    a subgroup) are the multiples of some e, and the order of h is one of
+    those multiples.  So h qualifies exactly when the least divisor d of |A|
+    with h^d at first projection 0 has h^d = 1, and then its order is d.
+    Each candidate's power at each divisor is taken by square-and-multiply,
+    for every candidate still undecided at once.
     """
     n, n_aut = spec.n, spec.n_aut
     ident = spec.identity_aut
@@ -534,10 +528,8 @@ def regular_subgroups_oracle(
         # orbit already seeded depth 2 against every cyclic subgroup.
         seeds, met_joins = [], set()
         for T, gens in grown.items():
-            # A mask, not np.unique: a bare np.unique imports numpy.ma.
-            hit = np.zeros(len(cyclic) + 1, dtype=bool)
-            hit[owner[list(T)]] = True  # owner[identity] = -1: the spare slot
-            inside = np.flatnonzero(hit[:-1])
+            owners = owner[list(T)]  # owner[identity] = -1
+            inside = _distinct(owners[owners >= 0], len(cyclic))
             if sizes[inside].max() == len(T) or tuple(inside.tolist()) in met_joins:
                 continue
             seeds.append((T, gens))
