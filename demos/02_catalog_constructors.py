@@ -11,7 +11,6 @@ import sys
 
 from braceforge.brace import brace_invariants, verify_left_brace
 from braceforge.catalog import catalog_for_case
-from braceforge.io import mult_class_to_str
 
 entries = catalog_for_case(3, 7)
 print(f"{len(entries)} braces of order 63\n")
@@ -21,7 +20,7 @@ for e in entries:
     inv = brace_invariants(e.brace)
     params = ", ".join(f"{k}={v}" for k, v in e.parameters.items()) or "-"
     print(f"{e.family:<22} {params:<12} carrier={e.brace.spec.kind:<6}"
-          f" |ker|={inv.ker_size:<3} mult={mult_class_to_str(inv.mult_class):<18}"
+          f" |ker|={inv.ker_size:<3} mult={str(inv.mult_class):<18}"
           f" bi-skew={inv.bi_skew!s:<5} ok={result.ok}")
 
 # the invariants stored with each entry are exact, not just re-derived

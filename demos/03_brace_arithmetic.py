@@ -8,7 +8,6 @@ Working with a single brace: circle products and lambda maps
 # semidirect product Z9 : Z2
 from braceforge.brace import ker_lambda, fix_set, is_bi_skew, mult_group_class
 from braceforge.catalog import cyclic_semidirect_brace
-from braceforge.io import mult_class_to_str
 
 B = cyclic_semidirect_brace(3, 2)
 spec = B.spec
@@ -29,7 +28,7 @@ print("lambda_b   =", B.lambda_desc(b))
 # kernel and fixed points of lambda are the two basic invariants
 print("|ker|      =", len(ker_lambda(B)))
 print("|fix|      =", len(fix_set(B)))
-print("mult class =", mult_class_to_str(mult_group_class(B)))
+print("mult class =", mult_group_class(B))
 
 # a brace is bi-skew exactly when a -> lambda_a is additive
 print("bi-skew    =", is_bi_skew(B))

@@ -27,6 +27,7 @@ from .algebra import GroupSpec
 
 __all__ = [
     "MultClass",
+    "MULT_LABELS",
     "ZP2Q",
     "ZP2_RTIMES_ZQ",
     "ZP2xZQ",
@@ -59,6 +60,16 @@ G_F = "G_F"
 ZP_x_ZQ_RTIMES_ZP = "ZP_x_ZQ_RTIMES_ZP"
 ZQ_RTIMES_ZP2_rp = "ZQ_RTIMES_ZP2_rp"
 ZQ_RTIMES_ZP2_h = "ZQ_RTIMES_ZP2_h"
+MULT_LABELS = (
+    ZP2Q,
+    ZP2_RTIMES_ZQ,
+    ZP2xZQ,
+    G_K,
+    G_F,
+    ZP_x_ZQ_RTIMES_ZP,
+    ZQ_RTIMES_ZP2_rp,
+    ZQ_RTIMES_ZP2_h,
+)
 
 
 @dataclass(frozen=True)

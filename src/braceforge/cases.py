@@ -5,7 +5,7 @@ explicit brace formulas are written in terms of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .arith import is_prime, legendre, quadratic_nonresidues, unit_of_order
@@ -21,7 +21,8 @@ __all__ = [
     "bset_for",
 ]
 
-DEFAULT_ORDER_BOUND = 1000
+# The paper's scope: carrier orders p^2*q up to 1000.
+ORDER_BOUND = 1000
 
 
 class CongruenceCase(str, Enum):
@@ -48,7 +49,6 @@ class PrimePair:
 
     p: int
     q: int
-    order_bound: int = field(default=DEFAULT_ORDER_BOUND, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -57,9 +57,9 @@ class PrimePair:
             raise ValueError(f"q = {self.q} is not prime")
         if self.p == self.q:
             raise ValueError(f"p and q must be distinct, got {self.p} twice")
-        if self.order() > self.order_bound:
+        if self.order() > ORDER_BOUND:
             raise ValueError(
-                f"carrier order {self.order()} exceeds the bound {self.order_bound}"
+                f"carrier order {self.order()} exceeds the bound {ORDER_BOUND}"
             )
 
     def order(self) -> int:

@@ -17,7 +17,6 @@ import os
 import stat
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .algebra import GroupSpec, Kind, group_spec
 from .brace import brace_invariants, verify_left_brace
@@ -47,31 +46,18 @@ from .regular import (
 )
 from .ybe import Solution, solution_from_brace, solution_properties, verify_ybe
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation's settings."""
-
-    p: int
-    q: int
-    additive: str = "both"
-    method: str = "structured"
-    oracle_bound: int = ORACLE_BOUND
-    fmt: str = "table"
-    out: str | None = None
-
-    def kinds(self) -> list[Kind]:
-        if self.additive == "cyclic":
-            return [Kind.CYCLIC]
-        if self.additive == "mixed":
-            return [Kind.MIXED]
-        return [Kind.CYCLIC, Kind.MIXED]
+# The carriers each --additive choice names.
+_KINDS = {
+    "cyclic": [Kind.CYCLIC],
+    "mixed": [Kind.MIXED],
+    "both": [Kind.CYCLIC, Kind.MIXED],
+}
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -119,14 +105,14 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 
 def _enumerate_kind(
-    spec: GroupSpec, cfg: RunConfig
+    spec: GroupSpec, args: argparse.Namespace
 ) -> tuple[list, bool | None]:
     """Run the configured enumerator(s); returns (orbits, methods_agree)."""
     structured = oracle = None
-    if cfg.method in ("structured", "both"):
+    if args.method in ("structured", "both"):
         structured = regular_subgroups_structured(spec)
-    if cfg.method in ("oracle", "both"):
-        oracle = regular_subgroups_oracle(spec, bound=cfg.oracle_bound)
+    if args.method in ("oracle", "both"):
+        oracle = regular_subgroups_oracle(spec, bound=args.oracle_bound)
     agree: bool | None = None
     if structured is not None and oracle is not None:
         keys_s = {orbit_min_key(B)[0] for B in structured}
@@ -173,12 +159,12 @@ def _format_report_table(report, agree: bool | None) -> list[str]:
     return lines
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     reports = []
     agrees = []
-    for kind in cfg.kinds():
-        spec = group_spec(cfg.p, cfg.q, kind)
-        orbits, agree = _enumerate_kind(spec, cfg)
+    for kind in _KINDS[args.additive]:
+        spec = group_spec(args.p, args.q, kind)
+        orbits, agree = _enumerate_kind(spec, args)
         reports.append(tabulate(orbits, spec=spec))
         agrees.append(agree)
     ok = all(r.matches for r in reports) and all(a is not False for a in agrees)
@@ -186,10 +172,10 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     lines: list[str] = []
     docs = []
     diag: list[str] = []
-    if cfg.additive == "both":
+    if args.additive == "both":
         combined = sum(r.total for r in reports)
-        head = headline_total(case, cfg.p, cfg.q)
-        per_family = per_family_total(case, cfg.p, cfg.q)
+        head = headline_total(case, args.p, args.q)
+        per_family = per_family_total(case, args.p, args.q)
         diag.append(f"combined classes across both carriers: {combined}")
         diag.append(
             f"stored per-family total: {per_family} "
@@ -205,7 +191,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         if combined != per_family:
             ok = False
     for report, agree in zip(reports, agrees):
-        if cfg.fmt == "table":
+        if args.format == "table":
             lines.extend(_format_report_table(report, agree))
             lines.append("")
         else:
@@ -213,25 +199,36 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             if agree is not None:
                 doc["methods_agree"] = agree
             docs.append(doc)
-    if cfg.fmt == "table":
+    if args.format == "table":
         lines.extend(diag)
-        _emit("\n".join(lines).rstrip("\n") + "\n", cfg.out)
+        _emit("\n".join(lines).rstrip("\n") + "\n", args.out)
     else:
         _emit(
             canonical_dumps(
-                {"p": cfg.p, "q": cfg.q, "reports": docs, "diagnostics": diag}
+                {"p": args.p, "q": args.q, "reports": docs, "diagnostics": diag}
             ),
-            cfg.out,
+            args.out,
         )
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_catalog(cfg: RunConfig) -> int:
-    entries = [
-        e
-        for e in catalog_for_case(cfg.p, cfg.q)
-        if e.brace.spec.kind in cfg.kinds()
-    ]
+def _catalog_entries(args: argparse.Namespace) -> list:
+    """The catalog entries of the pair on the carriers --additive names."""
+    kinds = _KINDS[args.additive]
+    return [e for e in catalog_for_case(args.p, args.q) if e.brace.spec.kind in kinds]
+
+
+def _entry_head(e, good: bool) -> str:
+    """A table line's head: verdict, carrier, family(params)."""
+    params = ",".join(f"{k}={v}" for k, v in sorted(e.parameters.items()))
+    return (
+        f"{'ok ' if good else 'BAD'} {e.brace.spec.kind.value:<6} "
+        f"{e.family}({params})"
+    )
+
+
+def cmd_catalog(args: argparse.Namespace) -> int:
+    entries = _catalog_entries(args)
     ok = True
     lines = []
     docs = []
@@ -239,12 +236,10 @@ def cmd_catalog(cfg: RunConfig) -> int:
         res = verify_left_brace(e.brace)
         good = bool(res) and brace_invariants(e.brace) == e.expected
         ok = ok and good
-        if cfg.fmt == "table":
+        if args.format == "table":
             inv = e.expected
-            params = ",".join(f"{k}={v}" for k, v in sorted(e.parameters.items()))
             lines.append(
-                f"{'ok ' if good else 'BAD'} {e.brace.spec.kind.value:<6} "
-                f"{e.family}({params})  ker={inv.ker_size} fix={inv.fix_size} "
+                f"{_entry_head(e, good)}  ker={inv.ker_size} fix={inv.fix_size} "
                 f"class={inv.mult_class} bi_skew={inv.bi_skew}"
             )
             if not res:
@@ -253,20 +248,20 @@ def cmd_catalog(cfg: RunConfig) -> int:
             doc = catalog_entry_to_json(e)
             doc["verified"] = good
             docs.append(doc)
-    if cfg.fmt == "table":
+    if args.format == "table":
         lines.append(
             f"{len(entries)} entries, all verified"
             if ok
             else f"{len(entries)} entries, VERIFICATION FAILURES"
         )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(canonical_dumps({"p": cfg.p, "q": cfg.q, "entries": docs}), cfg.out)
+        _emit(canonical_dumps({"p": args.p, "q": args.q, "entries": docs}), args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_verify(path: str, fmt: str, out: str | None) -> int:
-    obj = load_json_file(path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    obj = load_json_file(args.path)
     B = brace_from_json(obj)
     res = verify_left_brace(B)
     inv = brace_invariants(B) if res.ok else None
@@ -275,8 +270,8 @@ def cmd_verify(path: str, fmt: str, out: str | None) -> int:
     if inv is not None and stored is not None:
         inv_match = inv == stored
     ok = res.ok and inv_match is not False
-    if fmt == "table":
-        lines = [f"{path}: {'ok' if res.ok else 'FAILED'}"]
+    if args.format == "table":
+        lines = [f"{args.path}: {'ok' if res.ok else 'FAILED'}"]
         lines.extend(f"  problem: {p}" for p in res.problems)
         if inv is not None:
             lines.append(
@@ -289,19 +284,19 @@ def cmd_verify(path: str, fmt: str, out: str | None) -> int:
                 if inv_match
                 else "  STORED INVARIANTS DIFFER"
             )
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(
             canonical_dumps(
                 {
-                    "path": path,
+                    "path": args.path,
                     "ok": ok,
                     "problems": list(res.problems),
                     "invariants": invariants_to_json(inv) if inv else None,
                     "invariants_match": inv_match,
                 }
             ),
-            out,
+            args.out,
         )
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -313,14 +308,10 @@ def _checked_solution(brace) -> tuple[Solution, dict[str, bool]]:
     return sol, checks
 
 
-def cmd_ybe(cfg: RunConfig) -> int:
-    entries = [
-        e
-        for e in catalog_for_case(cfg.p, cfg.q)
-        if e.brace.spec.kind in cfg.kinds()
-    ]
+def cmd_ybe(args: argparse.Namespace) -> int:
+    entries = _catalog_entries(args)
     ok = True
-    if cfg.fmt == "json":
+    if args.format == "json":
 
         def documents():
             # One solution at a time: each is dropped before the next is
@@ -337,17 +328,15 @@ def cmd_ybe(cfg: RunConfig) -> int:
                 }
                 del sol
 
-        _emit(solution_document_chunks(cfg.p, cfg.q, documents()), cfg.out)
+        _emit(solution_document_chunks(args.p, args.q, documents()), args.out)
         return EXIT_OK if ok else EXIT_MISMATCH
     lines = []
     for e in entries:
         sol, checks = _checked_solution(e.brace)
         good = all(checks.values())
         ok = ok and good
-        params = ",".join(f"{k}={v}" for k, v in sorted(e.parameters.items()))
         lines.append(
-            f"{'ok ' if good else 'BAD'} {e.brace.spec.kind.value:<6} "
-            f"{e.family}({params})  n={sol.n} ybe={checks['ybe']} "
+            f"{_entry_head(e, good)}  n={sol.n} ybe={checks['ybe']} "
             f"involutive={checks['involutive']} "
             f"nondegenerate={checks['nondegenerate']}"
         )
@@ -356,19 +345,19 @@ def cmd_ybe(cfg: RunConfig) -> int:
         if ok
         else f"{len(entries)} solutions, CHECK FAILURES"
     )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    entries = catalog_for_case(cfg.p, cfg.q)
+def cmd_compare(args: argparse.Namespace) -> int:
+    entries = catalog_for_case(args.p, args.q)
     lines = []
     docs = []
     total = 0
     perfect = True
-    for kind in cfg.kinds():
-        spec = group_spec(cfg.p, cfg.q, kind)
-        orbits, agree = _enumerate_kind(spec, cfg)
+    for kind in _KINDS[args.additive]:
+        spec = group_spec(args.p, args.q, kind)
+        orbits, agree = _enumerate_kind(spec, args)
         if agree is False:
             perfect = False
         kind_entries = [e for e in entries if e.brace.spec.kind is kind]
@@ -389,7 +378,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         if missing:
             perfect = False
         total += len(orbits)
-        if cfg.fmt == "table":
+        if args.format == "table":
             lines.append(f"carrier {kind.value}: {len(orbits)} classes")
             for i, oc in enumerate(orbits):
                 name = claimed.get(i, "UNMATCHED")
@@ -422,21 +411,21 @@ def cmd_compare(cfg: RunConfig) -> int:
         if perfect
         else "MISMATCH between enumeration and catalog"
     )
-    if cfg.fmt == "table":
+    if args.format == "table":
         lines.append(verdict)
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(
             canonical_dumps(
                 {
-                    "p": cfg.p,
-                    "q": cfg.q,
+                    "p": args.p,
+                    "q": args.q,
                     "perfect_bijection": perfect,
                     "classes": total,
                     "carriers": docs,
                 }
             ),
-            cfg.out,
+            args.out,
         )
     return EXIT_OK if perfect else EXIT_MISMATCH
 
@@ -451,7 +440,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_pair_args(sub: argparse.ArgumentParser, with_method: bool) -> None:
+def _add_pair_args(sub: argparse.ArgumentParser, cmd, with_method: bool) -> None:
+    sub.set_defaults(run=cmd)
     sub.add_argument("--p", type=int, required=True, help="the squared prime")
     sub.add_argument("--q", type=int, required=True, help="the other prime")
     sub.add_argument(
@@ -497,52 +487,31 @@ def _parser() -> argparse.ArgumentParser:
         "enumerate",
         help="count conjugacy classes of regular subgroups / braces per carrier",
     )
-    _add_pair_args(enum_p, with_method=True)
+    _add_pair_args(enum_p, cmd_enumerate, with_method=True)
     cat_p = sub.add_parser("catalog", help="emit and verify the named brace families")
-    _add_pair_args(cat_p, with_method=False)
+    _add_pair_args(cat_p, cmd_catalog, with_method=False)
     ver_p = sub.add_parser("verify", help="re-verify a stored brace file")
     ver_p.add_argument("path", help="a braceforge-v1 JSON file")
     ver_p.add_argument("--format", choices=["table", "json"], default="table")
     ver_p.add_argument("--out", default=None)
+    ver_p.set_defaults(run=cmd_verify)
     ybe_p = sub.add_parser(
         "ybe", help="export checked Yang-Baxter solutions for the catalog braces"
     )
-    _add_pair_args(ybe_p, with_method=False)
+    _add_pair_args(ybe_p, cmd_ybe, with_method=False)
     cmp_p = sub.add_parser(
         "compare", help="match enumerated classes against the catalog, one by one"
     )
-    _add_pair_args(cmp_p, with_method=True)
+    _add_pair_args(cmp_p, cmd_compare, with_method=True)
     return ap
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    ensure_in_scope(classify_case(PrimePair(args.p, args.q)))
-    return RunConfig(
-        p=args.p,
-        q=args.q,
-        additive=args.additive,
-        method=getattr(args, "method", "structured"),
-        oracle_bound=getattr(args, "oracle_bound", ORACLE_BOUND),
-        fmt=args.format,
-        out=args.out,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args.path, args.format, args.out)
-        cfg = _config(args)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg)
-        if args.command == "catalog":
-            return cmd_catalog(cfg)
-        if args.command == "ybe":
-            return cmd_ybe(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        if args.command != "verify":
+            ensure_in_scope(classify_case(PrimePair(args.p, args.q)))
+        return args.run(args)
     except (ExcludedPairError, SchemaError, OracleBoundError, ValueError) as exc:
         print(f"braceforge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

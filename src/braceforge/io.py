@@ -23,19 +23,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import Kind, _greedy_generators, group_spec
-from .brace import (
-    G_F,
-    G_K,
-    ZP2Q,
-    ZP2_RTIMES_ZQ,
-    ZP2xZQ,
-    ZP_x_ZQ_RTIMES_ZP,
-    ZQ_RTIMES_ZP2_h,
-    ZQ_RTIMES_ZP2_rp,
-    BraceInvariants,
-    MultClass,
-    SkewBrace,
-)
+from .brace import G_K, MULT_LABELS, BraceInvariants, MultClass, SkewBrace
 from .cases import classify_case, ensure_in_scope
 from .regular import EnumerationReport
 from .ybe import Solution
@@ -47,7 +35,6 @@ __all__ = [
     "load_json_file",
     "descriptor_to_json",
     "descriptor_from_json",
-    "mult_class_to_str",
     "mult_class_from_str",
     "invariants_to_json",
     "invariants_from_json",
@@ -62,17 +49,6 @@ __all__ = [
 ]
 
 SCHEMA_FORMAT = "braceforge-v1"
-
-_LABELS = {
-    ZP2Q,
-    ZP2_RTIMES_ZQ,
-    ZP2xZQ,
-    G_K,
-    G_F,
-    ZP_x_ZQ_RTIMES_ZP,
-    ZQ_RTIMES_ZP2_rp,
-    ZQ_RTIMES_ZP2_h,
-}
 
 
 class SchemaError(ValueError):
@@ -141,10 +117,6 @@ def descriptor_from_json(kind: Kind | str, obj: Any):
 # ---------------- invariants ----------------
 
 
-def mult_class_to_str(mc: MultClass) -> str:
-    return str(mc)
-
-
 def mult_class_from_str(s: str) -> MultClass:
     if s.endswith(")") and "(" in s:
         base, _, rest = s.partition("(")
@@ -155,7 +127,7 @@ def mult_class_from_str(s: str) -> MultClass:
         if base != G_K:
             raise SchemaError(f"bad multiplicative class {s!r}")
         return MultClass(base, k)
-    if s not in _LABELS:
+    if s not in MULT_LABELS:
         raise SchemaError(f"unknown multiplicative class {s!r}")
     if s == G_K:
         raise SchemaError("G_K requires a parameter, e.g. 'G_K(2)'")
@@ -308,11 +280,11 @@ def _chunks(obj: Any, level: int) -> Iterator[str]:
     """``json.dumps(obj, sort_keys=True, indent=2)`` as it appears `level`
     levels deep in an indented document, in chunks.
 
-    Dicts with string keys and non-empty lists are written item by item; a
-    solution matrix (`_Rows`) is one chunk per row, each entry looked up in
-    a token table made once per matrix.  Anything else is one
-    ``json.dumps``, re-indented: JSON strings hold no raw newline, so every
-    newline in it is layout.
+    Dicts with string keys are written item by item; a solution matrix
+    (`_Rows`) is one chunk per row, each entry looked up in a token table
+    made once per matrix.  Anything else is one ``json.dumps``,
+    re-indented: JSON strings hold no raw newline, so every newline in it
+    is layout.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
@@ -328,13 +300,6 @@ def _chunks(obj: Any, level: int) -> Iterator[str]:
         sep, comma = "[" + pad, "," + inner
         for row in obj:
             yield sep + "[" + inner + comma.join(map(token, row)) + pad + "]"
-            sep = "," + pad
-        yield pad[:-2] + "]"
-    elif isinstance(obj, list) and obj:
-        sep = "[" + pad
-        for item in obj:
-            yield sep
-            yield from _chunks(item, level + 1)
             sep = "," + pad
         yield pad[:-2] + "]"
     else:
@@ -393,7 +358,7 @@ def report_to_json(report: EnumerationReport) -> dict:
         "classes": [
             {
                 "pi2_order": oc.pi2_order,
-                "ker": oc.ker_order,
+                "ker": oc.invariants.ker_size,
                 "orbit_size": oc.orbit_size,
                 "invariants": invariants_to_json(oc.invariants),
                 "generators": subgroup_to_json(oc.brace),

@@ -76,7 +76,6 @@ class OrbitClass:
     brace: SkewBrace
     orbit_size: int
     pi2_order: int
-    ker_order: int
     invariants: BraceInvariants
 
 
@@ -98,7 +97,7 @@ def orbit_min_key(B: SkewBrace) -> tuple[tuple[int, ...], int]:
     return min_lam, size
 
 
-def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
+def orbit_partition(braces, spec: GroupSpec) -> list[OrbitClass]:
     """Partition the regular subgroups of the given braces into conjugacy
     classes.
 
@@ -106,11 +105,6 @@ def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
     every conjugate (not just the supplied ones).  Classes are sorted by
     (|pi2|, representative lambda table).
     """
-    braces = list(braces)
-    if spec is None:
-        if not braces:
-            return []
-        spec = braces[0].spec
     top = gcd(spec.n, spec.n_aut)
     out: list[OrbitClass] = []
     for min_lam, size in aut_orbits(spec, (B.lam for B in braces), _conjugate_lambda):
@@ -122,14 +116,12 @@ def orbit_partition(braces, spec: GroupSpec | None = None) -> list[OrbitClass]:
                 f"|pi2| = {pi2_order} of a regular subgroup does not divide "
                 f"gcd(|A|, |Aut(A)|) = {top}"
             )
-        inv = brace_invariants(B)
         out.append(
             OrbitClass(
                 brace=B,
                 orbit_size=size,
                 pi2_order=pi2_order,
-                ker_order=inv.ker_size,
-                invariants=inv,
+                invariants=brace_invariants(B),
             )
         )
     out.sort(key=lambda oc: (oc.pi2_order, oc.brace.lam))
@@ -594,7 +586,7 @@ def tabulate(orbits, spec: GroupSpec | None = None) -> EnumerationReport:
     case = classify_case(PrimePair(spec.p, spec.q))
     cells: dict[tuple[int, str], int] = {}
     for oc in orbits:
-        key = (oc.ker_order, str(oc.invariants.mult_class))
+        key = (oc.invariants.ker_size, str(oc.invariants.mult_class))
         cells[key] = cells.get(key, 0) + 1
     expected = expected_cells(case, spec.kind, spec.p, spec.q)
     warnings: list[str] = []

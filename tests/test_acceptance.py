@@ -213,11 +213,11 @@ def test_criterion_10_ybe_gate():
             for oc in orbits(p, q, kind):
                 B = oc.brace
                 sol = solution_from_brace(B)
-                assert braid_scan(sol).ok, (p, q, kind, oc.ker_order)
-                assert verify_ybe(sol).ok, (p, q, kind, oc.ker_order)
+                assert braid_scan(sol).ok, (p, q, kind, oc.invariants.ker_size)
+                assert verify_ybe(sol).ok, (p, q, kind, oc.invariants.ker_size)
                 props = solution_properties(sol)
                 assert props == {"nondegenerate": True, "involutive": True}
-                assert sigma_group_order(sol) * oc.ker_order == B.spec.n
+                assert sigma_group_order(sol) * oc.invariants.ker_size == B.spec.n
                 solutions += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 900.0

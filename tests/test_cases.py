@@ -69,8 +69,7 @@ def test_prime_pair_validation():
     with pytest.raises(ValueError):
         PrimePair(3, 3)
     with pytest.raises(ValueError):
-        PrimePair(11, 13)  # order 1573 over the default bound
-    PrimePair(11, 13, order_bound=2000)
+        PrimePair(11, 13)  # order 1573 over the bound of 1000
 
 
 def test_excluded_pair():

@@ -45,6 +45,12 @@ CASES = [
         "compare_p13_q3_mixed.txt",
         ["compare", "--p", "13", "--q", "3", "--additive", "mixed"],
     ),
+    ("catalog_p7_q3.txt", ["catalog", "--p", "7", "--q", "3"]),
+    ("ybe_p3_q2.txt", ["ybe", "--p", "3", "--q", "2"]),
+    (
+        "catalog_p3_q2_mixed.json",
+        ["catalog", "--p", "3", "--q", "2", "--additive", "mixed", "--format", "json"],
+    ),
 ]
 
 
