@@ -142,21 +142,27 @@ class GroupSpec:
 
     @cached_property
     def add_np(self) -> np.ndarray:
-        """Addition table on indices, shape (n, n), int32."""
+        """Addition table on indices, shape (n, n), int32.
+
+        Built in place, one component at a time: the sum of each coordinate
+        pair, reduced and scaled into its digit, is added into the output.
+        Two n x n int32 arrays are all it allocates."""
         p, q, n = self.p, self.q, self.n
-        idx = np.arange(n)
+        idx = np.arange(n, dtype=np.int32)
         if self.kind is Kind.CYCLIC:
-            nn, mm = idx % (p * p), idx // (p * p)
-            return (
-                (nn[:, None] + nn[None, :]) % (p * p)
-                + p * p * ((mm[:, None] + mm[None, :]) % q)
-            ).astype(np.int32)
-        aa, bb, cc = idx % p, (idx // p) % p, idx // (p * p)
-        return (
-            (aa[:, None] + aa[None, :]) % p
-            + p * ((bb[:, None] + bb[None, :]) % p)
-            + p * p * ((cc[:, None] + cc[None, :]) % q)
-        ).astype(np.int32)
+            digits = ((idx % (p * p), p * p, 1), (idx // (p * p), q, p * p))
+        else:
+            digits = ((idx % p, p, 1), (idx // p % p, p, p), (idx // (p * p), q, p * p))
+        out = np.empty((n, n), dtype=np.int32)
+        part = np.empty_like(out)
+        for k, (c, mod, scale) in enumerate(digits):
+            dst = part if k else out
+            np.add.outer(c, c, out=dst)
+            dst %= mod
+            dst *= scale
+            if k:
+                out += part
+        return out
 
     def sylow(self, prime: int) -> frozenset[int]:
         """Indices of the (unique) Sylow subgroup of the carrier at this prime."""
@@ -415,11 +421,12 @@ def _distinct(idx: np.ndarray, size: int) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def _greedy_generators(table: np.ndarray, members: Sequence[int]) -> list[int]:
-    """A generating set of the subgroup `members` (ascending) of the group
-    with Cayley table `table`, element 0 the identity: each member that the
-    earlier ones do not generate."""
-    span = np.zeros(len(table), dtype=bool)
+def _greedy_generators(product, n: int, members: Sequence[int]) -> list[int]:
+    """A generating set of the subgroup `members` (ascending) of a group on
+    range(n) with identity 0: each member that the earlier ones do not
+    generate.  product(x, y) gives x * y elementwise over broadcast index
+    arrays."""
+    span = np.zeros(n, dtype=bool)
     span[0] = True
     gens: list[int] = []
     for t in members:
@@ -429,7 +436,7 @@ def _greedy_generators(table: np.ndarray, members: Sequence[int]) -> list[int]:
         # Close the span under right multiplication by every generator.
         frontier = np.flatnonzero(span)
         while frontier.size:
-            img = _distinct(table[frontier[:, None], gens], len(table))
+            img = _distinct(product(frontier[:, None], np.array(gens)), n)
             frontier = img[~span[img]]
             span[frontier] = True
         if span.sum() == len(members):

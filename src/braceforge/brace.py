@@ -3,15 +3,17 @@ axiom verification, lambda/kernel/fix machinery, bi-skew detection and
 multiplicative-group classification.
 
 A brace is stored as its lambda table (one automorphism index per element).
-The circle table a o b = a + lambda_a(b) is derived on first use and cached
-once, as the numpy array `circle_np`; the action rows of lambda
-(`lambda_rows`) are recomputed from the descriptor array when asked for.
-Every check and invariant reads these arrays and the carrier's `add_np`.
+On first use it also keeps the m x n action rows of lambda(A), m = |lambda(A)|,
+and each element's row position (`lambda_action`).  The circle product
+a o b = a + lambda_a(b) is computed from those and the carrier's `add_np`
+by one function, `SkewBrace.circle_idx`, over index arrays; no n x n circle
+table is kept.
 
 Since every lambda_a is an automorphism, the brace axiom holds by
 construction and associativity is lambda being a homomorphism
-(A, o) -> Aut(A, +); `verify_left_brace` decides both from lambda in
-O(n^2), with no scan over triples.
+(A, o) -> Aut(A, +).  `verify_left_brace` decides both from lambda on a
+generating set of (A, o), in O(n) per generator, with no scan over pairs
+unless it rejects.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import divisors, dlog, legendre, power, unit_of_order
-from .algebra import GroupSpec
+from .algebra import GroupSpec, Kind, _greedy_generators
 
 __all__ = [
     "MultClass",
@@ -127,30 +129,40 @@ class SkewBrace:
     def __repr__(self) -> str:
         return f"SkewBrace({self.spec!r}, |ker|={len(ker_lambda(self))})"
 
+    @cached_property
+    def lambda_action(self) -> tuple[np.ndarray, np.ndarray]:
+        """The action rows of lambda(A) and each element's row position:
+        rows[i, b] = f(b) for the i-th automorphism f of lambda_image, shape
+        (m, n), int32, and lambda_a = lambda_image[pos[a]]."""
+        used, pos = np.unique(np.asarray(self.lam, dtype=np.intp), return_inverse=True)
+        return self.spec.apply_rows(used), pos
+
     @property
     def lambda_rows(self) -> np.ndarray:
         """Action of each lambda_a, shape (n, n), int32: lambda_rows[a, b] =
-        lambda_a(b).  Not cached: circle_np is the one n x n table a brace
-        keeps, since every class brace of a run stays alive to its end."""
-        used, pos = np.unique(np.asarray(self.lam, dtype=np.intp), return_inverse=True)
-        return self.spec.apply_rows(used)[pos]
+        lambda_a(b), the sigma table of the YBE solution.  Not cached: a
+        brace keeps only the m x n rows of lambda_action."""
+        rows, pos = self.lambda_action
+        return rows[pos]
 
-    @cached_property
-    def circle_np(self) -> np.ndarray:
-        """Circle Cayley table on indices: circle_np[a, b] = a + lambda_a(b)."""
-        spec = self.spec
-        return spec.add_np[np.arange(spec.n)[:, None], self.lambda_rows]
-
-    @cached_property
-    def circle_inv_np(self) -> np.ndarray:
-        """Circle inverses: a o inv[a] = 0."""
-        inv = np.argmax(self.circle_np == 0, axis=1).astype(np.int32)
-        return inv
+    def circle_idx(self, x, y) -> np.ndarray:
+        """Circle product x o y = x + lambda_x(y) on element indices,
+        elementwise over the broadcast index arrays x, y."""
+        rows, pos = self.lambda_action
+        return self.spec.add_np[x, rows[pos[x], y]]
 
     def circle(self, x, y):
         """Circle product on element tuples."""
         spec = self.spec
-        return spec.decode(int(self.circle_np[spec.encode(x), spec.encode(y)]))
+        return spec.decode(int(self.circle_idx(spec.encode(x), spec.encode(y))))
+
+    @cached_property
+    def circle_generators(self) -> tuple[int, ...]:
+        """Generators of (A, o): each element, smallest first, not in the
+        closure of 0 under right o-multiplication by the earlier ones.  When
+        lambda_0 = id, 0 o t = t, so that closure holds every element."""
+        n = self.spec.n
+        return tuple(_greedy_generators(self.circle_idx, n, range(n)))
 
     def lambda_desc(self, x):
         """The automorphism lambda_x as a descriptor."""
@@ -164,15 +176,14 @@ class SkewBrace:
     def circle_orders(self) -> np.ndarray:
         """Order of each element in (A, o): the least divisor d of |A| with
         x^d = 0, each power taken for every element at once by
-        square-and-multiply through circle_np."""
-        Z = self.circle_np
+        square-and-multiply through circle_idx."""
         n = self.spec.n
         x = np.arange(n)
         orders = np.zeros(n, dtype=np.int64)
         for d in divisors(n):
             if orders.all():
                 break
-            x_d = power(lambda u, v: Z[u, v], np.zeros_like(x), x, d)
+            x_d = power(self.circle_idx, np.zeros_like(x), x, d)
             orders[(x_d == 0) & (orders == 0)] = d
         return orders
 
@@ -198,7 +209,7 @@ def brace_from_regular(spec: GroupSpec, elements: frozenset[int]) -> SkewBrace:
 
 
 def verify_left_brace(B: SkewBrace) -> VerifyResult:
-    """Check that B is a skew brace over its carrier, in O(n^2).
+    """Check that B is a skew brace over its carrier.
 
     Checks: lambda(0) = id, and lambda is a homomorphism (A, o) ->
     Aut(A, +).  These decide the axioms because every lambda_a is an
@@ -214,38 +225,75 @@ def verify_left_brace(B: SkewBrace) -> VerifyResult:
       a o (b o c) = a + lambda_a(b) + lambda_a lambda_b(c).
 
     With a two-sided identity 0 and bijective rows, (A, o) is then a group.
-    The first violation of each check is reported as a witness.
+
+    The homomorphism is decided on the o-generators g of circle_generators,
+    in O(n) each.  The b with lambda_{a o b} = lambda_a lambda_b for every a
+    form a set S closed under o: for b1, b2 in S, (a o b1) o b2 =
+    a o (b1 o b2) by the expansion above, so lambda_{a o (b1 o b2)} =
+    lambda_a lambda_b1 lambda_b2 = lambda_a lambda_{b1 o b2}.  And 0 is in S
+    exactly when lambda(0) = id.  The generators span every element from 0
+    by right o-multiplication, so S is all of A when they lie in it.
+
+    When either check fails, the O(n^2) scan runs, and the first violation
+    of each check, in row-major order, is reported as a witness.
     """
     spec = B.spec
+    lam0_ok = B.lam[0] == spec.identity_aut
+    if lam0_ok and _lambda_hom_on(B, B.circle_idx, B.circle_generators):
+        return VerifyResult(True)
     problems: list[str] = []
-    if B.lam[0] != spec.identity_aut:
+    if not lam0_ok:
         problems.append(f"lambda(0) is not the identity automorphism (index {B.lam[0]})")
-    bad = _lambda_hom_witness(B, B.circle_np)
-    if bad is not None:
-        a, b = bad
-        problems.append(
-            f"lambda is not multiplicative at {spec.decode(a)}, {spec.decode(b)}"
+    bad = _lambda_hom_witness(B)
+    if bad is None:
+        raise RuntimeError(
+            "lambda fails to be multiplicative at an o-generator, "
+            "but the O(n^2) scan finds no violating pair"
         )
-    return VerifyResult(ok=not problems, problems=tuple(problems))
+    a, b = bad
+    problems.append(f"lambda is not multiplicative at {spec.decode(a)}, {spec.decode(b)}")
+    return VerifyResult(ok=False, problems=tuple(problems))
 
 
-def _lambda_hom_witness(B: SkewBrace, table: np.ndarray) -> tuple[int, int] | None:
-    """The first (a, b) with lambda_{table[a, b]} != lambda_a o lambda_b, or
-    None when lambda is a homomorphism from the operation `table` (n x n).
-
-    Compositions are evaluated once per pair of automorphisms in lambda(A).
-    """
+def _lambda_compositions(B: SkewBrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda as an array, each element's position in lambda_image, and
+    comp[i, j], the index of image[i] o image[j] over lambda_image."""
     image = np.asarray(B.lambda_image)
-    pos = {f: i for i, f in enumerate(B.lambda_image)}
     comp = B.spec.compose_many(image[:, None], image[None, :])
-    lam_np = np.asarray(B.lam, dtype=np.int32)
-    lam_pos = np.asarray([pos[f] for f in B.lam], dtype=np.intp)
-    lhs = lam_np[table]
-    rhs = comp[lam_pos[:, None], lam_pos[None, :]]
-    if np.array_equal(lhs, rhs):
-        return None
-    a, b = map(int, np.argwhere(lhs != rhs)[0])
-    return a, b
+    return np.asarray(B.lam, dtype=np.int32), B.lambda_action[1], comp
+
+
+def _lambda_hom_on(B: SkewBrace, product, gens: Sequence[int]) -> bool:
+    """True iff lambda_{product(a, g)} = lambda_a o lambda_g for every
+    element a and each g in gens; product works over index arrays."""
+    lam, pos, comp = _lambda_compositions(B)
+    every = np.arange(B.spec.n)[:, None]
+    g = np.asarray(gens, dtype=np.intp)
+    return bool(np.array_equal(lam[product(every, g)], comp[pos[:, None], pos[g]]))
+
+
+# Cells of one row block of the O(n^2) lambda scan.
+_SCAN_CELLS = 1 << 16
+
+
+def _lambda_hom_witness(B: SkewBrace) -> tuple[int, int] | None:
+    """The first (a, b), in row-major order, with lambda_{a o b} !=
+    lambda_a o lambda_b, or None when lambda is a homomorphism from (A, o).
+
+    Rows are scanned in blocks of _SCAN_CELLS cells, so no n x n array is
+    made.
+    """
+    lam, pos, comp = _lambda_compositions(B)
+    n = B.spec.n
+    every = np.arange(n)
+    step = max(1, _SCAN_CELLS // n)
+    for a0 in range(0, n, step):
+        a = every[a0 : a0 + step, None]
+        bad = lam[B.circle_idx(a, every)] != comp[pos[a], pos]
+        if bad.any():
+            i, b = map(int, np.argwhere(bad)[0])
+            return a0 + i, b
+    return None
 
 
 def ker_lambda(B: SkewBrace) -> frozenset[int]:
@@ -256,23 +304,27 @@ def ker_lambda(B: SkewBrace) -> frozenset[int]:
 
 def fix_set(B: SkewBrace) -> frozenset[int]:
     """Fix(B): elements fixed by every lambda_x."""
-    spec = B.spec
-    rows = spec.apply_rows(B.lambda_image)
-    mask = (rows == np.arange(spec.n)).all(axis=0)
+    rows = B.lambda_action[0]
+    mask = (rows == np.arange(B.spec.n)).all(axis=0)
     return frozenset(int(i) for i in np.nonzero(mask)[0])
 
 
 def is_bi_skew(B: SkewBrace) -> bool:
-    """True iff x + (y o z) = (x+y) o x' o (x+z) holds for all x, y, z."""
-    spec = B.spec
-    n = spec.n
-    Z = B.circle_np
-    add = spec.add_np
-    inv = B.circle_inv_np
+    """True iff x + (y o z) = (x+y) o x' o (x+z) holds for all x, y, z.
+
+    The direct n^3 scan, the reference lambda_is_additive is tested
+    against.  It builds the circle table through circle_idx for the length
+    of the call.
+    """
+    n = B.spec.n
+    add = B.spec.add_np
+    every = np.arange(n)
+    Z = B.circle_idx(every[:, None], every)
     for x in range(n):
         ax = add[x]
         lhs = ax[Z]
-        left = Z[ax, int(inv[x])]
+        x_inv = int(np.flatnonzero(Z[x] == 0)[0])
+        left = Z[ax, x_inv]
         rhs = Z[np.ix_(left, ax)]
         if not np.array_equal(lhs, rhs):
             return False
@@ -285,9 +337,19 @@ def lambda_is_additive(B: SkewBrace) -> bool:
     Expanding (x+y) o x' o (x+z) with lambda_{x'} = lambda_x^{-1} and
     x' = -lambda_x^{-1}(x) collapses the bi-skew identity to exactly this
     condition, so it must always agree with is_bi_skew (cheaper: no triple
-    loop).
+    loop).  As in verify_left_brace, the y that satisfy it for every x are
+    closed under +, and hold 0 exactly when lambda_0 = id, so it is checked
+    on the carrier's additive generators only.
     """
-    return _lambda_hom_witness(B, B.spec.add_np) is None
+    spec = B.spec
+    add = spec.add_np
+    if spec.kind is Kind.CYCLIC:
+        gens = [spec.encode((1, 1))]
+    else:
+        gens = [spec.encode((1, 0, 1)), spec.encode((0, 1, 0))]
+    return B.lam[0] == spec.identity_aut and _lambda_hom_on(
+        B, lambda x, y: add[x, y], gens
+    )
 
 
 def mult_group_class(B: SkewBrace) -> MultClass:
@@ -302,8 +364,7 @@ def mult_group_class(B: SkewBrace) -> MultClass:
     spec = B.spec
     p, q, n = spec.p, spec.q, spec.n
     orders = B.circle_orders
-    Z = B.circle_np
-    central = (Z == Z.T).all(axis=1)
+    central = _central(B)
     if central.all():
         return MultClass(ZP2Q) if orders.max() == n else MultClass(ZP2xZQ)
     p2 = p * p
@@ -318,6 +379,14 @@ def mult_group_class(B: SkewBrace) -> MultClass:
     return _diagonal_class(B, orders)
 
 
+def _central(B: SkewBrace) -> np.ndarray:
+    """Mask of the centre of (A, o): x is central when it commutes with
+    every o-generator."""
+    every = np.arange(B.spec.n)[:, None]
+    gens = np.asarray(B.circle_generators)
+    return (B.circle_idx(every, gens) == B.circle_idx(gens, every)).all(axis=1)
+
+
 def _diagonal_class(B: SkewBrace, orders: np.ndarray) -> MultClass:
     """G_K(k) vs G_F for a normal elementary p-Sylow in a non-abelian circle."""
     spec = B.spec
@@ -327,13 +396,13 @@ def _diagonal_class(B: SkewBrace, orders: np.ndarray) -> MultClass:
             "elementary normal p-Sylow with non-abelian circle needs q | p-1, "
             "impossible for p = 2"
         )
-    Z = B.circle_np
+    mul = B.circle_idx
 
     def powers(e: int) -> list[int]:
         out, x = [0], e
         while x != 0:
             out.append(x)
-            x = int(Z[x, e])
+            x = int(mul(x, e))
         return out
 
     sylow = np.flatnonzero((orders == 1) | (orders == p)).tolist()
@@ -341,16 +410,17 @@ def _diagonal_class(B: SkewBrace, orders: np.ndarray) -> MultClass:
     e1pows = powers(e1)
     e2 = min(a for a in sylow if a not in set(e1pows))
     e2pows = powers(e2)
-    coords = {int(x): ij for ij, x in np.ndenumerate(Z[np.ix_(e1pows, e2pows)])}
+    span = mul(np.array(e1pows)[:, None], np.array(e2pows))
+    coords = {int(x): ij for ij, x in np.ndenumerate(span)}
     if len(coords) != p * p:
         raise RuntimeError(
             f"the two order-{p} generators span {len(coords)} elements, "
             f"not the {p * p} of the p-Sylow"
         )
     u = int(np.flatnonzero(orders == q)[0])
-    uinv = B.circle_inv_np[u]
-    a11, a21 = coords[int(Z[Z[u, e1], uinv])]
-    a12, a22 = coords[int(Z[Z[u, e2], uinv])]
+    uinv = power(mul, 0, u, q - 1)  # u' = u^(ord u - 1)
+    a11, a21 = coords[int(mul(mul(u, e1), uinv))]
+    a12, a22 = coords[int(mul(mul(u, e2), uinv))]
     tr = (a11 + a22) % p
     det = (a11 * a22 - a12 * a21) % p
     disc = (tr * tr - 4 * det) % p
@@ -374,8 +444,8 @@ def brace_invariants(B: SkewBrace) -> BraceInvariants:
 
     bi_skew uses Childs' criterion for an abelian additive group: the brace
     is bi-skew iff lambda is a homomorphism from (A, +), which
-    lambda_is_additive checks in O(n^2).  The direct n^3 scan is_bi_skew is
-    the independent oracle the tests hold it to.
+    lambda_is_additive checks in O(n) per additive generator.  The direct
+    n^3 scan is_bi_skew is the independent oracle the tests hold it to.
     """
     return BraceInvariants(
         ker_size=len(ker_lambda(B)),

@@ -440,6 +440,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_output_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=["table", "json"], default="table")
+    sub.add_argument("--out", default=None, help="write output here instead of stdout")
+
+
 def _add_pair_args(sub: argparse.ArgumentParser, cmd, with_method: bool) -> None:
     sub.set_defaults(run=cmd)
     sub.add_argument("--p", type=int, required=True, help="the squared prime")
@@ -463,8 +468,7 @@ def _add_pair_args(sub: argparse.ArgumentParser, cmd, with_method: bool) -> None
             default=ORACLE_BOUND,
             help="refuse the naive oracle above this |Hol(A)|",
         )
-    sub.add_argument("--format", choices=["table", "json"], default="table")
-    sub.add_argument("--out", default=None, help="write output here instead of stdout")
+    _add_output_args(sub)
     sub.add_argument(
         "--jobs",
         type=_positive_int,
@@ -492,8 +496,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_pair_args(cat_p, cmd_catalog, with_method=False)
     ver_p = sub.add_parser("verify", help="re-verify a stored brace file")
     ver_p.add_argument("path", help="a braceforge-v1 JSON file")
-    ver_p.add_argument("--format", choices=["table", "json"], default="table")
-    ver_p.add_argument("--out", default=None)
+    _add_output_args(ver_p)
     ver_p.set_defaults(run=cmd_verify)
     ybe_p = sub.add_parser(
         "ybe", help="export checked Yang-Baxter solutions for the catalog braces"

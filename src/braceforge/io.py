@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Kind, _greedy_generators, group_spec
+from .algebra import Kind, group_spec
 from .brace import G_K, MULT_LABELS, BraceInvariants, MultClass, SkewBrace
 from .cases import classify_case, ensure_in_scope
 from .regular import EnumerationReport
@@ -330,13 +330,14 @@ def subgroup_to_json(B: SkewBrace) -> list:
     of (element index, automorphism descriptor) pairs.
 
     a -> (a, lambda_a) is an isomorphism from the circle group (A, o) onto
-    the subgroup, so the generators are read off the circle table: each
-    element, smallest first, that the earlier ones do not generate.
+    the subgroup, so the generators are the circle group's,
+    SkewBrace.circle_generators: each element, smallest first, that the
+    earlier ones do not generate.
     """
     spec = B.spec
-    gens = _greedy_generators(B.circle_np, range(spec.n))
     return [
-        [a, descriptor_to_json(spec.kind, spec.aut_desc(B.lam[a]))] for a in gens
+        [a, descriptor_to_json(spec.kind, spec.aut_desc(B.lam[a]))]
+        for a in B.circle_generators
     ]
 
 

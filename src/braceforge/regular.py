@@ -193,11 +193,12 @@ def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
     loc = loc.reshape(lam.shape)
     rows = spec.apply_rows(image)
     moves = [(u, spec.compose_many(image, g)[loc]) for u, g in zip(lifted.T, gens)]
-    translations = _greedy_generators(spec.add_np, N.tolist())
+    add = spec.add_np
+    translations = _greedy_generators(lambda x, y: add[x, y], spec.n, N.tolist())
     moves += [(np.full(len(lam), t), lam) for t in translations]
     ok = bool((lam[:, 0] == spec.identity_aut).all())
     for u, want in moves:
-        target = spec.add_np[every, rows[loc, u[:, None]]]
+        target = add[every, rows[loc, u[:, None]]]
         ok = ok and np.array_equal(np.take_along_axis(lam, target, axis=1), want)
     if not ok:
         raise RuntimeError(

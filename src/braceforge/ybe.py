@@ -1,10 +1,14 @@
 """Set-theoretic Yang-Baxter solutions attached to braces.
 
 The solution on the carrier is r(x, y) = (sigma_x(y), tau_y(x)) with
-sigma_x = lambda_x.  tau is not given by a separate formula: since r must be
-bijective with r(x, y) determined by the circle group, tau_y(x) is computed
-as (sigma_x(y))' o x o y (circle inverse and circle product), and everything
-downstream is gated on an exhaustive check of the braid relation.
+sigma_x = lambda_x and tau_y(x) = (sigma_x(y))' o x o y (circle inverse and
+circle product).  Over an abelian additive group that collapses to
+tau_y(x) = lambda^{-1}_{lambda_x(y)}(x): with u = lambda_x(y), the inverse
+u' = -lambda_u^{-1}(u) and lambda_{u'} = lambda_u^{-1} give
+u' o x o y = u' + lambda_u^{-1}(x + u) = lambda_u^{-1}(x).  So tau is read
+off the inverses of lambda(A)'s m action rows, with no circle table, and
+everything downstream is gated on an exhaustive check of the braid
+relation.
 
 verify_ybe decides the braid relation.  It checks non-degeneracy and
 involutivity itself, in O(n^2), once per solution (solution_properties
@@ -97,13 +101,16 @@ class Solution:
 
 
 def solution_from_brace(B: SkewBrace) -> Solution:
-    """The solution r(x, y) = (lambda_x(y), (lambda_x(y))' o x o y)."""
-    Z = B.circle_np
-    inv = B.circle_inv_np
+    """The solution r(x, y) = (lambda_x(y), (lambda_x(y))' o x o y), with
+    tau_y(x) = lambda^{-1}_{lambda_x(y)}(x) (module docstring)."""
+    rows, pos = B.lambda_action
+    m, n = rows.shape
+    inv = np.empty_like(rows)  # inv[i] the inverse permutation of rows[i]
+    inv[np.arange(m)[:, None], rows] = np.arange(n, dtype=rows.dtype)
     sigma = B.lambda_rows
-    # T[x, y] = tau_y(x); tau rows are the transpose.
-    T = Z[inv[sigma], Z]
-    return Solution(sigma, T.T)
+    # tau[y, x] = tau_y(x) = inv[pos[sigma[x, y]], x]
+    tau = inv[pos[sigma.T], np.arange(n)]
+    return Solution(sigma, tau)
 
 
 # Entries of the m x m table of composed sigma rows (m^2 n int32, 16 MiB)

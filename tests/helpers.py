@@ -60,6 +60,14 @@ def catalog(p: int, q: int, rank: int = 0):
     return tuple(catalog_for_case(p, q, rank=rank))
 
 
+def desk_braces(p: int, q: int) -> list[SkewBrace]:
+    """Every catalog brace of the pair, then every class representative of
+    its two carriers."""
+    return [e.brace for e in catalog(p, q)] + [
+        oc.brace for kind in ("cyclic", "mixed") for oc in orbits(p, q, kind)
+    ]
+
+
 def brace_orbit_key(B: SkewBrace) -> tuple[int, ...]:
     """Canonical conjugacy-class key of the brace's regular subgroup."""
     return orbit_min_key(B)[0]
@@ -69,14 +77,27 @@ def oracle_eligible(p: int, q: int, kind: str) -> bool:
     return group_spec(p, q, kind).hol_order <= ORACLE_BOUND
 
 
+def circle_table(B: SkewBrace) -> np.ndarray:
+    """The whole circle table, Z[a, b] = a + lambda_a(b), shape (n, n), from
+    the carrier's addition table and lambda's descriptors directly."""
+    spec = B.spec
+    rows = spec.apply_rows(B.lam)  # rows[a] = lambda_a on every element
+    return spec.add_np[np.arange(spec.n)[:, None], rows]
+
+
+def circle_inverses(Z: np.ndarray) -> np.ndarray:
+    """inv[a] with a o inv[a] = 0, read off the circle table Z."""
+    return np.argmax(Z == 0, axis=1)
+
+
 def brace_axiom_scan(B: SkewBrace) -> VerifyResult:
     """Circle associativity and the brace axiom a o (b+c) = a o b - a + a o c,
     checked over every triple of the carrier: the reference that
-    verify_left_brace's O(n^2) decision is held to.  Reports the first
+    verify_left_brace's decision is held to.  Reports the first
     violation of each, as a decoded witness."""
     spec = B.spec
     n = spec.n
-    Z = B.circle_np
+    Z = circle_table(B)
     add = spec.add_np
     neg = np.argmax(add == 0, axis=1)
     problems: list[str] = []
@@ -102,6 +123,40 @@ def brace_axiom_scan(B: SkewBrace) -> VerifyResult:
             )
             break
     return VerifyResult(ok=not problems, problems=tuple(problems))
+
+
+def lambda_hom_scan(B: SkewBrace) -> VerifyResult:
+    """verify_left_brace's checks over every pair, on the whole circle table:
+    lambda(0) = id, and lambda_{a o b} = lambda_a o lambda_b for all a, b.
+    The reference for its verdict and its problem strings, which name the
+    first violating pair in row-major order."""
+    spec = B.spec
+    problems: list[str] = []
+    if B.lam[0] != spec.identity_aut:
+        problems.append(f"lambda(0) is not the identity automorphism (index {B.lam[0]})")
+    image = np.asarray(B.lambda_image)
+    pos = {f: i for i, f in enumerate(B.lambda_image)}
+    comp = spec.compose_many(image[:, None], image[None, :])
+    lam = np.asarray(B.lam)
+    lam_pos = np.asarray([pos[f] for f in B.lam])
+    lhs = lam[circle_table(B)]
+    rhs = comp[lam_pos[:, None], lam_pos[None, :]]
+    if not np.array_equal(lhs, rhs):
+        a, b = map(int, np.argwhere(lhs != rhs)[0])
+        problems.append(
+            f"lambda is not multiplicative at {spec.decode(a)}, {spec.decode(b)}"
+        )
+    return VerifyResult(ok=not problems, problems=tuple(problems))
+
+
+def tau_by_circle_table(B: SkewBrace) -> np.ndarray:
+    """tau[y, x] = tau_y(x) = (lambda_x(y))' o x o y, by circle inverses and
+    circle products on the whole circle table: the reference for
+    solution_from_brace's tau."""
+    Z = circle_table(B)
+    inv = circle_inverses(Z)
+    sigma = B.spec.apply_rows(B.lam)
+    return Z[inv[sigma], Z].T
 
 
 # ---------------- scalar automorphism and holomorph reference ----------------
@@ -276,7 +331,7 @@ def circle_orders_by_stepping(B: SkewBrace) -> np.ndarray:
     """Order of each element in (A, o), every element stepped through its
     powers x -> x o a at once, at most exponent-many steps: the reference
     for SkewBrace.circle_orders."""
-    Z = B.circle_np
+    Z = circle_table(B)
     cols = np.arange(B.spec.n)
     orders = np.zeros(B.spec.n, dtype=np.int64)
     x, k = cols, 1
@@ -337,7 +392,7 @@ def lambda_identities_check(B: SkewBrace) -> bool:
     over the full fourth power of the carrier).
     """
     spec = B.spec
-    add, Z = spec.add_np, B.circle_np
+    add, Z = spec.add_np, circle_table(B)
     lam = np.asarray(B.lam)
     rows = B.lambda_rows
     # (i), for every such b at once: step nb = kb, its circle power and
@@ -371,9 +426,9 @@ def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:
     if not in_I[0] or not in_I[spec.add_np[np.ix_(members, members)]].all():
         raise ValueError("I is not an additive subgroup")
     left = bool(in_I[spec.apply_rows(B.lambda_image)[:, members]].all())
-    Z = B.circle_np
+    Z = circle_table(B)
     # a o i o a' for every a and every i in I
-    conj = Z[Z[:, members], B.circle_inv_np[:, None]]
+    conj = Z[Z[:, members], circle_inverses(Z)[:, None]]
     normal = left and bool(in_I[conj].all())
     return {"left_ideal": left, "ideal": normal}
 

@@ -65,6 +65,28 @@ def test_addition_is_an_abelian_group(spec):
         assert add[a, spec.encode(spec.neg(x))] == 0
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "mixed"])
+@pytest.mark.parametrize("p,q", [(2, 5), (5, 23), (3, 109)])
+def test_add_np_equals_the_broadcast_formula(p, q, kind):
+    # add_np is built in place in int32; the formula here broadcasts in int64
+    spec = GroupSpec(p, q, kind)
+    idx = np.arange(spec.n)
+    if spec.kind is Kind.CYCLIC:
+        nn, mm = idx % (p * p), idx // (p * p)
+        want = (nn[:, None] + nn[None, :]) % (p * p) + p * p * (
+            (mm[:, None] + mm[None, :]) % q
+        )
+    else:
+        aa, bb, cc = idx % p, (idx // p) % p, idx // (p * p)
+        want = (
+            (aa[:, None] + aa[None, :]) % p
+            + p * ((bb[:, None] + bb[None, :]) % p)
+            + p * p * ((cc[:, None] + cc[None, :]) % q)
+        )
+    assert spec.add_np.dtype == np.int32
+    assert np.array_equal(spec.add_np, want)
+
+
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_element_order_brute_force(spec):
     for idx in range(spec.n):

@@ -1,12 +1,15 @@
 """Brace construction, verification, invariants, and isomorphism."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from braceforge.algebra import Kind, carrier_subgroups, group_spec
 from braceforge.brace import (
+    _central,
+    VerifyResult,
     ZP2Q,
     ZP2xZQ,
     ZQ_RTIMES_ZP2_h,
@@ -30,9 +33,12 @@ from helpers import (
     catalog,
     cayley_isomorphic,
     circle_orders_by_stepping,
+    circle_table,
+    desk_braces,
     hol_closure,
     hol_tables,
     ideal_checks,
+    lambda_hom_scan,
     lambda_identities_check,
     orbits,
     regular_from_brace,
@@ -42,7 +48,7 @@ from helpers import (
 def test_trivial_brace_is_the_additive_group_twice():
     spec = group_spec(3, 2, Kind.CYCLIC)
     B = trivial_brace(spec)
-    assert np.array_equal(B.circle_np, spec.add_np)
+    assert np.array_equal(circle_table(B), spec.add_np)
     assert verify_left_brace(B).ok
     assert len(ker_lambda(B)) == spec.n
     assert len(fix_set(B)) == spec.n
@@ -122,6 +128,7 @@ def test_verify_left_brace_agrees_with_the_axiom_scan_on_corruptions(pair):
             C = SkewBrace(e.brace.spec, lam)
             res = verify_left_brace(C)
             assert res.ok == brace_axiom_scan(C).ok, (e.family, how, res.problems)
+            assert res == lambda_hom_scan(C), (e.family, how)
             if not res.ok:
                 rejected += 1
                 assert any(
@@ -130,6 +137,56 @@ def test_verify_left_brace_agrees_with_the_axiom_scan_on_corruptions(pair):
                 ), (e.family, how, res.problems)
     assert carriers == {Kind.CYCLIC, Kind.MIXED}
     assert rejected
+
+
+def _last_entry_moved(B: SkewBrace) -> SkewBrace:
+    """B with lambda at the last element moved to the next automorphism of
+    lambda(A)."""
+    image = B.lambda_image
+    lam = list(B.lam)
+    lam[-1] = image[(image.index(lam[-1]) + 1) % len(image)]
+    return SkewBrace(B.spec, lam)
+
+
+@pytest.mark.parametrize("pair", DESK_PAIRS, ids=str)
+def test_verify_left_brace_equals_the_pair_scan(pair):
+    """The generator check, with its fallback scan in row blocks, gives the
+    verdict and problem strings of the scan over every pair of the circle
+    table: on every catalog and class brace, and on one corruption of each
+    that lists two or more automorphisms."""
+    rejected = 0
+    for B in desk_braces(*pair):
+        assert verify_left_brace(B) == lambda_hom_scan(B) == VerifyResult(True)
+        if len(B.lambda_image) >= 2:
+            C = _last_entry_moved(B)
+            res = verify_left_brace(C)
+            assert res == lambda_hom_scan(C), res.problems
+            rejected += not res.ok
+    assert rejected
+
+
+def test_verify_and_invariants_make_no_n_by_n_table():
+    # With the carrier's tables warm, deciding the axioms and every
+    # invariant of the (5, 23) mixed classes allocates less than one n x n
+    # int32 table at any moment.
+    assert not hasattr(SkewBrace, "circle_np")
+    assert not hasattr(SkewBrace, "circle_inv_np")
+    classes = orbits(5, 23, "mixed")
+    spec = classes[0].brace.spec
+    spec.add_np, spec.identity_aut, spec._aut_code_index
+    lams = [oc.brace.lam for oc in classes]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for lam in lams:
+            B = SkewBrace(spec, lam)  # nothing cached yet
+            assert verify_left_brace(B).ok
+            brace_invariants(B)
+            del B
+        growth = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert growth < spec.n**2 * 4, growth
 
 
 def test_lambda_identities_on_catalog_braces():
@@ -278,7 +335,7 @@ def test_mult_class_against_cayley_oracle():
     # pair of catalog braces at two pairs where n <= 200
     for p, q in [(3, 2), (2, 7)]:
         entries = list(catalog(p, q))
-        tables = [e.brace.circle_np.tolist() for e in entries]
+        tables = [circle_table(e.brace).tolist() for e in entries]
         classes = [mult_group_class(e.brace) for e in entries]
         for i in range(len(entries)):
             for j in range(i, len(entries)):
@@ -290,9 +347,9 @@ def test_mult_class_against_cayley_oracle():
 
 
 def _scalar_orders_and_centre(B):
-    """Orders in (A, o) and the size of its centre, walked element by element
-    over a Python copy of the circle table."""
-    Z = B.circle_np.tolist()
+    """Orders in (A, o) and its centre as one flag per element, walked
+    element by element over a Python copy of the circle table."""
+    Z = circle_table(B).tolist()
     n = len(Z)
     orders = []
     for a in range(n):
@@ -301,22 +358,22 @@ def _scalar_orders_and_centre(B):
             x = Z[x][a]
             o += 1
         orders.append(o)
-    centre = sum(1 for a in range(n) if all(Z[a][b] == Z[b][a] for b in range(n)))
-    return orders, centre
+    central = [all(Z[a][b] == Z[b][a] for b in range(n)) for a in range(n)]
+    return orders, central
 
 
 @pytest.mark.parametrize("p,q", DESK_PAIRS)
 def test_circle_orders_and_centre_match_the_scalar_walk(p, q):
     # circle_orders takes powers at the divisors of |A| and mult_group_class
-    # counts the centre from one commutation mask; the centre is seen through
-    # the labels it decides: abelian, and ZQ_RTIMES_ZP2 rp (centre p) vs h
-    braces = [e.brace for e in catalog(p, q)] + [
-        oc.brace for kind in ("cyclic", "mixed") for oc in orbits(p, q, kind)
-    ]
-    for B in braces:
-        orders, centre = _scalar_orders_and_centre(B)
+    # takes the centre from commutation with the o-generators; the centre is
+    # also seen through the labels it decides: abelian, and ZQ_RTIMES_ZP2 rp
+    # (centre p) vs h
+    for B in desk_braces(p, q):
+        orders, central = _scalar_orders_and_centre(B)
         assert list(B.circle_orders) == orders
         assert list(circle_orders_by_stepping(B)) == orders
+        assert list(_central(B)) == central
+        centre = sum(central)
         label = mult_group_class(B).label
         assert (label in (ZP2Q, ZP2xZQ)) == (centre == B.spec.n), label
         if label in (ZQ_RTIMES_ZP2_rp, ZQ_RTIMES_ZP2_h):

@@ -18,7 +18,7 @@ from braceforge.ybe import (
     verify_ybe,
 )
 
-from helpers import catalog, flip_solution
+from helpers import DESK_PAIRS, catalog, desk_braces, flip_solution, tau_by_circle_table
 
 
 def test_trivial_brace_gives_the_flip():
@@ -58,6 +58,14 @@ def test_catalog_solutions_all_pass(pair):
         }, e.family
         # |<sigma_x>| = |lambda(A)| = |A| / |ker lambda|
         assert sigma_group_order(sol) == B.spec.n // len(ker_lambda(B)), e.family
+
+
+@pytest.mark.parametrize("pair", DESK_PAIRS, ids=str)
+def test_tau_from_inverse_rows_equals_the_circle_table_tau(pair):
+    # tau_y(x) = lambda^{-1}_{lambda_x(y)}(x) against (lambda_x(y))' o x o y
+    for B in desk_braces(*pair):
+        sol = solution_from_brace(B)
+        assert np.array_equal(sol.tau, tau_by_circle_table(B))
 
 
 def test_corrupted_sigma_fails_with_witness():
