@@ -18,7 +18,7 @@ for kind in ("cyclic", "mixed"):
     classes = orbit_partition(subgroups, spec=spec)
 
     # cross-tabulate against the stored class counts
-    report = tabulate(classes)
+    report = tabulate(classes, spec)
     for ker, label, got, want in report.cell_rows():
         print(f"    |ker lambda| = {ker:3d}  {label:<22} {got} (expected {want})")
     print(f"    total {report.total}, expected {report.expected_total},"

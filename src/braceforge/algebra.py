@@ -12,14 +12,15 @@ pure-Python closure loop of Aut(A), compositions are also memoized per pair
 from single array rows.  Index encoding (stable, used by every serialized
 artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) ->
 a + p*b + p^2*c.  Matrices act on column vectors in the ordered basis of the
-two order-p generators.
+two order-p generators.  Every per-carrier table lives on its `GroupSpec`
+(listed there); the one module-level registry is `group_spec`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -70,13 +71,22 @@ class _Memo(dict):
 
 
 class GroupSpec:
-    """One carrier group: prime pair plus kind, with cached operation tables."""
+    """One carrier group: prime pair plus kind, and every table built for it
+    on first use: `elements`, `add_np`, the subgroup lattice
+    `carrier_lattice`, Aut(A) as `aut_array` with `_aut_code_index`,
+    `aut_generators`, `conj_tables`, the per-pair `_compose_memo` and the
+    per-order Aut(A)-subgroup classes `_aut_classes`.  Nothing else holds
+    them: dropping the spec (and its `group_spec` entry) frees them all, and
+    specs that compare equal by (p, q, kind) share none.
+    """
 
     def __init__(self, p: int, q: int, kind: Kind | str):
         self.pair = PrimePair(p, q)
         self.p = p
         self.q = q
         self.kind = Kind(kind)
+        # k -> the classes of order-k subgroups (`subgroup_classes_of_order`)
+        self._aut_classes = _Memo(lambda k: _find_subgroup_classes(self, k))
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.p}, {self.q}, {self.kind.value})"
@@ -172,6 +182,30 @@ class GroupSpec:
             i for i, x in enumerate(self.elements)
             if _is_power(self.element_order(x), prime)
         )
+
+    @cached_property
+    def carrier_lattice(self) -> tuple[frozenset[int], ...]:
+        """Every subgroup of the carrier, sorted by (order, sorted elements).
+
+        A subgroup is the product of its Sylow subgroups.  Its q-part is
+        cyclic, and its p-part is cyclic unless it is the whole Z_p x Z_p of
+        the mixed carrier.  So a subgroup that is not cyclic is the p-Sylow or
+        the whole carrier, and those two with the cyclic subgroups, collected
+        from element chains, are the lattice.
+        """
+        n = self.n
+        every = np.arange(n)
+        # Row x marks the multiples of x; every chain steps at once.
+        member = np.zeros((n, n), dtype=bool)
+        member[:, 0] = True
+        y = every
+        while y.any():
+            member[every, y] = True
+            y = self.add_np[y, every]
+        subs = {self.sylow(self.p), frozenset(range(n))}
+        distinct = {row.tobytes(): row for row in member}.values()
+        subs.update(frozenset(np.flatnonzero(row).tolist()) for row in distinct)
+        return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
     # ---------------- automorphisms ----------------
 
@@ -444,36 +478,10 @@ def _greedy_generators(product, n: int, members: Sequence[int]) -> list[int]:
     return gens
 
 
-@lru_cache(maxsize=None)
 def carrier_subgroups(spec: GroupSpec, order: int | None = None) -> list[frozenset[int]]:
     """All subgroups of the additive carrier (as index sets), smallest first,
     or only those of the given order, in the same relative order."""
-    return [S for S in _carrier_lattice(spec) if order is None or len(S) == order]
-
-
-@lru_cache(maxsize=None)
-def _carrier_lattice(spec: GroupSpec) -> tuple[frozenset[int], ...]:
-    """Every subgroup of the carrier, sorted by (order, sorted elements).
-
-    A subgroup is the product of its Sylow subgroups.  Its q-part is cyclic,
-    and its p-part is cyclic unless it is the whole Z_p x Z_p of the mixed
-    carrier.  So a subgroup that is not cyclic is the p-Sylow or the whole
-    carrier, and those two with the cyclic subgroups, collected from element
-    chains, are the lattice.
-    """
-    n = spec.n
-    every = np.arange(n)
-    # Row x marks the multiples of x; every chain steps at once.
-    member = np.zeros((n, n), dtype=bool)
-    member[:, 0] = True
-    y = every
-    while y.any():
-        member[every, y] = True
-        y = spec.add_np[y, every]
-    subs = {spec.sylow(spec.p), frozenset(range(n))}
-    distinct = {row.tobytes(): row for row in member}.values()
-    subs.update(frozenset(np.flatnonzero(row).tolist()) for row in distinct)
-    return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
+    return [S for S in spec.carrier_lattice if order is None or len(S) == order]
 
 
 # Index arrays as byte keys: fixed-width big-endian, so comparing the keys of
@@ -538,8 +546,13 @@ class AutSubgroupClass:
     n_conjugates: int                 # size of the conjugacy class
 
 
-@lru_cache(maxsize=None)
 def subgroup_classes_of_order(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
+    """Conjugacy-class representatives of the order-k subgroups of Aut(A),
+    found once per spec and kept in its per-order memo."""
+    return spec._aut_classes[k]
+
+
+def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
     """Conjugacy-class representatives of the order-k subgroups of Aut(A), k
     a divisor of both |A| and |Aut(A)|, found by cyclic extension.
 
@@ -602,16 +615,8 @@ def subgroup_classes_of_order(spec: GroupSpec, k: int) -> list[AutSubgroupClass]
                 joins[tuple(sorted(T))] = None
     classes = []
     for rep, size in aut_orbits(spec, joins, _conjugate_subgroup):
-        rep = frozenset(rep)
-        classes.append(
-            AutSubgroupClass(
-                spec=spec,
-                order=k,
-                elements=rep,
-                generators=_minimal_generators(spec, rep),
-                n_conjugates=size,
-            )
-        )
+        T = frozenset(rep)
+        classes.append(AutSubgroupClass(spec, k, T, _minimal_generators(spec, T), size))
     return classes
 
 
@@ -624,8 +629,6 @@ def _is_power(n: int, prime: int) -> bool:
 def _minimal_generators(spec: GroupSpec, S: frozenset[int]) -> tuple[int, ...]:
     members = sorted(S)
     k = len(S)
-    if k == 1:
-        return ()
     for f in members:
         if f != spec.identity_aut and len(aut_closure(spec, (f,), cap=k)) == k:
             return (f,)

@@ -131,18 +131,6 @@ def orbit_partition(braces, spec: GroupSpec) -> list[OrbitClass]:
 # ---------------- structured enumerator ----------------
 
 
-def _work_items(spec: GroupSpec) -> list[tuple[int, int, int]]:
-    """(k, class index, kernel index) triples covering every projection order."""
-    top = gcd(spec.n, spec.n_aut)
-    return [
-        (k, ci, ni)
-        for k in range(1, top + 1)
-        if top % k == 0
-        for ci in range(len(subgroup_classes_of_order(spec, k)))
-        for ni in range(len(carrier_subgroups(spec, spec.n // k)))
-    ]
-
-
 def _coset_tables(spec: GroupSpec, N: np.ndarray, elems: list[int]) -> tuple:
     """For the cosets of a subgroup N invariant under K = elems: each
     element's coset id, each coset's smallest element (ids ascend with it,
@@ -207,10 +195,11 @@ def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
 
 
 def _lift_search(
-    spec: GroupSpec, k: int, class_index: int, kernel_index: int
+    spec: GroupSpec, gens: tuple[int, ...], N: np.ndarray, where: str
 ) -> list[SkewBrace]:
-    """Every regular subgroup with projection the class's representative K
-    and kernel N, each returned once as its brace.
+    """Every regular subgroup with projection K = <gens> and kernel N (an
+    ascending index array, |K| |N| = |A|), each returned once as its brace;
+    `where` names the pair in errors.
 
     Such a subgroup G is the graph of a bijective 1-cocycle c: K -> A/N,
     c(f) = {a : (a, f) in G}, c(f o g) = c(f) + f(c(g)) (Guarnieri-
@@ -224,9 +213,7 @@ def _lift_search(
     met by exactly one tuple, its own c on the generators, and lambda_a is
     the f with a in c(f).
     """
-    where = f"lift search (k={k}, class {class_index}, kernel {kernel_index})"
-    gens = subgroup_classes_of_order(spec, k)[class_index].generators
-    N = np.array(sorted(carrier_subgroups(spec, spec.n // k)[kernel_index]))
+    k = spec.n // len(N)
     if not np.isin(spec.apply_rows(gens)[:, N], N).all():
         return []  # (K): N is not invariant under K
     elems, edges = _cayley_walk(spec, gens)
@@ -261,7 +248,13 @@ def regular_subgroups_structured(spec: GroupSpec) -> list[SkewBrace]:
     any regular subgroup appears for the conjugated data).  Distinct (K, N)
     pairs give disjoint subgroups, so nothing is found twice.
     """
-    found = [B for k, ci, ni in _work_items(spec) for B in _lift_search(spec, k, ci, ni)]
+    found: list[SkewBrace] = []
+    for k in divisors(gcd(spec.n, spec.n_aut)):
+        kernels = [np.array(sorted(N)) for N in carrier_subgroups(spec, spec.n // k)]
+        for ci, K in enumerate(subgroup_classes_of_order(spec, k)):
+            for ni, N in enumerate(kernels):
+                where = f"lift search (k={k}, class {ci}, kernel {ni})"
+                found += _lift_search(spec, K.generators, N, where)
     return sorted(found, key=lambda B: B.lam)
 
 
@@ -577,13 +570,10 @@ class EnumerationReport:
         ]
 
 
-def tabulate(orbits, spec: GroupSpec | None = None) -> EnumerationReport:
-    """Cross-tabulate orbit classes and compare with the stored tables."""
+def tabulate(orbits, spec: GroupSpec) -> EnumerationReport:
+    """Cross-tabulate the orbit classes of the carrier `spec` and compare
+    with the stored tables."""
     orbits = tuple(orbits)
-    if spec is None:
-        if not orbits:
-            raise ValueError("cannot infer the carrier from an empty orbit list")
-        spec = orbits[0].brace.spec
     case = classify_case(PrimePair(spec.p, spec.q))
     cells: dict[tuple[int, str], int] = {}
     for oc in orbits:

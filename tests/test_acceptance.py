@@ -61,7 +61,7 @@ def criterion(num):
 
 
 def _cells_match(p, q, kind) -> bool:
-    return tabulate(orbits(p, q, kind)).matches
+    return tabulate(orbits(p, q, kind), group_spec(p, q, kind)).matches
 
 
 def _orbit_keys_from_raw(subgroups) -> set[tuple[int, ...]]:
@@ -82,7 +82,7 @@ def test_criterion_01_pair_3_2():
     for kind in ("cyclic", "mixed"):
         spec = group_spec(3, 2, kind)
         subs = regular_subgroups_structured(spec)
-        report = tabulate(orbit_partition(subs, spec=spec))
+        report = tabulate(orbit_partition(subs, spec=spec), spec)
         assert report.matches, report.cell_rows()
         raw_oracle = regular_subgroups_oracle(spec)
         assert _orbit_keys_from_raw(subs) == _orbit_keys_from_raw(raw_oracle)
@@ -145,7 +145,7 @@ def test_criterion_06_pair_3_19():
     for kind in ("cyclic", "mixed"):
         spec = group_spec(3, 19, kind)
         subs = regular_subgroups_structured(spec)
-        report = tabulate(orbit_partition(subs, spec=spec))
+        report = tabulate(orbit_partition(subs, spec=spec), spec)
         assert report.matches, report.cell_rows()
         counts[kind] = report.total
     elapsed = time.perf_counter() - t0
@@ -165,15 +165,15 @@ def test_criterion_07_pair_5_13():
 @criterion(8)
 def test_criterion_08_pair_7_3_definitive_count():
     computed = len(orbits(7, 3, "cyclic")) + len(orbits(7, 3, "mixed"))
-    per_family = per_family_total(
-        tabulate(orbits(7, 3, "cyclic")).case, 7, 3
-    )
-    headline = headline_total(tabulate(orbits(7, 3, "cyclic")).case, 7, 3)
+    case = tabulate(orbits(7, 3, "cyclic"), group_spec(7, 3, "cyclic")).case
+    per_family = per_family_total(case, 7, 3)
+    headline = headline_total(case, 7, 3)
     assert _cells_match(7, 3, "cyclic") and _cells_match(7, 3, "mixed")
     assert computed == per_family == 9
     assert headline == 2 * 3 + 5 == 11
     # the discrepancy must be surfaced by the reporting layer
-    assert any("authoritative" in w for w in tabulate(orbits(7, 3, "mixed")).warnings)
+    mixed = tabulate(orbits(7, 3, "mixed"), group_spec(7, 3, "mixed"))
+    assert any("authoritative" in w for w in mixed.warnings)
     # every catalog constructor appears exactly once among the orbits
     rep_keys = {
         orbit_min_key(oc.brace)[0]

@@ -278,20 +278,25 @@ def test_aut_subgroup_class_sizes_sum_to_the_exhaustive_count(carrier):
 def test_a_missing_cyclic_subgroup_is_reported(monkeypatch):
     # Drop every generator of one non-central order-2 subgroup of GL(2, 3)
     # from the torsion list: its conjugates are still found, so the class
-    # sizes exceed the listed count.  A fresh spec keeps the shared one clean;
-    # it compares equal to it, so the class cache is cleared around the call.
+    # sizes exceed the listed count.  A fresh spec keeps the shared one clean.
     spec = GroupSpec(3, 2, Kind.MIXED)
     pool = spec.aut_torsion(2)
     ident = spec.identity_aut
     central = int(spec.aut_lookup([((2, 0, 0, 2), 1)])[0])
     dropped = next(f for f in pool.tolist() if f not in (ident, central))
     monkeypatch.setattr(spec, "aut_torsion", lambda k: pool[pool != dropped])
-    subgroup_classes_of_order.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="order 2: 12 cyclic subgroups"):
-            subgroup_classes_of_order(spec, 2)
-    finally:
-        subgroup_classes_of_order.cache_clear()
+    with pytest.raises(RuntimeError, match="order 2: 12 cyclic subgroups"):
+        subgroup_classes_of_order(spec, 2)
+
+
+def test_equal_specs_share_no_subgroup_classes():
+    # specs compare equal by (p, q, kind), but each finds its own classes
+    shared = subgroup_classes_of_order(group_spec(3, 2, Kind.MIXED), 2)
+    spec = GroupSpec(3, 2, Kind.MIXED)
+    classes = subgroup_classes_of_order(spec, 2)
+    assert classes[0].spec is spec
+    assert subgroup_classes_of_order(spec, 2) is classes  # found once per spec
+    assert [c.elements for c in classes] == [c.elements for c in shared]
 
 
 def _hol_elements(spec):

@@ -154,7 +154,7 @@ def test_solution_json_round_trip():
 
 
 def test_report_json_structure():
-    report = tabulate(orbits(3, 2, "mixed"))
+    report = tabulate(orbits(3, 2, "mixed"), group_spec(3, 2, "mixed"))
     doc = json.loads(canonical_dumps(report_to_json(report)))
     assert doc["total"] == 5 and doc["matches"] is True
     assert doc["additive"] == "mixed" and doc["case"] == "P1Q_Q2"

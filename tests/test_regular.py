@@ -1,16 +1,20 @@
 """Regular-subgroup enumeration: both routes, orbit partition, tabulation."""
 
 import ast
+import gc
 import inspect
 import itertools
 import multiprocessing.process
 import sys
 import textwrap
+import weakref
+from math import gcd
 
 import numpy as np
 import pytest
 
 from braceforge import algebra, cli, regular
+from braceforge.arith import divisors
 from braceforge.algebra import (
     GroupSpec,
     Kind,
@@ -25,7 +29,6 @@ from braceforge.io import report_to_json
 from braceforge.regular import (
     OracleBoundError,
     _lift_search,
-    _work_items,
     orbit_min_key,
     orbit_partition,
     regular_subgroups_oracle,
@@ -139,14 +142,24 @@ def _generating_set(spec, S):
     return gens
 
 
-def _closure_lift_search(spec, k, class_index, kernel_index):
+def _lift_pairs(spec):
+    """Each (K, N) pair the structured search tries, as (K's generators, N
+    as an ascending index array)."""
+    return [
+        (K.generators, np.array(sorted(N)))
+        for k in divisors(gcd(spec.n, spec.n_aut))
+        for K in subgroup_classes_of_order(spec, k)
+        for N in carrier_subgroups(spec, spec.n // k)
+    ]
+
+
+def _closure_lift_search(spec, gens, N):
     """The lift search the cocycle walk replaced, kept as its reference: join
-    N x {id} with every tuple of generators lifted over the kernel's
-    transversal, by the reference closure in Hol(A), and keep each regular
-    closure once."""
+    N x {id} with every tuple of the generators gens of K lifted over the
+    kernel's transversal, by the reference closure in Hol(A), and keep each
+    regular closure once."""
     n, n_aut = spec.n, spec.n_aut
-    gens = subgroup_classes_of_order(spec, k)[class_index].generators
-    N = carrier_subgroups(spec, n // k)[kernel_index]
+    N = frozenset(N.tolist())
     N_gens = _generating_set(spec, {a * n_aut + spec.identity_aut for a in N})
     found = {}
     for tup in itertools.product(_kernel_transversal(spec, N), repeat=len(gens)):
@@ -164,7 +177,7 @@ def _closure_lift_search(spec, k, class_index, kernel_index):
 def closure_search(spec):
     """Every lambda table the reference lift search finds, sorted."""
     return sorted(
-        B.lam for item in _work_items(spec) for B in _closure_lift_search(spec, *item)
+        B.lam for pair in _lift_pairs(spec) for B in _closure_lift_search(spec, *pair)
     )
 
 
@@ -184,14 +197,14 @@ def test_pruning_and_lift_mode_do_not_change_the_result(p, q, kind):
 
 @pytest.mark.parametrize("p,q,kind", DESK_CARRIERS)
 def test_each_lift_search_returns_every_subgroup_once(p, q, kind):
-    # each tuple of coset lifts extends to at most one cocycle, so no work
-    # item may repeat a subgroup, and each must find the reference's
+    # each tuple of coset lifts extends to at most one cocycle, so no (K, N)
+    # pair may repeat a subgroup, and each must find the reference's
     spec = group_spec(p, q, kind)
-    for k, ci, ni in _work_items(spec):
-        got = [B.lam for B in _lift_search(spec, k, ci, ni)]
+    for gens, N in _lift_pairs(spec):
+        got = [B.lam for B in _lift_search(spec, gens, N, "lift search")]
         assert len(set(got)) == len(got)
-        want = [B.lam for B in _closure_lift_search(spec, k, ci, ni)]
-        assert sorted(got) == sorted(want), (k, ci, ni)
+        want = [B.lam for B in _closure_lift_search(spec, gens, N)]
+        assert sorted(got) == sorted(want), (gens, N.tolist())
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -200,7 +213,7 @@ def test_unknown_lift_mode_is_rejected_up_front(monkeypatch, jobs):
     # options; the removed keywords are refused before any work starts,
     # the worker count even at its old serial value 1
     spec = group_spec(3, 2, Kind.CYCLIC)
-    monkeypatch.setattr(regular, "_work_items", lambda spec: pytest.fail("work started"))
+    monkeypatch.setattr(regular, "_lift_search", lambda *args: pytest.fail("work started"))
     for removed in ({"lifts": "transversal"}, {"pruning": False}, {"jobs": jobs}):
         with pytest.raises(TypeError, match=next(iter(removed))):
             regular_subgroups_structured(spec, **removed)
@@ -240,38 +253,38 @@ def test_lift_search_refuses_a_non_regular_survivor(monkeypatch):
 def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
     # The oracle's joins read a flat addition list of their own; the lift
     # search, the carrier lattice, the orbit partition and the JSON report
-    # read add_np.  A fresh spec, with the spec-keyed caches cleared, builds
+    # read add_np.  A fresh spec holds every table it uses, so it builds
     # everything anew; group_spec hands it to the catalog too.
     spec = GroupSpec(3, 7, Kind.MIXED)
     monkeypatch.setitem(algebra._SPEC_CACHE, (3, 7, Kind.MIXED), spec)
-    caches = (
-        algebra.carrier_subgroups,
-        algebra._carrier_lattice,
-        algebra.subgroup_classes_of_order,
-    )
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        ocs = orbit_partition(regular_subgroups_structured(spec), spec=spec)
-        report_to_json(tabulate(ocs, spec=spec))
-        catalog_for_case(3, 7)
-        assert "add_np" in vars(spec)
-        assert "add_flat" not in vars(spec)
-        # No per-automorphism memo: the one memo a spec may cache is the
-        # per-pair composition memo of the Aut-class layer.
-        memos = [name for name, value in vars(spec).items() if isinstance(value, dict)]
-        assert memos in ([], ["_compose_memo"])
-        # Aut(A) is held once, as the descriptor array: no cached Python
-        # tuple, list or plain dict with an entry per automorphism.
-        per_aut = [
-            name
-            for name, value in vars(spec).items()
-            if type(value) in (tuple, list, dict) and len(value) == spec.n_aut
-        ]
-        assert per_aut == []
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    ocs = orbit_partition(regular_subgroups_structured(spec), spec=spec)
+    report_to_json(tabulate(ocs, spec=spec))
+    catalog_for_case(3, 7)
+    assert "add_np" in vars(spec)
+    assert "add_flat" not in vars(spec)
+    # No per-automorphism memo: the memos a spec may cache are the per-pair
+    # composition memo and the per-order class memo of the Aut-class layer.
+    memos = {name for name, value in vars(spec).items() if isinstance(value, dict)}
+    assert memos <= {"_compose_memo", "_aut_classes"}
+    # Aut(A) is held once, as the descriptor array: no cached Python
+    # tuple, list or plain dict with an entry per automorphism.
+    per_aut = [
+        name
+        for name, value in vars(spec).items()
+        if type(value) in (tuple, list, dict) and len(value) == spec.n_aut
+    ]
+    assert per_aut == []
+
+
+def test_a_dropped_spec_is_freed():
+    # every table of the structured search and the orbit partition is kept
+    # on the spec itself, so no module-level cache keeps a spec alive
+    spec = GroupSpec(5, 3, Kind.MIXED)
+    orbit_partition(regular_subgroups_structured(spec), spec=spec)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 def test_parallel_jobs_agree_with_serial(monkeypatch, tmp_path):
@@ -390,7 +403,7 @@ def test_tabulate_small_pairs():
         (2, 5, "cyclic", 6),
         (5, 3, "mixed", 3),
     ]:
-        report = tabulate(orbits(p, q, kind))
+        report = tabulate(orbits(p, q, kind), group_spec(p, q, kind))
         assert report.total == total
         assert report.matches, report.cell_rows()
         assert report.expected_total == total
@@ -398,7 +411,7 @@ def test_tabulate_small_pairs():
 
 
 def test_tabulate_flags_the_headline_discrepancy():
-    report = tabulate(orbits(7, 3, "cyclic"))
+    report = tabulate(orbits(7, 3, "cyclic"), group_spec(7, 3, "cyclic"))
     assert report.case is CongruenceCase.P1Q_ODD
     assert report.matches
     assert any("authoritative" in w for w in report.warnings)
@@ -566,8 +579,8 @@ def test_oracle_output_is_closed_under_conjugation(p, q, kind):
 # classes, Aut torsion pools, its conjugation-orbit code); the oracle is a
 # check on it only while it borrows none of it.
 STRUCTURED_NAMES = {
-    "carrier_subgroups", "subgroup_classes_of_order", "sylow", "aut_torsion",
-    "_lift_search", "_work_items", "_coset_tables", "_cayley_walk",
+    "carrier_subgroups", "carrier_lattice", "subgroup_classes_of_order",
+    "_aut_classes", "sylow", "aut_torsion", "_lift_search", "_coset_tables", "_cayley_walk",
     "_greedy_generators", "_check_subgroup_graphs", "conj_tables", "aut_orbits",
     "orbit_min_key", "_conjugate_lambda",
 }
@@ -585,7 +598,8 @@ def _names_in(func) -> set[str]:
 
 
 def test_oracle_borrows_nothing_from_the_structured_search():
-    assert _names_in(regular._work_items) & STRUCTURED_NAMES  # the scan sees them
+    # the scan sees them
+    assert _names_in(regular.regular_subgroups_structured) & STRUCTURED_NAMES
     # the oracle and every braceforge function it reaches by name
     todo, seen = [regular.regular_subgroups_oracle], set()
     while todo:
