@@ -2,18 +2,20 @@
 the subgroups of Aut(A) and of the carrier.
 
 Elements and automorphisms are given small-integer indices.  The carrier's
-addition is one n x n table.  Aut(A) is held once, as `GroupSpec.aut_array`,
-one int64 descriptor row per automorphism built by broadcasting, with a
-dense descriptor-code -> index table beside it; `aut_lookup` and `aut_desc`
-are the only crossings between descriptors and indices.  The action and
-composition of automorphisms are computed from the array for the
-automorphisms a call names, vectorized over index arrays; for the
-pure-Python closure loop of Aut(A), compositions are also memoized per pair
-from single array rows.  Index encoding (stable, used by every serialized
-artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) ->
-a + p*b + p^2*c.  Matrices act on column vectors in the ordered basis of the
-two order-p generators.  Every per-carrier table lives on its `GroupSpec`
-(listed there); the one module-level registry is `group_spec`'s.
+addition is digit-wise on the index, through two O(n) lookup arrays
+(`GroupSpec.add_idx`); no n x n table is kept.  Aut(A) is held once, as
+`GroupSpec.aut_array`, one int64 descriptor row per automorphism built by
+broadcasting, with a dense descriptor-code -> index table beside it;
+`aut_lookup` and `aut_desc` are the only crossings between descriptors and
+indices.  The action and composition of automorphisms are computed from the
+array for the automorphisms a call names, vectorized over index arrays; for
+the pure-Python closure loop of Aut(A), compositions are also memoized per
+pair from single array rows.  Index encoding (stable, used by every
+serialized artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED
+(a, b, c) -> a + p*b + p^2*c.  Matrices act on column vectors in the
+ordered basis of the two order-p generators.  Every per-carrier table lives
+on its `GroupSpec` (listed there); the one module-level registry is
+`group_spec`'s.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class _Memo(dict):
 
 class GroupSpec:
     """One carrier group: prime pair plus kind, and every table built for it
-    on first use: `elements`, `add_np`, the subgroup lattice
+    on first use: `elements`, the O(n) digit-code arrays `_add_code` and
+    `_add_back` that `add_idx` adds through, the subgroup lattice
     `carrier_lattice`, Aut(A) as `aut_array` with `_aut_code_index`,
     `aut_generators`, `conj_tables`, the per-pair `_compose_memo` and the
     per-order Aut(A)-subgroup classes `_aut_classes`.  Nothing else holds
@@ -150,29 +153,43 @@ class GroupSpec:
             on = p // gcd(gcd(x[0] % p, x[1] % p), p)
         return lcm(on, q // gcd(x[-1] % q, q))
 
-    @cached_property
-    def add_np(self) -> np.ndarray:
-        """Addition table on indices, shape (n, n), int32.
+    @property
+    def _radices(self) -> tuple[int, ...]:
+        """Moduli of the digits of an element index, least significant
+        first: (p^2, q) for CYCLIC, (p, p, q) for MIXED."""
+        p, q = self.p, self.q
+        return (p * p, q) if self.kind is Kind.CYCLIC else (p, p, q)
 
-        Built in place, one component at a time: the sum of each coordinate
-        pair, reduced and scaled into its digit, is added into the output.
-        Two n x n int32 arrays are all it allocates."""
-        p, q, n = self.p, self.q, self.n
-        idx = np.arange(n, dtype=np.int32)
-        if self.kind is Kind.CYCLIC:
-            digits = ((idx % (p * p), p * p, 1), (idx // (p * p), q, p * p))
-        else:
-            digits = ((idx % p, p, 1), (idx // p % p, p, p), (idx // (p * p), q, p * p))
-        out = np.empty((n, n), dtype=np.int32)
-        part = np.empty_like(out)
-        for k, (c, mod, scale) in enumerate(digits):
-            dst = part if k else out
-            np.add.outer(c, c, out=dst)
-            dst %= mod
-            dst *= scale
-            if k:
-                out += part
-        return out
+    @cached_property
+    def _add_code(self) -> np.ndarray:
+        """Each element index rewritten with every digit at radix 2m, m the
+        digit's modulus, so that two codes add with no carry between
+        digits."""
+        code = np.zeros(self.n, dtype=np.intp)
+        rest, scale = np.arange(self.n), 1
+        for m in self._radices:
+            code += rest % m * scale
+            rest //= m
+            scale *= 2 * m
+        return code
+
+    @cached_property
+    def _add_back(self) -> np.ndarray:
+        """Digit-sum code -> index of the sum, int32: each digit reduced mod
+        its modulus.  4n entries (CYCLIC) or 8n (MIXED)."""
+        back = np.zeros(self.n * 2 ** len(self._radices), dtype=np.int32)
+        rest, scale = np.arange(len(back)), 1
+        for m in self._radices:
+            back += rest % (2 * m) % m * scale
+            rest //= 2 * m
+            scale *= m
+        return back
+
+    def add_idx(self, x, y):
+        """Index of x + y, elementwise over the broadcast index arrays x, y;
+        a Python int when both are scalars."""
+        s = self._add_back[self._add_code[x] + self._add_code[y]]
+        return s if isinstance(s, np.ndarray) else int(s)
 
     def sylow(self, prime: int) -> frozenset[int]:
         """Indices of the (unique) Sylow subgroup of the carrier at this prime."""
@@ -194,17 +211,21 @@ class GroupSpec:
         from element chains, are the lattice.
         """
         n = self.n
-        every = np.arange(n)
-        # Row x marks the multiples of x; every chain steps at once.
-        member = np.zeros((n, n), dtype=bool)
-        member[:, 0] = True
-        y = every
-        while y.any():
-            member[every, y] = True
-            y = self.add_np[y, every]
-        subs = {self.sylow(self.p), frozenset(range(n))}
-        distinct = {row.tobytes(): row for row in member}.values()
-        subs.update(frozenset(np.flatnonzero(row).tolist()) for row in distinct)
+        subs = {frozenset({0}), self.sylow(self.p), frozenset(range(n))}
+        # Each cyclic subgroup is walked once, from its smallest nonzero
+        # element: its other generators k x, k prime to the order, are
+        # skipped.
+        covered: set[int] = set()
+        for x in range(1, n):
+            if x in covered:
+                continue
+            chain, y = [0], x
+            while y:
+                chain.append(y)
+                y = self.add_idx(y, x)
+            m = len(chain)
+            covered.update(c for k, c in enumerate(chain) if gcd(k, m) == 1)
+            subs.add(frozenset(chain))
         return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
     # ---------------- automorphisms ----------------
@@ -501,27 +522,25 @@ def aut_orbits(
     counts every member, listed in `arrays` or not.
     """
     tables = spec.conj_tables
-    pending: dict[bytes, np.ndarray] = {}
-    for arr in arrays:
-        arr = np.asarray(arr, dtype=np.int64)
-        pending.setdefault(arr.astype(_KEY_DTYPE).tobytes(), arr)
+    # Orbit members are held as their keys only; an array is rebuilt from
+    # its key when it is expanded.
+    pending = {np.asarray(arr).astype(_KEY_DTYPE).tobytes() for arr in arrays}
     orbits: list[tuple[bytes, int]] = []
     while pending:
         start = min(pending)
         keys = {start}
-        frontier = [pending[start]]
+        frontier = [start]
         while frontier:
             new = []
-            for arr in frontier:
+            for key in frontier:
+                arr = np.frombuffer(key, dtype=_KEY_DTYPE).astype(np.int64)
                 for perm_elt, perm_aut in tables:
-                    img = act(arr, perm_elt, perm_aut)
-                    key = img.astype(_KEY_DTYPE).tobytes()
-                    if key not in keys:
-                        keys.add(key)
+                    img = act(arr, perm_elt, perm_aut).astype(_KEY_DTYPE).tobytes()
+                    if img not in keys:
+                        keys.add(img)
                         new.append(img)
             frontier = new
-        for key in keys:
-            pending.pop(key, None)
+        pending -= keys
         orbits.append((min(keys), len(keys)))
     orbits.sort()
     return [

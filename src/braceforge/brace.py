@@ -5,9 +5,9 @@ multiplicative-group classification.
 A brace is stored as its lambda table (one automorphism index per element).
 On first use it also keeps the m x n action rows of lambda(A), m = |lambda(A)|,
 and each element's row position (`lambda_action`).  The circle product
-a o b = a + lambda_a(b) is computed from those and the carrier's `add_np`
-by one function, `SkewBrace.circle_idx`, over index arrays; no n x n circle
-table is kept.
+a o b = a + lambda_a(b) is computed from those and the carrier's digit-wise
+addition `GroupSpec.add_idx` by one function, `SkewBrace.circle_idx`, over
+index arrays; no n x n circle or addition table is kept.
 
 Since every lambda_a is an automorphism, the brace axiom holds by
 construction and associativity is lambda being a homomorphism
@@ -149,7 +149,7 @@ class SkewBrace:
         """Circle product x o y = x + lambda_x(y) on element indices,
         elementwise over the broadcast index arrays x, y."""
         rows, pos = self.lambda_action
-        return self.spec.add_np[x, rows[pos[x], y]]
+        return self.spec.add_idx(x, rows[pos[x], y])
 
     def circle(self, x, y):
         """Circle product on element tuples."""
@@ -317,11 +317,10 @@ def is_bi_skew(B: SkewBrace) -> bool:
     of the call.
     """
     n = B.spec.n
-    add = B.spec.add_np
     every = np.arange(n)
     Z = B.circle_idx(every[:, None], every)
     for x in range(n):
-        ax = add[x]
+        ax = B.spec.add_idx(x, every)
         lhs = ax[Z]
         x_inv = int(np.flatnonzero(Z[x] == 0)[0])
         left = Z[ax, x_inv]
@@ -342,14 +341,11 @@ def lambda_is_additive(B: SkewBrace) -> bool:
     on the carrier's additive generators only.
     """
     spec = B.spec
-    add = spec.add_np
     if spec.kind is Kind.CYCLIC:
         gens = [spec.encode((1, 1))]
     else:
         gens = [spec.encode((1, 0, 1)), spec.encode((0, 1, 0))]
-    return B.lam[0] == spec.identity_aut and _lambda_hom_on(
-        B, lambda x, y: add[x, y], gens
-    )
+    return B.lam[0] == spec.identity_aut and _lambda_hom_on(B, spec.add_idx, gens)
 
 
 def mult_group_class(B: SkewBrace) -> MultClass:

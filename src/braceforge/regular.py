@@ -135,10 +135,19 @@ def _coset_tables(spec: GroupSpec, N: np.ndarray, elems: list[int]) -> tuple:
     """For the cosets of a subgroup N invariant under K = elems: each
     element's coset id, each coset's smallest element (ids ascend with it,
     so N is coset 0), coset addition cadd[x, y] = x + y, and K's action
-    act[i, x] = elems[i](x)."""
-    low = spec.add_np[:, N].min(axis=1)
-    reps, cid = np.unique(low, return_inverse=True)
-    cadd = cid[spec.add_np[np.ix_(reps, reps)]]
+    act[i, x] = elems[i](x).
+
+    The elements are labelled in ascending order: the first one without a
+    label is the smallest of its coset, which takes the next id."""
+    cid = np.full(spec.n, -1, dtype=np.intp)
+    reps = np.empty(spec.n // len(N), dtype=np.intp)
+    x = 0
+    for c in range(len(reps)):
+        while cid[x] >= 0:
+            x += 1
+        reps[c] = x
+        cid[spec.add_idx(x, N)] = c
+    cadd = cid[spec.add_idx(reps[:, None], reps)]
     act = cid[spec.apply_rows(elems)[:, reps]]
     return cid, reps, cadd, act
 
@@ -181,12 +190,11 @@ def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
     loc = loc.reshape(lam.shape)
     rows = spec.apply_rows(image)
     moves = [(u, spec.compose_many(image, g)[loc]) for u, g in zip(lifted.T, gens)]
-    add = spec.add_np
-    translations = _greedy_generators(lambda x, y: add[x, y], spec.n, N.tolist())
+    translations = _greedy_generators(spec.add_idx, spec.n, N.tolist())
     moves += [(np.full(len(lam), t), lam) for t in translations]
     ok = bool((lam[:, 0] == spec.identity_aut).all())
     for u, want in moves:
-        target = add[every, rows[loc, u[:, None]]]
+        target = spec.add_idx(every, rows[loc, u[:, None]])
         ok = ok and np.array_equal(np.take_along_axis(lam, target, axis=1), want)
     if not ok:
         raise RuntimeError(
@@ -275,7 +283,7 @@ def _whole_aut_tables(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _hol_times(spec: GroupSpec, rows, compose, xa, xf, a, f):
     """(xa, xf)(a, f) = (xa + xf(a), xf o f), elementwise over index arrays."""
-    return spec.add_np[xa, rows[xf, a]], compose[xf, f]
+    return spec.add_idx(xa, rows[xf, a]), compose[xf, f]
 
 
 def _oracle_prescan(
@@ -333,9 +341,9 @@ def _oracle_cyclic_subgroups(
     """
     n_aut = spec.n_aut
     cand, order = _oracle_prescan(spec, rows, compose)
-    # One scalar read per table and step: cheaper than list copies of the
-    # tables for the few entries a walk meets.
-    add, act, then = spec.add_np.item, rows.item, compose.item
+    # One scalar read or sum per table and step: cheaper than list copies
+    # of the tables for the few entries a walk meets.
+    add, act, then = spec.add_idx, rows.item, compose.item
     met: set[int] = set()
     out = []
     for h, m in zip(cand.tolist(), order.tolist()):
@@ -454,7 +462,8 @@ def regular_subgroups_oracle(
     # for the joins.  Nothing else tabulates Aut(A) whole.
     rows_np, compose_np = _whole_aut_tables(spec)
     cyclic = _oracle_cyclic_subgroups(spec, rows_np, compose_np)
-    add = spec.add_np.ravel().tolist()
+    every = np.arange(n)
+    add = spec.add_idx(every[:, None], every).ravel().tolist()
     rows, compose = rows_np.tolist(), compose_np.ravel().tolist()
     tables = (add, rows, compose)
     aut = (rows_np, compose_np, np.nonzero(compose_np == spec.identity_aut)[1])

@@ -1,7 +1,8 @@
-"""Cached expensive computations shared across test modules, the scalar
-reference for automorphism and holomorph arithmetic, the direct n^3 scan
-of the brace axioms, the oracle's prescan over the whole holomorph, and
-the brace and YBE checks that only the tests use.
+"""Cached expensive computations shared across test modules, the reference
+addition table, the scalar reference for automorphism and holomorph
+arithmetic, the direct n^3 scan of the brace axioms, the oracle's prescan
+over the whole holomorph, and the brace and YBE checks that only the tests
+use.
 
 Enumerating regular subgroups for the larger pairs takes seconds; the
 caches make sure each (pair, carrier) is searched once per pytest run
@@ -77,12 +78,31 @@ def oracle_eligible(p: int, q: int, kind: str) -> bool:
     return group_spec(p, q, kind).hol_order <= ORACLE_BOUND
 
 
+def add_table(spec) -> np.ndarray:
+    """The carrier's whole addition table on indices, shape (n, n), int64:
+    each coordinate pair added and reduced, by broadcasting, apart from the
+    package's digit codes (`GroupSpec.add_idx`)."""
+    p, q = spec.p, spec.q
+    idx = np.arange(spec.n)
+    if spec.kind is Kind.CYCLIC:
+        nn, mm = idx % (p * p), idx // (p * p)
+        return (nn[:, None] + nn[None, :]) % (p * p) + p * p * (
+            (mm[:, None] + mm[None, :]) % q
+        )
+    aa, bb, cc = idx % p, (idx // p) % p, idx // (p * p)
+    return (
+        (aa[:, None] + aa[None, :]) % p
+        + p * ((bb[:, None] + bb[None, :]) % p)
+        + p * p * ((cc[:, None] + cc[None, :]) % q)
+    )
+
+
 def circle_table(B: SkewBrace) -> np.ndarray:
     """The whole circle table, Z[a, b] = a + lambda_a(b), shape (n, n), from
-    the carrier's addition table and lambda's descriptors directly."""
+    the reference addition table and lambda's descriptors directly."""
     spec = B.spec
     rows = spec.apply_rows(B.lam)  # rows[a] = lambda_a on every element
-    return spec.add_np[np.arange(spec.n)[:, None], rows]
+    return add_table(spec)[np.arange(spec.n)[:, None], rows]
 
 
 def circle_inverses(Z: np.ndarray) -> np.ndarray:
@@ -98,7 +118,7 @@ def brace_axiom_scan(B: SkewBrace) -> VerifyResult:
     spec = B.spec
     n = spec.n
     Z = circle_table(B)
-    add = spec.add_np
+    add = add_table(spec)
     neg = np.argmax(add == 0, axis=1)
     problems: list[str] = []
     for a in range(n):
@@ -353,9 +373,10 @@ def whole_hol_prescan(spec, rows, compose):
     h = np.arange(n_aut, spec.hol_order)
     a, f = np.divmod(h, n_aut)
     xa, xf = a, f
+    add = add_table(spec)
     order = np.zeros(spec.hol_order, dtype=np.int64)
     for k in range(2, n + 1):
-        xa, xf = spec.add_np[xa, rows[xf, a]], compose[xf, f]
+        xa, xf = add[xa, rows[xf, a]], compose[xf, f]
         back = xa == 0
         if back.any():
             order[h[back & (xf == ident)]] = k
@@ -392,7 +413,7 @@ def lambda_identities_check(B: SkewBrace) -> bool:
     over the full fourth power of the carrier).
     """
     spec = B.spec
-    add, Z = spec.add_np, circle_table(B)
+    add, Z = add_table(spec), circle_table(B)
     lam = np.asarray(B.lam)
     rows = B.lambda_rows
     # (i), for every such b at once: step nb = kb, its circle power and
@@ -423,7 +444,7 @@ def ideal_checks(B: SkewBrace, I: Iterable[int]) -> dict[str, bool]:
     members = np.unique(np.fromiter(I, dtype=np.intp))
     in_I = np.zeros(spec.n, dtype=bool)
     in_I[members] = True
-    if not in_I[0] or not in_I[spec.add_np[np.ix_(members, members)]].all():
+    if not in_I[0] or not in_I[add_table(spec)[np.ix_(members, members)]].all():
         raise ValueError("I is not an additive subgroup")
     left = bool(in_I[spec.apply_rows(B.lambda_image)[:, members]].all())
     Z = circle_table(B)

@@ -18,6 +18,7 @@ from braceforge.algebra import (
 
 from helpers import (
     DESK_PAIRS,
+    add_table,
     all_descriptors,
     apply_desc,
     compose_desc,
@@ -54,7 +55,7 @@ def test_encode_decode_round_trip(spec):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_addition_is_an_abelian_group(spec):
-    add = spec.add_np
+    add = add_table(spec)
     n = spec.n
     assert np.array_equal(add[0], np.arange(n))
     assert np.array_equal(add, add.T)
@@ -67,24 +68,18 @@ def test_addition_is_an_abelian_group(spec):
 
 @pytest.mark.parametrize("kind", ["cyclic", "mixed"])
 @pytest.mark.parametrize("p,q", [(2, 5), (5, 23), (3, 109)])
-def test_add_np_equals_the_broadcast_formula(p, q, kind):
-    # add_np is built in place in int32; the formula here broadcasts in int64
+def test_add_idx_equals_the_broadcast_formula(p, q, kind):
+    # add_idx adds digit codes through two O(n) arrays; the reference
+    # broadcasts each coordinate sum in int64, over every index pair.
     spec = GroupSpec(p, q, kind)
-    idx = np.arange(spec.n)
-    if spec.kind is Kind.CYCLIC:
-        nn, mm = idx % (p * p), idx // (p * p)
-        want = (nn[:, None] + nn[None, :]) % (p * p) + p * p * (
-            (mm[:, None] + mm[None, :]) % q
-        )
-    else:
-        aa, bb, cc = idx % p, (idx // p) % p, idx // (p * p)
-        want = (
-            (aa[:, None] + aa[None, :]) % p
-            + p * ((bb[:, None] + bb[None, :]) % p)
-            + p * p * ((cc[:, None] + cc[None, :]) % q)
-        )
-    assert spec.add_np.dtype == np.int32
-    assert np.array_equal(spec.add_np, want)
+    every = np.arange(spec.n)
+    want = add_table(spec)
+    assert np.array_equal(spec.add_idx(every[:, None], every), want)
+    # Scalar sums are Python ints: the oracle puts them into frozensets and
+    # JSON.
+    for x, y in [(0, 0), (1, spec.n - 1), (spec.n - 1, spec.n - 1), (spec.p, spec.q)]:
+        got = spec.add_idx(x, y)
+        assert type(got) is int and got == want[x, y]
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
@@ -102,7 +97,7 @@ def test_element_order_brute_force(spec):
 def test_aut_count_against_exhaustive_hom_scan(spec):
     """Count bijective additive endomorphisms from generator images directly."""
     n = spec.n
-    add = spec.add_np
+    add = add_table(spec)
     # multiples[x, k] = k*x
     multiples = np.zeros((n, max(spec.p**2, spec.q) + 1), dtype=np.int64)
     for x in range(n):
@@ -161,7 +156,7 @@ def test_automorphisms_are_additive_and_compose(spec):
     every = np.arange(spec.n_aut)
     assert [spec.aut_desc(f) for f in every] == list(descs)
     assert spec.aut_lookup(descs).tolist() == every.tolist()
-    add = spec.add_np
+    add = add_table(spec)
     rows = spec.apply_rows(every)
     assert rows.shape == (spec.n_aut, spec.n) and rows.dtype == np.int32
     for f, d in enumerate(descs):
@@ -392,7 +387,7 @@ def _lattice_by_joins(spec):
     """Every subgroup of the carrier: the cyclic subgroups from element
     chains, saturated under pairwise joins (H + C is a subgroup, A abelian)."""
     n = spec.n
-    add = spec.add_np
+    add = add_table(spec)
     cyclics = set()
     for x in range(n):
         chain, y = [0], x

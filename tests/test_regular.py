@@ -7,6 +7,7 @@ import itertools
 import multiprocessing.process
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from math import gcd
 
@@ -38,6 +39,7 @@ from braceforge.regular import (
 
 from helpers import (
     DESK_PAIRS,
+    add_table,
     all_descriptors,
     hol_closure,
     hol_decode,
@@ -253,14 +255,20 @@ def test_lift_search_refuses_a_non_regular_survivor(monkeypatch):
 def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
     # The oracle's joins read a flat addition list of their own; the lift
     # search, the carrier lattice, the orbit partition and the JSON report
-    # read add_np.  A fresh spec holds every table it uses, so it builds
-    # everything anew; group_spec hands it to the catalog too.
+    # add through add_idx's O(n) digit codes.  A fresh spec holds every
+    # table it uses, so it builds everything anew; group_spec hands it to
+    # the catalog too.
     spec = GroupSpec(3, 7, Kind.MIXED)
     monkeypatch.setitem(algebra._SPEC_CACHE, (3, 7, Kind.MIXED), spec)
     ocs = orbit_partition(regular_subgroups_structured(spec), spec=spec)
     report_to_json(tabulate(ocs, spec=spec))
     catalog_for_case(3, 7)
-    assert "add_np" in vars(spec)
+    big = [
+        name
+        for name, value in vars(spec).items()
+        if isinstance(value, np.ndarray) and value.size >= spec.n**2
+    ]
+    assert big == []
     assert "add_flat" not in vars(spec)
     # No per-automorphism memo: the memos a spec may cache are the per-pair
     # composition memo and the per-order class memo of the Aut-class layer.
@@ -274,6 +282,23 @@ def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
         if type(value) in (tuple, list, dict) and len(value) == spec.n_aut
     ]
     assert per_aut == []
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "mixed"])
+def test_structured_search_stays_under_one_addition_table(kind):
+    # On a fresh spec at the edge of the scope, building the carrier's
+    # tables, the lift search and the orbit partition together raise the
+    # traced peak by less than one n x n int32 table.
+    spec = GroupSpec(3, 109, kind)
+    table = spec.n**2 * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        orbit_partition(regular_subgroups_structured(spec), spec=spec)
+        growth = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert growth < table, f"peak grew {growth} bytes, one table is {table}"
 
 
 def test_a_dropped_spec_is_freed():
@@ -420,7 +445,7 @@ def test_tabulate_flags_the_headline_discrepancy():
 def _oracle_tables(spec):
     """The whole-Aut list tables the oracle hands its joins."""
     rows, compose = regular._whole_aut_tables(spec)
-    return spec.add_np.ravel().tolist(), rows.tolist(), compose.ravel().tolist()
+    return add_table(spec).ravel().tolist(), rows.tolist(), compose.ravel().tolist()
 
 
 def test_closure_duplicate_projection_prune_is_sound():
