@@ -4,11 +4,12 @@ the subgroups of Aut(A) and of the carrier.
 Elements and automorphisms are given small-integer indices.  The carrier's
 addition is digit-wise on the index, through two O(n) lookup arrays
 (`GroupSpec.add_idx`); no n x n table is kept.  Aut(A) is held once, as
-`GroupSpec.aut_array`, one int64 descriptor row per automorphism built by
-broadcasting, with a dense descriptor-code -> index table beside it;
+`GroupSpec.aut_array`, one int64 descriptor row per automorphism filled in
+place, with a dense descriptor-code -> index table beside it;
 `aut_lookup` and `aut_desc` are the only crossings between descriptors and
 indices.  The action and composition of automorphisms are computed from the
-array for the automorphisms a call names, vectorized over index arrays; for
+array for the automorphisms a call names, vectorized over index arrays, and
+passes over all of Aut(A) go in blocks of rows (`_blocks`); for
 the pure-Python closure loop of Aut(A), compositions are also memoized per
 pair from single array rows.  Index encoding (stable, used by every
 serialized artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED
@@ -20,11 +21,10 @@ on its `GroupSpec` (listed there); the one module-level registry is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,12 +138,6 @@ class GroupSpec:
             return ((x[0] + y[0]) % (p * p), (x[1] + y[1]) % q)
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % q)
 
-    def neg(self, x: Element) -> Element:
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            return (-x[0] % (p * p), -x[1] % q)
-        return (-x[0] % p, -x[1] % p, -x[2] % q)
-
     def element_order(self, x: Element) -> int:
         """Additive order of x."""
         p, q = self.p, self.q
@@ -235,7 +229,8 @@ class GroupSpec:
         """Every automorphism as an int64 descriptor row, row k for
         automorphism k, in ascending descriptor order: columns (i, j) for
         CYCLIC, units mod p^2 and mod q; (m00, m01, m10, m11, alpha) for
-        MIXED, an invertible matrix over F_p and a unit mod q."""
+        MIXED, an invertible matrix over F_p and a unit mod q.  Filled in
+        place, each left part repeated over the q - 1 units alpha."""
         p, q = self.p, self.q
         if self.kind is Kind.CYCLIC:
             units = np.arange(1, p * p)
@@ -243,11 +238,10 @@ class GroupSpec:
         else:
             m = np.indices((p, p, p, p)).reshape(4, -1).T  # lexicographic
             left = m[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % p != 0]
-        alpha = np.arange(1, q)
-        D = np.concatenate(
-            (np.repeat(left, q - 1, axis=0), np.tile(alpha, len(left))[:, None]),
-            axis=1,
-        ).astype(np.int64)
+        D = np.empty((len(left), q - 1, left.shape[1] + 1), dtype=np.int64)
+        D[:, :, :-1] = left[:, None, :]
+        D[:, :, -1] = np.arange(1, q)
+        D = D.reshape(-1, D.shape[2])
         if len(D) != self.n_aut:
             raise RuntimeError(
                 f"tabulated {len(D)} automorphisms, but |Aut(A)| = {self.n_aut}"
@@ -299,7 +293,9 @@ class GroupSpec:
         p, q = self.p, self.q
         size = p * p * q if self.kind is Kind.CYCLIC else p**4 * q
         table = np.full(size, -1, dtype=np.intp)
-        table[self._aut_codes(self.aut_array.T)] = np.arange(self.n_aut)
+        D = self.aut_array
+        for i, block in _blocks(D, D.shape[1]):
+            table[self._aut_codes(block.T)] = np.arange(i, i + len(block))
         return table
 
     def _compose_cols(self, a, b):
@@ -325,21 +321,28 @@ class GroupSpec:
 
     def apply_rows(self, F) -> np.ndarray:
         """Action of each automorphism in F on element indices: shape
-        (len(F), n), int32, row r the image of every element under F[r]."""
+        (len(F), n), int32, row r the image of every element under F[r],
+        filled block by block."""
         p, q, n = self.p, self.q, self.n
-        D = self.aut_array[np.asarray(F, dtype=np.intp)]
+        F = np.asarray(F, dtype=np.intp)
+        out = np.empty((len(F), n), dtype=np.int32)
         idx = np.arange(n)
         if self.kind is Kind.CYCLIC:
             nn, mm = idx % (p * p), idx // (p * p)
-            rows = D[:, 0:1] * nn % (p * p) + p * p * (D[:, 1:2] * mm % q)
         else:
             aa, bb, cc = idx % p, (idx // p) % p, idx // (p * p)
-            rows = (
-                (D[:, 0:1] * aa + D[:, 1:2] * bb) % p
-                + p * ((D[:, 2:3] * aa + D[:, 3:4] * bb) % p)
-                + p * p * (D[:, 4:5] * cc % q)
-            )
-        return rows.astype(np.int32)
+        for i, block in _blocks(F, n):
+            D = self.aut_array[block]
+            if self.kind is Kind.CYCLIC:
+                rows = D[:, 0:1] * nn % (p * p) + p * p * (D[:, 1:2] * mm % q)
+            else:
+                rows = (
+                    (D[:, 0:1] * aa + D[:, 1:2] * bb) % p
+                    + p * ((D[:, 2:3] * aa + D[:, 3:4] * bb) % p)
+                    + p * p * (D[:, 4:5] * cc % q)
+                )
+            out[i : i + len(block)] = rows
+        return out
 
     def compose_idx(self, f: int, g: int) -> int:
         """Index of f o g, memoized per pair."""
@@ -358,12 +361,18 @@ class GroupSpec:
         return _Memo(compose)
 
     def aut_torsion(self, k: int) -> np.ndarray:
-        """Ascending indices of the automorphisms f with f^k = id, found by one
-        square-and-multiply over the whole descriptor array."""
+        """Ascending indices of the automorphisms f with f^k = id, found by
+        square-and-multiply over each block of the descriptor array."""
         D = self.aut_array
         ident = D[self.identity_aut]
-        acc = power(self._compose_cols, ident, D.T, k)
-        return np.flatnonzero(self._aut_codes(acc) == self._aut_codes(ident))
+        found = [
+            i + np.flatnonzero(
+                self._aut_codes(power(self._compose_cols, ident, block.T, k))
+                == self._aut_codes(ident)
+            )
+            for i, block in _blocks(D, D.shape[1])
+        ]
+        return np.concatenate(found)
 
     @cached_property
     def aut_generators(self) -> tuple[int, ...]:
@@ -403,14 +412,22 @@ class GroupSpec:
     @cached_property
     def conj_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per Aut generator psi, two int64 arrays: psi on element indices, and
-        f -> psi o f o psi^-1 on automorphism indices."""
-        every = np.arange(self.n_aut)
+        f -> psi o f o psi^-1 on automorphism indices, filled block by block.
+        psi^-1 = psi^(|Aut(A)| - 1) by Lagrange, one descriptor taken to
+        that power with Python ints."""
+        D = self.aut_array
+        one = D[self.identity_aut].tolist()
         rows = self.apply_rows(self.aut_generators).astype(np.int64)
         tables = []
         for g, row in zip(self.aut_generators, rows):
-            left = self.compose_many(g, every)  # psi o f for every f
-            g_inv = int(np.flatnonzero(left == self.identity_aut)[0])
-            tables.append((row, self.compose_many(left, g_inv)))
+            inv_desc = power(self._compose_cols, one, D[g].tolist(), self.n_aut - 1)
+            g_inv = int(self._aut_code_index[self._aut_codes(inv_desc)])
+            perm = np.empty(self.n_aut, dtype=np.intp)
+            for i, block in _blocks(np.arange(self.n_aut), D.shape[1]):
+                perm[i : i + len(block)] = self.compose_many(
+                    self.compose_many(g, block), g_inv
+                )
+            tables.append((row, perm))
         return tables
 
     # ---------------- holomorph ----------------
@@ -418,6 +435,20 @@ class GroupSpec:
     @property
     def hol_order(self) -> int:
         return self.n * self.n_aut
+
+
+# Cells of each temporary in one block of a pass over many automorphisms
+# (`_blocks`): a pass over all of Aut(A) holds no |Aut(A)|-row temporary.
+_BLOCK_CELLS = 1 << 13
+
+
+def _blocks(rows: np.ndarray, width: int):
+    """(start, rows[start : start + size]) for each block of rows, size rows
+    of `width` cells each making at most _BLOCK_CELLS (and at least one
+    row)."""
+    size = max(1, _BLOCK_CELLS // width)
+    for i in range(0, len(rows), size):
+        yield i, rows[i : i + size]
 
 
 _SPEC_CACHE: dict[tuple[int, int, Kind], GroupSpec] = {}
@@ -510,21 +541,30 @@ def carrier_subgroups(spec: GroupSpec, order: int | None = None) -> list[frozens
 _KEY_DTYPE = ">u4"
 
 
-def aut_orbits(
-    spec: GroupSpec, arrays: Iterable, act
-) -> list[tuple[tuple[int, ...], int]]:
-    """Partition index arrays into orbits under conjugation by Aut(A).
+def _index_key(arr) -> bytes:
+    """The bytes key of an index array or sequence."""
+    return np.asarray(arr).astype(_KEY_DTYPE).tobytes()
+
+
+def _key_array(key: bytes) -> np.ndarray:
+    """The int64 index array a bytes key was made from."""
+    return np.frombuffer(key, dtype=_KEY_DTYPE).astype(np.int64)
+
+
+def aut_orbits(spec: GroupSpec, keys: Iterable[bytes], act) -> list[tuple[bytes, int]]:
+    """Partition index arrays, given by their keys (`_index_key`), into
+    orbits under conjugation by Aut(A).
 
     `act(arr, perm_elt, perm_aut)` is the image of an int64 array under one
     Aut generator psi, given psi on elements and f -> psi f psi^-1 on
-    automorphisms (`spec.conj_tables`).  Each orbit met by `arrays` is
-    returned once, as (its smallest member, its size), in key order; the size
-    counts every member, listed in `arrays` or not.
+    automorphisms (`spec.conj_tables`).  Each orbit met by `keys` is
+    returned once, as (the key of its smallest member, its size), in key
+    order; the size counts every member, listed in `keys` or not.
     """
     tables = spec.conj_tables
     # Orbit members are held as their keys only; an array is rebuilt from
     # its key when it is expanded.
-    pending = {np.asarray(arr).astype(_KEY_DTYPE).tobytes() for arr in arrays}
+    pending = set(keys)
     orbits: list[tuple[bytes, int]] = []
     while pending:
         start = min(pending)
@@ -533,9 +573,9 @@ def aut_orbits(
         while frontier:
             new = []
             for key in frontier:
-                arr = np.frombuffer(key, dtype=_KEY_DTYPE).astype(np.int64)
+                arr = _key_array(key)
                 for perm_elt, perm_aut in tables:
-                    img = act(arr, perm_elt, perm_aut).astype(_KEY_DTYPE).tobytes()
+                    img = _index_key(act(arr, perm_elt, perm_aut))
                     if img not in keys:
                         keys.add(img)
                         new.append(img)
@@ -543,10 +583,7 @@ def aut_orbits(
         pending -= keys
         orbits.append((min(keys), len(keys)))
     orbits.sort()
-    return [
-        (tuple(np.frombuffer(key, dtype=_KEY_DTYPE).tolist()), size)
-        for key, size in orbits
-    ]
+    return orbits
 
 
 def _conjugate_subgroup(arr, perm_elt, perm_aut):
@@ -554,8 +591,7 @@ def _conjugate_subgroup(arr, perm_elt, perm_aut):
     return np.sort(perm_aut[arr])
 
 
-@dataclass(frozen=True)
-class AutSubgroupClass:
+class AutSubgroupClass(NamedTuple):
     """One conjugacy class of order-k subgroups of Aut(A)."""
 
     spec: GroupSpec
@@ -598,7 +634,7 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
         )
     # Distinct cyclic subgroups <f> with f^k = id, each found from its
     # smallest generator; the generators of each are skipped afterwards.
-    cyclics: dict[tuple[int, ...], tuple[frozenset[int], int]] = {}
+    cyclics: dict[bytes, tuple[frozenset[int], int]] = {}
     covered: set[int] = set()
     for f in spec.aut_torsion(k).tolist():
         if f == ident or f in covered:
@@ -608,7 +644,7 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
             powers.append(spec.compose_idx(powers[-1], f))
         d = len(powers)
         covered.update(g for i, g in enumerate(powers, 1) if gcd(i, d) == 1)
-        cyclics[tuple(sorted(powers))] = (frozenset(powers), f)
+        cyclics[_index_key(sorted(powers))] = (frozenset(powers), f)
     cyclic_classes = aut_orbits(spec, cyclics, _conjugate_subgroup)
     total = sum(size for _, size in cyclic_classes)
     if total != len(cyclics):
@@ -617,7 +653,7 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
             f"order {k}: {len(cyclics)} cyclic subgroups <f> with f^{k} = id "
             f"were listed, but their conjugacy classes hold {total}"
         )
-    joins: dict[tuple[int, ...], None] = {}
+    joins: dict[bytes, None] = {}
     for key, _ in cyclic_classes:
         R, f1 = cyclics[key]
         if len(R) == k:
@@ -631,10 +667,10 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
                 continue
             T = aut_closure(spec, (f1, f2), cap=k)
             if T is not None and len(T) == k:
-                joins[tuple(sorted(T))] = None
+                joins[_index_key(sorted(T))] = None
     classes = []
     for rep, size in aut_orbits(spec, joins, _conjugate_subgroup):
-        T = frozenset(rep)
+        T = frozenset(_key_array(rep).tolist())
         classes.append(AutSubgroupClass(spec, k, T, _minimal_generators(spec, T), size))
     return classes
 

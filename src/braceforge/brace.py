@@ -2,9 +2,10 @@
 axiom verification, lambda/kernel/fix machinery, bi-skew detection and
 multiplicative-group classification.
 
-A brace is stored as its lambda table (one automorphism index per element).
-On first use it also keeps the m x n action rows of lambda(A), m = |lambda(A)|,
-and each element's row position (`lambda_action`).  The circle product
+A brace is stored as its lambda table, one automorphism index per element,
+in a read-only int32 array.  On first use it also keeps the m x n action
+rows of lambda(A), m = |lambda(A)|, and each element's row position
+(`lambda_action`).  The circle product
 a o b = a + lambda_a(b) is computed from those and the carrier's digit-wise
 addition `GroupSpec.add_idx` by one function, `SkewBrace.circle_idx`, over
 index arrays; no n x n circle or addition table is kept.
@@ -18,14 +19,13 @@ unless it rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import divisors, dlog, legendre, power, unit_of_order
-from .algebra import GroupSpec, Kind, _greedy_generators
+from .algebra import GroupSpec, Kind, _distinct, _greedy_generators, _index_key
 
 __all__ = [
     "MultClass",
@@ -74,8 +74,7 @@ MULT_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class MultClass:
+class MultClass(NamedTuple):
     """Isomorphism type of the multiplicative group (A, o)."""
 
     label: str
@@ -85,16 +84,14 @@ class MultClass:
         return self.label if self.k is None else f"{self.label}({self.k})"
 
 
-@dataclass(frozen=True)
-class BraceInvariants:
+class BraceInvariants(NamedTuple):
     ker_size: int
     fix_size: int
     mult_class: MultClass
     bi_skew: bool
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     problems: tuple[str, ...] = ()
 
@@ -103,28 +100,40 @@ class VerifyResult:
 
 
 class SkewBrace:
-    """A skew (left) brace whose additive group is the given carrier."""
+    """A skew (left) brace whose additive group is the given carrier.
+
+    `lam` is its lambda table, one automorphism index per element, held as
+    a read-only int32 array.  Equality and hashing go through `key`, the
+    table's big-endian bytes, and so does every sort of braces: keys of
+    equal-length tables order as the tables do, entry by entry.
+    """
 
     __slots__ = ("spec", "lam", "__dict__")
 
     def __init__(self, spec: GroupSpec, lam: Sequence[int]):
-        lam = tuple(lam)
-        if len(lam) != spec.n:
-            raise ValueError(f"lambda table has {len(lam)} entries, expected {spec.n}")
-        if min(lam) < 0 or max(lam) >= spec.n_aut:
+        lam = np.array(lam, dtype=np.int32)
+        if lam.shape != (spec.n,):
+            raise ValueError(f"lambda table has {lam.size} entries, expected {spec.n}")
+        if lam.min() < 0 or lam.max() >= spec.n_aut:
             raise ValueError("lambda table contains an invalid automorphism index")
+        lam.flags.writeable = False
         self.spec = spec
         self.lam = lam
+
+    @property
+    def key(self) -> bytes:
+        """The lambda table as bytes (`algebra._index_key`), made on demand."""
+        return _index_key(self.lam)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SkewBrace)
             and self.spec == other.spec
-            and self.lam == other.lam
+            and self.key == other.key
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.lam))
+        return hash((self.spec, self.key))
 
     def __repr__(self) -> str:
         return f"SkewBrace({self.spec!r}, |ker|={len(ker_lambda(self))})"
@@ -134,7 +143,7 @@ class SkewBrace:
         """The action rows of lambda(A) and each element's row position:
         rows[i, b] = f(b) for the i-th automorphism f of lambda_image, shape
         (m, n), int32, and lambda_a = lambda_image[pos[a]]."""
-        used, pos = np.unique(np.asarray(self.lam, dtype=np.intp), return_inverse=True)
+        used, pos = np.unique(self.lam, return_inverse=True)
         return self.spec.apply_rows(used), pos
 
     @property
@@ -166,11 +175,11 @@ class SkewBrace:
 
     def lambda_desc(self, x):
         """The automorphism lambda_x as a descriptor."""
-        return self.spec.aut_desc(self.lam[self.spec.encode(x)])
+        return self.spec.aut_desc(int(self.lam[self.spec.encode(x)]))
 
     @cached_property
     def lambda_image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.lam)))
+        return tuple(_distinct(self.lam, self.spec.n_aut).tolist())
 
     @cached_property
     def circle_orders(self) -> np.ndarray:
@@ -238,12 +247,14 @@ def verify_left_brace(B: SkewBrace) -> VerifyResult:
     of each check, in row-major order, is reported as a witness.
     """
     spec = B.spec
-    lam0_ok = B.lam[0] == spec.identity_aut
+    lam0_ok = bool(B.lam[0] == spec.identity_aut)
     if lam0_ok and _lambda_hom_on(B, B.circle_idx, B.circle_generators):
         return VerifyResult(True)
     problems: list[str] = []
     if not lam0_ok:
-        problems.append(f"lambda(0) is not the identity automorphism (index {B.lam[0]})")
+        problems.append(
+            f"lambda(0) is not the identity automorphism (index {int(B.lam[0])})"
+        )
     bad = _lambda_hom_witness(B)
     if bad is None:
         raise RuntimeError(
@@ -260,7 +271,7 @@ def _lambda_compositions(B: SkewBrace) -> tuple[np.ndarray, np.ndarray, np.ndarr
     comp[i, j], the index of image[i] o image[j] over lambda_image."""
     image = np.asarray(B.lambda_image)
     comp = B.spec.compose_many(image[:, None], image[None, :])
-    return np.asarray(B.lam, dtype=np.int32), B.lambda_action[1], comp
+    return B.lam, B.lambda_action[1], comp
 
 
 def _lambda_hom_on(B: SkewBrace, product, gens: Sequence[int]) -> bool:
@@ -298,8 +309,7 @@ def _lambda_hom_witness(B: SkewBrace) -> tuple[int, int] | None:
 
 def ker_lambda(B: SkewBrace) -> frozenset[int]:
     """Kernel of lambda as a set of element indices."""
-    ident = B.spec.identity_aut
-    return frozenset(a for a, f in enumerate(B.lam) if f == ident)
+    return frozenset(np.flatnonzero(B.lam == B.spec.identity_aut).tolist())
 
 
 def fix_set(B: SkewBrace) -> frozenset[int]:
@@ -345,7 +355,7 @@ def lambda_is_additive(B: SkewBrace) -> bool:
         gens = [spec.encode((1, 1))]
     else:
         gens = [spec.encode((1, 0, 1)), spec.encode((0, 1, 0))]
-    return B.lam[0] == spec.identity_aut and _lambda_hom_on(B, spec.add_idx, gens)
+    return bool(B.lam[0] == spec.identity_aut) and _lambda_hom_on(B, spec.add_idx, gens)
 
 
 def mult_group_class(B: SkewBrace) -> MultClass:

@@ -5,8 +5,8 @@ explicit brace formulas are written in terms of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .arith import is_prime, legendre, quadratic_nonresidues, unit_of_order
 
@@ -43,31 +43,34 @@ class ExcludedPairError(ValueError):
     """Raised when asked to process the excluded order-12 pair (2, 3)."""
 
 
-@dataclass(frozen=True)
-class PrimePair:
-    """An ordered pair of distinct primes (p, q); the carrier order is p*p*q."""
-
+class _Pair(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if not is_prime(self.q):
-            raise ValueError(f"q = {self.q} is not prime")
-        if self.p == self.q:
-            raise ValueError(f"p and q must be distinct, got {self.p} twice")
-        if self.order() > ORDER_BOUND:
+
+class PrimePair(_Pair):
+    """An ordered pair of distinct primes (p, q); the carrier order is p*p*q."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> PrimePair:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if not is_prime(q):
+            raise ValueError(f"q = {q} is not prime")
+        if p == q:
+            raise ValueError(f"p and q must be distinct, got {p} twice")
+        if p * p * q > ORDER_BOUND:
             raise ValueError(
-                f"carrier order {self.order()} exceeds the bound {ORDER_BOUND}"
+                f"carrier order {p * p * q} exceeds the bound {ORDER_BOUND}"
             )
+        return super().__new__(cls, p, q)
 
     def order(self) -> int:
         return self.p * self.p * self.q
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(NamedTuple):
     """Fixed constants for one congruence case.
 
     Only the constants the case actually uses are populated; the rest stay

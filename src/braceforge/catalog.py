@@ -12,7 +12,7 @@ braces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import GroupSpec, Kind, group_spec
 from .brace import (
@@ -59,11 +59,11 @@ __all__ = [
     "fourq1mod4_cyclic",
     "fourq1mod4_mixed_kerq",
     "catalog_for_case",
+    "catalog_for_carrier",
 ]
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One named family member: the brace plus its expected invariants."""
 
     case: CongruenceCase
@@ -75,7 +75,7 @@ class CatalogEntry:
 
 def _lam(spec: GroupSpec, desc_of) -> SkewBrace:
     """Brace from a function mapping element tuples to aut descriptors."""
-    return SkewBrace(spec, spec.aut_lookup(desc_of(x) for x in spec.elements).tolist())
+    return SkewBrace(spec, spec.aut_lookup(desc_of(x) for x in spec.elements))
 
 
 def trivial_brace(spec: GroupSpec) -> SkewBrace:
@@ -305,18 +305,28 @@ def _gk(k: int, q: int) -> MultClass:
     return MultClass(G_K, kk)
 
 
-def catalog_for_case(p: int, q: int, rank: int = 0) -> list[CatalogEntry]:
-    """Every family instance for the pair, cyclic carrier first.
+def catalog_for_case(
+    p: int, q: int, rank: int = 0, kinds: tuple[Kind, ...] = (Kind.CYCLIC, Kind.MIXED)
+) -> list[CatalogEntry]:
+    """Every family instance for the pair on the carriers `kinds` names, in
+    that order: by default both, cyclic carrier first.  Only those carriers'
+    specs are built.
 
     Entry counts per case match the classification: e.g. 4 when p and q are
     multiplicatively independent, p + 8 when q = 1 (mod p) only, 11 when
     p = 2 and q = 1 (mod 4).
     """
+    return [e for kind in kinds for e in catalog_for_carrier(p, q, kind, rank)]
+
+
+def catalog_for_carrier(
+    p: int, q: int, kind: Kind | str, rank: int = 0
+) -> list[CatalogEntry]:
+    """Every family instance for the pair on one carrier."""
     pair = PrimePair(p, q)
     case = classify_case(pair)
     n = p * p * q
-    cspec = group_spec(p, q, Kind.CYCLIC)
-    mspec = group_spec(p, q, Kind.MIXED)
+    spec = group_spec(p, q, kind)
     entries: list[CatalogEntry] = []
 
     def add(family: str, params: dict[str, int], brace: SkewBrace,
@@ -331,43 +341,46 @@ def catalog_for_case(p: int, q: int, rank: int = 0) -> list[CatalogEntry]:
             )
         )
 
-    add("trivial", {}, trivial_brace(cspec), n, n, ZP2Q, True)
-    if case in (CongruenceCase.P1Q_ODD, CongruenceCase.P1Q_Q2):
-        add("cyclic_pq", {}, cyclic_pq_brace(p, q), p * q, p * q, ZP2Q, True)
-        add("cyclic_semidirect", {}, cyclic_semidirect_brace(p, q, rank),
-            p * p, q, ZP2_RTIMES_ZQ, True)
-    elif case in (CongruenceCase.PM1Q, CongruenceCase.ALG_IND):
-        add("cyclic_pq", {}, cyclic_pq_brace(p, q), p * q, p * q, ZP2Q, True)
-    elif case in (CongruenceCase.Q1P, CongruenceCase.Q1P2):
-        add("q1p_cyclic_Bjk", {"j": 1, "k": 0}, q1p_cyclic_Bjk(p, q, 1, 0, rank),
-            p * q, p * q, ZP2Q, True)
-        for j in range(p):
-            add("q1p_cyclic_Bjk", {"j": j, "k": 1}, q1p_cyclic_Bjk(p, q, j, 1, rank),
-                p * q, p * p if j == 0 else p, ZQ_RTIMES_ZP2_rp, True)
-        if case is CongruenceCase.Q1P2:
+    if spec.kind is Kind.CYCLIC:
+        add("trivial", {}, trivial_brace(spec), n, n, ZP2Q, True)
+        if case in (CongruenceCase.P1Q_ODD, CongruenceCase.P1Q_Q2):
+            add("cyclic_pq", {}, cyclic_pq_brace(p, q), p * q, p * q, ZP2Q, True)
+            add("cyclic_semidirect", {}, cyclic_semidirect_brace(p, q, rank),
+                p * p, q, ZP2_RTIMES_ZQ, True)
+        elif case in (CongruenceCase.PM1Q, CongruenceCase.ALG_IND):
+            add("cyclic_pq", {}, cyclic_pq_brace(p, q), p * q, p * q, ZP2Q, True)
+        elif case in (CongruenceCase.Q1P, CongruenceCase.Q1P2):
+            add("q1p_cyclic_Bjk", {"j": 1, "k": 0}, q1p_cyclic_Bjk(p, q, 1, 0, rank),
+                p * q, p * q, ZP2Q, True)
             for j in range(p):
-                add("q1p2_cyclic_Bj", {"j": j}, q1p2_cyclic_Bj(p, q, j, rank),
-                    q, p * p if j == 0 else p, ZQ_RTIMES_ZP2_h, j == 0)
-    elif case in (CongruenceCase.FOURQ_PLAIN, CongruenceCase.FOURQ_1MOD4):
-        fixes = {(1, 0): 4, (0, 1): 2 * q, (1, 1): 2}
-        labels = {
-            (1, 0): ZQ_RTIMES_ZP2_rp,
-            (0, 1): ZP2xZQ,
-            (1, 1): ZP_x_ZQ_RTIMES_ZP,
-        }
-        for (i, j), fix in fixes.items():
-            add("fourq_cyclic_Bij", {"i": i, "j": j}, fourq_cyclic_Bij(q, i, j),
-                2 * q, fix, labels[(i, j)], True)
-        if case is CongruenceCase.FOURQ_PLAIN:
-            add("fourq_cyclic_kerq", {}, fourq_cyclic_kerq(q),
-                q, 2, ZP_x_ZQ_RTIMES_ZP, False)
-        else:
-            add("fourq1mod4_cyclic", {"variant": 1}, fourq1mod4_cyclic(q, 1, rank),
-                q, 2, ZP_x_ZQ_RTIMES_ZP, False)
-            add("fourq1mod4_cyclic", {"variant": 2}, fourq1mod4_cyclic(q, 2, rank),
-                q, 4, ZQ_RTIMES_ZP2_h, True)
+                add("q1p_cyclic_Bjk", {"j": j, "k": 1},
+                    q1p_cyclic_Bjk(p, q, j, 1, rank),
+                    p * q, p * p if j == 0 else p, ZQ_RTIMES_ZP2_rp, True)
+            if case is CongruenceCase.Q1P2:
+                for j in range(p):
+                    add("q1p2_cyclic_Bj", {"j": j}, q1p2_cyclic_Bj(p, q, j, rank),
+                        q, p * p if j == 0 else p, ZQ_RTIMES_ZP2_h, j == 0)
+        elif case in (CongruenceCase.FOURQ_PLAIN, CongruenceCase.FOURQ_1MOD4):
+            fixes = {(1, 0): 4, (0, 1): 2 * q, (1, 1): 2}
+            labels = {
+                (1, 0): ZQ_RTIMES_ZP2_rp,
+                (0, 1): ZP2xZQ,
+                (1, 1): ZP_x_ZQ_RTIMES_ZP,
+            }
+            for (i, j), fix in fixes.items():
+                add("fourq_cyclic_Bij", {"i": i, "j": j}, fourq_cyclic_Bij(q, i, j),
+                    2 * q, fix, labels[(i, j)], True)
+            if case is CongruenceCase.FOURQ_PLAIN:
+                add("fourq_cyclic_kerq", {}, fourq_cyclic_kerq(q),
+                    q, 2, ZP_x_ZQ_RTIMES_ZP, False)
+            else:
+                add("fourq1mod4_cyclic", {"variant": 1},
+                    fourq1mod4_cyclic(q, 1, rank), q, 2, ZP_x_ZQ_RTIMES_ZP, False)
+                add("fourq1mod4_cyclic", {"variant": 2},
+                    fourq1mod4_cyclic(q, 2, rank), q, 4, ZQ_RTIMES_ZP2_h, True)
+        return entries
 
-    add("trivial", {}, trivial_brace(mspec), n, n, ZP2xZQ, True)
+    add("trivial", {}, trivial_brace(spec), n, n, ZP2xZQ, True)
     if case is CongruenceCase.P1Q_ODD:
         add("mixed_pq", {}, mixed_pq_brace(p, q), p * q, p * q, ZP2xZQ, True)
         for s in bset_for(q):

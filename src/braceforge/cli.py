@@ -54,9 +54,9 @@ EXIT_USAGE = 2
 
 # The carriers each --additive choice names.
 _KINDS = {
-    "cyclic": [Kind.CYCLIC],
-    "mixed": [Kind.MIXED],
-    "both": [Kind.CYCLIC, Kind.MIXED],
+    "cyclic": (Kind.CYCLIC,),
+    "mixed": (Kind.MIXED,),
+    "both": (Kind.CYCLIC, Kind.MIXED),
 }
 
 
@@ -213,9 +213,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _catalog_entries(args: argparse.Namespace) -> list:
-    """The catalog entries of the pair on the carriers --additive names."""
-    kinds = _KINDS[args.additive]
-    return [e for e in catalog_for_case(args.p, args.q) if e.brace.spec.kind in kinds]
+    """The catalog entries of the pair on the carriers --additive names; no
+    other carrier is built."""
+    return catalog_for_case(args.p, args.q, kinds=_KINDS[args.additive])
 
 
 def _entry_head(e, good: bool) -> str:
@@ -350,7 +350,7 @@ def cmd_ybe(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    entries = catalog_for_case(args.p, args.q)
+    entries = _catalog_entries(args)
     lines = []
     docs = []
     total = 0
@@ -362,7 +362,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             perfect = False
         kind_entries = [e for e in entries if e.brace.spec.kind is kind]
         # Each class brace is its orbit's minimal lambda table.
-        by_key = {oc.brace.lam: i for i, oc in enumerate(orbits)}
+        by_key = {oc.brace.key: i for i, oc in enumerate(orbits)}
         claimed: dict[int, str] = {}
         unmatched_entries = []
         for e in kind_entries:

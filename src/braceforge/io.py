@@ -162,7 +162,8 @@ def brace_to_json(B: SkewBrace, invariants: BraceInvariants | None = None) -> di
 
         invariants = brace_invariants(B)
     spec = B.spec
-    used = sorted(set(B.lam))
+    lam = B.lam.tolist()
+    used = sorted(set(lam))
     local = {g: i for i, g in enumerate(used)}
     return {
         "format": SCHEMA_FORMAT,
@@ -171,7 +172,7 @@ def brace_to_json(B: SkewBrace, invariants: BraceInvariants | None = None) -> di
         "additive": spec.kind.value,
         "order": spec.n,
         "auts": [descriptor_to_json(spec.kind, spec.aut_desc(g)) for g in used],
-        "lambda": [local[g] for g in B.lam],
+        "lambda": [local[g] for g in lam],
         "invariants": invariants_to_json(invariants),
     }
 

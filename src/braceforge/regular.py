@@ -29,16 +29,18 @@ is represented by its smallest table, a brace carrying its invariants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import divisors, power
 from .algebra import (
     GroupSpec,
+    _blocks,
     _distinct,
     _greedy_generators,
+    _key_array,
     aut_orbits,
     carrier_subgroups,
     subgroup_classes_of_order,
@@ -68,8 +70,7 @@ class OracleBoundError(RuntimeError):
     """The holomorph is too large for the naive oracle's stated bound."""
 
 
-@dataclass
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """One Aut(A)-conjugacy class of regular subgroups of Hol(A), represented
     by the brace of its orbit-minimal member."""
 
@@ -89,12 +90,12 @@ def _conjugate_lambda(lam, perm_elt, perm_aut):
     return img
 
 
-def orbit_min_key(B: SkewBrace) -> tuple[tuple[int, ...], int]:
-    """Canonical (orbit-minimal) lambda table of the conjugation orbit of a
-    brace's regular subgroup, and the orbit's size.  Two braces are
-    isomorphic iff their keys match."""
-    [(min_lam, size)] = aut_orbits(B.spec, [B.lam], _conjugate_lambda)
-    return min_lam, size
+def orbit_min_key(B: SkewBrace) -> tuple[bytes, int]:
+    """The key (`SkewBrace.key`) of the orbit-minimal lambda table of the
+    conjugation orbit of a brace's regular subgroup, and the orbit's size.
+    Two braces are isomorphic iff their keys match."""
+    [(min_key, size)] = aut_orbits(B.spec, [B.key], _conjugate_lambda)
+    return min_key, size
 
 
 def orbit_partition(braces, spec: GroupSpec) -> list[OrbitClass]:
@@ -107,8 +108,8 @@ def orbit_partition(braces, spec: GroupSpec) -> list[OrbitClass]:
     """
     top = gcd(spec.n, spec.n_aut)
     out: list[OrbitClass] = []
-    for min_lam, size in aut_orbits(spec, (B.lam for B in braces), _conjugate_lambda):
-        B = SkewBrace(spec, min_lam)
+    for min_key, size in aut_orbits(spec, (B.key for B in braces), _conjugate_lambda):
+        B = SkewBrace(spec, _key_array(min_key))
         pi2_order = len(B.lambda_image)
         if top % pi2_order != 0:
             # |pi2| = |A| / |ker lambda| divides both |A| and |Aut(A)|.
@@ -124,7 +125,7 @@ def orbit_partition(braces, spec: GroupSpec) -> list[OrbitClass]:
                 invariants=brace_invariants(B),
             )
         )
-    out.sort(key=lambda oc: (oc.pi2_order, oc.brace.lam))
+    out.sort(key=lambda oc: (oc.pi2_order, oc.brace.key))
     return out
 
 
@@ -183,19 +184,22 @@ def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
     generator (lifted[r, j], gens[j]) and by (t, id) for generators t of N.
     Those generate a group H with N x {id} inside and all of <gens> (order
     k) as its projection, so |H| >= k |N| = n, and an n-element set S
-    holding the identity with S H = S is H: a regular subgroup.
+    holding the identity with S H = S is H: a regular subgroup.  Rows are
+    checked a block at a time (`algebra._blocks`).
     """
     every = np.arange(spec.n)
-    image, loc = np.unique(lam, return_inverse=True)
-    loc = loc.reshape(lam.shape)
-    rows = spec.apply_rows(image)
-    moves = [(u, spec.compose_many(image, g)[loc]) for u, g in zip(lifted.T, gens)]
     translations = _greedy_generators(spec.add_idx, spec.n, N.tolist())
-    moves += [(np.full(len(lam), t), lam) for t in translations]
     ok = bool((lam[:, 0] == spec.identity_aut).all())
-    for u, want in moves:
-        target = spec.add_idx(every, rows[loc, u[:, None]])
-        ok = ok and np.array_equal(np.take_along_axis(lam, target, axis=1), want)
+    for i, block in _blocks(lam, spec.n):
+        image, loc = np.unique(block, return_inverse=True)
+        loc = loc.reshape(block.shape)
+        rows = spec.apply_rows(image)
+        lifts = lifted[i : i + len(block)].T
+        moves = [(u, spec.compose_many(image, g)[loc]) for u, g in zip(lifts, gens)]
+        moves += [(np.full(len(block), t), block) for t in translations]
+        for u, want in moves:
+            target = spec.add_idx(every, rows[loc, u[:, None]])
+            ok = ok and np.array_equal(np.take_along_axis(block, target, axis=1), want)
     if not ok:
         raise RuntimeError(
             f"{where} built a lambda table whose graph is not a subgroup of Hol(A)"
@@ -240,11 +244,12 @@ def _lift_search(
     ok &= (np.sort(c, axis=1) == np.arange(k)).all(axis=1)
     if not ok.any():
         return []
-    owner = np.empty_like(c[ok])  # owner[t, x]: the automorphism over coset x
+    # owner[t, x]: the automorphism over coset x, int32 like SkewBrace.lam
+    owner = np.empty(c[ok].shape, dtype=np.int32)
     np.put_along_axis(owner, c[ok], np.array(elems)[None, :], axis=1)
     lam = owner[:, cid]
     _check_subgroup_graphs(spec, lam, reps[tuples[ok]], gens, N, where)
-    return [SkewBrace(spec, row) for row in lam.tolist()]
+    return [SkewBrace(spec, row) for row in lam]
 
 
 def regular_subgroups_structured(spec: GroupSpec) -> list[SkewBrace]:
@@ -263,7 +268,7 @@ def regular_subgroups_structured(spec: GroupSpec) -> list[SkewBrace]:
             for ni, N in enumerate(kernels):
                 where = f"lift search (k={k}, class {ci}, kernel {ni})"
                 found += _lift_search(spec, K.generators, N, where)
-    return sorted(found, key=lambda B: B.lam)
+    return sorted(found, key=lambda B: B.key)
 
 
 # ---------------- naive oracle ----------------
@@ -276,8 +281,8 @@ def _whole_aut_tables(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     compose = np.empty((spec.n_aut, spec.n_aut), dtype=np.intp)
     # Blocks of rows bound compose_many's temporaries (several int64 arrays
     # of the block's size times the descriptor width).
-    for i in range(0, spec.n_aut, 64):
-        compose[i : i + 64] = spec.compose_many(every[i : i + 64, None], every)
+    for i, block in _blocks(every, spec.n_aut):
+        compose[i : i + len(block)] = spec.compose_many(block[:, None], every)
     return spec.apply_rows(every), compose
 
 
@@ -329,7 +334,7 @@ def _oracle_prescan(
 
 
 def _oracle_cyclic_subgroups(
-    spec: GroupSpec, rows: np.ndarray, compose: np.ndarray
+    spec: GroupSpec, rows: np.ndarray, compose: np.ndarray, add: list[int]
 ) -> list[tuple[int, frozenset[int]]]:
     """Each cyclic subgroup generated by a prescan candidate, once, as
     (smallest generator, elements), ascending by generator.
@@ -337,13 +342,14 @@ def _oracle_cyclic_subgroups(
     The candidates are met in ascending order, and one that is no generator
     h^k (k prime to the order) of an earlier subgroup is the smallest
     generator of its own, whose powers are walked once.  The translations
-    always qualify, so there is at least one candidate.
+    always qualify, so there is at least one candidate.  `add` is the
+    join's flat addition list, add[a * n + b] the index of a + b.
     """
-    n_aut = spec.n_aut
+    n, n_aut = spec.n, spec.n_aut
     cand, order = _oracle_prescan(spec, rows, compose)
-    # One scalar read or sum per table and step: cheaper than list copies
-    # of the tables for the few entries a walk meets.
-    add, act, then = spec.add_idx, rows.item, compose.item
+    # One scalar read per table and step: cheaper than list copies of the
+    # action and compose tables for the few entries a walk meets.
+    act, then = rows.item, compose.item
     met: set[int] = set()
     out = []
     for h, m in zip(cand.tolist(), order.tolist()):
@@ -353,7 +359,7 @@ def _oracle_cyclic_subgroups(
         powers, xa, xf = [spec.identity_aut], ha, hf
         for _ in range(1, m):
             powers.append(xa * n_aut + xf)
-            xa, xf = add(xa, act(xf, ha)), then(xf, hf)
+            xa, xf = add[xa * n + act(xf, ha)], then(xf, hf)
         met.update(x for k, x in enumerate(powers) if gcd(k, m) == 1)
         out.append((h, frozenset(powers)))
     return out
@@ -461,9 +467,9 @@ def regular_subgroups_oracle(
     # bound), as numpy arrays for the prescan and the conjugations and lists
     # for the joins.  Nothing else tabulates Aut(A) whole.
     rows_np, compose_np = _whole_aut_tables(spec)
-    cyclic = _oracle_cyclic_subgroups(spec, rows_np, compose_np)
     every = np.arange(n)
     add = spec.add_idx(every[:, None], every).ravel().tolist()
+    cyclic = _oracle_cyclic_subgroups(spec, rows_np, compose_np, add)
     rows, compose = rows_np.tolist(), compose_np.ravel().tolist()
     tables = (add, rows, compose)
     aut = (rows_np, compose_np, np.nonzero(compose_np == spec.identity_aut)[1])
@@ -542,14 +548,13 @@ def regular_subgroups_oracle(
         raise RuntimeError(
             f"naive oracle closed a non-regular subgroup: {exc}"
         ) from exc
-    return sorted(survivors, key=lambda B: B.lam)
+    return sorted(survivors, key=lambda B: B.key)
 
 
 # ---------------- top level + reporting ----------------
 
 
-@dataclass
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Computed class counts for one carrier, checked cell-by-cell.
 
     Cells are keyed by (|ker lambda|, multiplicative class label).  `matches`

@@ -179,6 +179,32 @@ def tau_by_circle_table(B: SkewBrace) -> np.ndarray:
     return Z[inv[sigma], Z].T
 
 
+# ---------------- whole-Aut(A) references ----------------
+
+
+def aut_torsion_whole(spec, k: int) -> np.ndarray:
+    """{f : f^k = id}, ascending, by k compositions over all of Aut(A) at
+    once: the reference for the blocked GroupSpec.aut_torsion."""
+    every = np.arange(spec.n_aut)
+    acc = np.full(spec.n_aut, spec.identity_aut)
+    for _ in range(k):
+        acc = spec.compose_many(acc, every)
+    return np.flatnonzero(acc == spec.identity_aut)
+
+
+def conj_tables_whole(spec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """GroupSpec.conj_tables over all of Aut(A) at once: per generator psi,
+    psi on elements and f -> psi o f o psi^-1, with psi^-1 read off the row
+    psi o f for every f."""
+    every = np.arange(spec.n_aut)
+    tables = []
+    for g in spec.aut_generators:
+        left = spec.compose_many(g, every)
+        g_inv = int(np.flatnonzero(left == spec.identity_aut)[0])
+        tables.append((spec.apply_rows([g])[0], spec.compose_many(left, g_inv)))
+    return tables
+
+
 # ---------------- scalar automorphism and holomorph reference ----------------
 
 
@@ -248,6 +274,14 @@ def invert_desc(spec, f):
     )
 
 
+def neg(spec, x):
+    """-x for the element tuple x."""
+    p, q = spec.p, spec.q
+    if spec.kind is Kind.CYCLIC:
+        return (-x[0] % (p * p), -x[1] % q)
+    return (-x[0] % p, -x[1] % p, -x[2] % q)
+
+
 def hol_identity(spec):
     ident = (1, 1) if spec.kind is Kind.CYCLIC else ((1, 0, 0, 1), 1)
     return (spec.decode(0), ident)
@@ -263,7 +297,7 @@ def hol_inv(spec, x):
     """(a,f)^-1 = (-f^-1(a), f^-1)."""
     a, f = x
     finv = invert_desc(spec, f)
-    return (spec.neg(apply_desc(spec, finv, a)), finv)
+    return (neg(spec, apply_desc(spec, finv, a)), finv)
 
 
 def hol_act(spec, x, pt):
@@ -315,7 +349,7 @@ def regular_from_brace(B: SkewBrace) -> frozenset[int]:
     """The graph {(a, lambda_a)} of the lambda map, a regular subgroup, as
     encoded indices."""
     n_aut = B.spec.n_aut
-    return frozenset(a * n_aut + f for a, f in enumerate(B.lam))
+    return frozenset(a * n_aut + f for a, f in enumerate(B.lam.tolist()))
 
 
 def hol_join(spec, gens, cap=None, forbid_dup_pi1=False):
@@ -458,7 +492,7 @@ def braces_isomorphic(B1: SkewBrace, B2: SkewBrace) -> bool:
     """True iff the braces' regular subgroups are Aut(A)-conjugate."""
     if B1.spec != B2.spec:
         raise ValueError("braces live over different carriers")
-    if B1.lam == B2.lam:
+    if B1 == B2:
         return True
     return orbit_min_key(B1)[0] == orbit_min_key(B2)[0]
 

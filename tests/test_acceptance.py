@@ -131,7 +131,7 @@ def test_criterion_05_pair_3_7():
     # held to the unpruned closure search it replaced, as a set and as the
     # sorted list (so nothing is found twice)
     spec = group_spec(3, 7, Kind.MIXED)
-    base = [B.lam for B in structured_subgroups(3, 7, "mixed")]
+    base = [B.key for B in structured_subgroups(3, 7, "mixed")]
     reference = closure_search(spec)
     assert set(base) == set(reference)
     assert base == reference

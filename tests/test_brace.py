@@ -387,6 +387,20 @@ def test_cayley_isomorphic_guard():
         cayley_isomorphic(t, t)
 
 
+def test_lambda_table_is_a_read_only_int32_array():
+    B = catalog(7, 3)[-1].brace
+    assert B.lam.dtype == np.int32 and B.lam.shape == (B.spec.n,)
+    assert not B.lam.flags.writeable
+    with pytest.raises(ValueError):
+        B.lam[0] = B.spec.identity_aut
+    # the table is copied in, so changing the source changes no brace
+    source = np.array(B.lam, dtype=np.int64)
+    C = SkewBrace(B.spec, source)
+    source[0] += 1
+    assert C == B and hash(C) == hash(B)
+    assert C.key == B.key == B.lam.astype(">u4").tobytes()
+
+
 def test_catalog_entries_pairwise_nonisomorphic():
     for p, q in [(3, 2), (2, 5)]:
         entries = list(catalog(p, q))

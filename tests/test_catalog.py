@@ -4,9 +4,12 @@ from collections import Counter
 
 import pytest
 
+from braceforge import algebra, cli
 from braceforge.algebra import Kind, group_spec
 from braceforge.brace import brace_invariants, verify_left_brace
 from braceforge.catalog import (
+    catalog_for_carrier,
+    catalog_for_case,
     cyclic_pq_brace,
     cyclic_semidirect_brace,
     f_j,
@@ -49,6 +52,31 @@ EXPECTED_SIZES = {
     (5, 13): 4,
     (7, 3): 9,
 }
+
+
+@pytest.mark.parametrize("pair", DESK_PAIRS, ids=str)
+def test_catalog_for_case_is_its_two_carriers_concatenated(pair):
+    cyclic = catalog_for_carrier(*pair, Kind.CYCLIC)
+    mixed = catalog_for_carrier(*pair, "mixed")
+    assert {e.brace.spec.kind for e in cyclic} == {Kind.CYCLIC}
+    assert {e.brace.spec.kind for e in mixed} == {Kind.MIXED}
+    assert cyclic + mixed == catalog_for_case(*pair) == list(catalog(*pair))
+    assert catalog_for_case(*pair, kinds=(Kind.MIXED,)) == mixed
+
+
+def test_compare_on_the_mixed_carrier_builds_no_cyclic_spec(monkeypatch, capsys):
+    built = []
+    init = algebra.GroupSpec.__init__
+
+    def record(self, p, q, kind):
+        built.append(algebra.Kind(kind))
+        init(self, p, q, kind)
+
+    monkeypatch.setattr(algebra, "_SPEC_CACHE", {})
+    monkeypatch.setattr(algebra.GroupSpec, "__init__", record)
+    assert cli.main(["compare", "--p", "3", "--q", "2", "--additive", "mixed"]) == 0
+    assert "perfect bijection" in capsys.readouterr().out
+    assert built == [Kind.MIXED]
 
 
 def test_catalog_sizes():

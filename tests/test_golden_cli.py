@@ -42,6 +42,14 @@ CASES = [
     ),
     # 331 regular subgroups: the largest lift search among the cases
     (
+        "compare_p5_q23_mixed.json",
+        ["compare", "--p", "5", "--q", "23", "--additive", "mixed", "--format", "json"],
+    ),
+    (
+        "compare_p2_q73_cyclic.txt",
+        ["compare", "--p", "2", "--q", "73", "--additive", "cyclic"],
+    ),
+    (
         "compare_p13_q3_mixed.txt",
         ["compare", "--p", "13", "--q", "3", "--additive", "mixed"],
     ),

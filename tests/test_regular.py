@@ -108,8 +108,8 @@ def test_oracle_covers_structured_and_orbits_agree(p, q, kind):
     least one per conjugacy orbit (it fixes a representative pi2 subgroup per
     class, so conjugates with other pi2 images are deliberately skipped).
     """
-    got_s = {B.lam for B in structured_subgroups(p, q, kind)}
-    got_o = {B.lam for B in oracle_subgroups(p, q, kind)}
+    got_s = {B.key for B in structured_subgroups(p, q, kind)}
+    got_o = {B.key for B in oracle_subgroups(p, q, kind)}
     assert got_s <= got_o
     if kind == "cyclic":
         # abelian Aut: conjugation cannot move pi2, so the raw sets coincide
@@ -177,9 +177,10 @@ def _closure_lift_search(spec, gens, N):
 
 
 def closure_search(spec):
-    """Every lambda table the reference lift search finds, sorted."""
+    """The key of every lambda table the reference lift search finds,
+    sorted."""
     return sorted(
-        B.lam for pair in _lift_pairs(spec) for B in _closure_lift_search(spec, *pair)
+        B.key for pair in _lift_pairs(spec) for B in _closure_lift_search(spec, *pair)
     )
 
 
@@ -193,7 +194,7 @@ DESK_CARRIERS = [(p, q, kind) for p, q in DESK_PAIRS for kind in ("cyclic", "mix
 def test_pruning_and_lift_mode_do_not_change_the_result(p, q, kind):
     # the cocycle walk (with its kernel-invariance precondition) finds what
     # the unpruned closure search over the kernel transversal finds
-    base = [B.lam for B in structured_subgroups(p, q, kind)]
+    base = [B.key for B in structured_subgroups(p, q, kind)]
     assert base == closure_search(group_spec(p, q, kind))
 
 
@@ -203,9 +204,9 @@ def test_each_lift_search_returns_every_subgroup_once(p, q, kind):
     # pair may repeat a subgroup, and each must find the reference's
     spec = group_spec(p, q, kind)
     for gens, N in _lift_pairs(spec):
-        got = [B.lam for B in _lift_search(spec, gens, N, "lift search")]
+        got = [B.key for B in _lift_search(spec, gens, N, "lift search")]
         assert len(set(got)) == len(got)
-        want = [B.lam for B in _closure_lift_search(spec, gens, N)]
+        want = [B.key for B in _closure_lift_search(spec, gens, N)]
         assert sorted(got) == sorted(want), (gens, N.tolist())
 
 
@@ -299,6 +300,30 @@ def test_structured_search_stays_under_one_addition_table(kind):
     finally:
         tracemalloc.stop()
     assert growth < table, f"peak grew {growth} bytes, one table is {table}"
+
+
+@pytest.mark.parametrize("p,q,kind", DESK_CARRIERS)
+def test_structured_order_is_the_order_of_lambda_tuples(p, q, kind):
+    # byte keys of equal-length tables sort as the tables do as int tuples
+    subs = structured_subgroups(p, q, kind)
+    assert list(subs) == sorted(subs, key=lambda B: tuple(B.lam.tolist()))
+    ocs = orbits(p, q, kind)
+    want = sorted(ocs, key=lambda oc: (oc.pi2_order, tuple(oc.brace.lam.tolist())))
+    assert [oc.brace for oc in ocs] == [oc.brace for oc in want]
+
+
+def test_search_and_partition_of_7_3_mixed_stay_small():
+    # 97 subgroups and 6 orbits on a fresh spec: with int32 lambda tables
+    # and blocked passes over Aut(A) and over the found tables, the traced
+    # peak stays under 1.7 MiB (about 1.9 MiB with tuple tables).
+    spec = GroupSpec(7, 3, Kind.MIXED)
+    tracemalloc.start()
+    try:
+        orbit_partition(regular_subgroups_structured(spec), spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * 2**20, peak
 
 
 def test_a_dropped_spec_is_freed():
@@ -400,7 +425,7 @@ def test_lambda_orbit_scan_matches_the_sorted_index_scan(p, q, kind):
         # the smallest sorted index tuple, decoded to its lambda table
         a_part, f_part = np.divmod(min_elements, spec.n_aut)
         assert a_part.tolist() == list(range(spec.n))
-        assert orbit_min_key(B) == (tuple(f_part.tolist()), size)
+        assert orbit_min_key(B) == (f_part.astype(">u4").tobytes(), size)
 
 
 def test_known_class_counts_small():
@@ -510,7 +535,7 @@ def test_oracle_finds_every_regular_subgroup(p, q, kind):
     # criterion 12 compares orbit keys only, which an oracle that dropped
     # conjugates would still pass; the orbit sizes count every conjugate
     got = oracle_subgroups(p, q, kind)
-    assert len({B.lam for B in got}) == len(got)
+    assert len({B.key for B in got}) == len(got)
     assert len(got) == sum(oc.orbit_size for oc in orbits(p, q, kind))
     assert len(got) == ORACLE_COUNTS[(p, q, kind)]
 
@@ -554,7 +579,7 @@ def _chain_walk(spec):
 def test_vectorized_prescan_matches_the_chain_walk(p, q, kind):
     spec = group_spec(p, q, kind)
     rows, compose = regular._whole_aut_tables(spec)
-    _, ref_rows, ref_compose = hol_tables(spec)
+    ref_add, ref_rows, ref_compose = hol_tables(spec)
     every = range(spec.n_aut)
     assert rows.tolist() == [ref_rows[f] for f in every]
     assert compose.ravel().tolist() == [ref_compose[k] for k in range(spec.n_aut**2)]
@@ -567,7 +592,7 @@ def test_vectorized_prescan_matches_the_chain_walk(p, q, kind):
     for h in sorted(cyc):
         smallest.setdefault(cyc[h], h)
     want = sorted((h, C) for C, h in smallest.items())
-    assert regular._oracle_cyclic_subgroups(spec, rows, compose) == want
+    assert regular._oracle_cyclic_subgroups(spec, rows, compose, ref_add) == want
 
 
 @pytest.mark.parametrize("p,q,kind", list(ORACLE_COUNTS))
