@@ -8,15 +8,13 @@ addition is digit-wise on the index, through two O(n) lookup arrays
 place, with a dense descriptor-code -> index table beside it;
 `aut_lookup` and `aut_desc` are the only crossings between descriptors and
 indices.  The action and composition of automorphisms are computed from the
-array for the automorphisms a call names, vectorized over index arrays, and
-passes over all of Aut(A) go in blocks of rows (`_blocks`); for
-the pure-Python closure loop of Aut(A), compositions are also memoized per
-pair from single array rows.  Index encoding (stable, used by every
-serialized artifact): CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED
-(a, b, c) -> a + p*b + p^2*c.  Matrices act on column vectors in the
-ordered basis of the two order-p generators.  Every per-carrier table lives
-on its `GroupSpec` (listed there); the one module-level registry is
-`group_spec`'s.
+array for the automorphisms a call names, vectorized over index arrays
+(`compose_many`), and passes over all of Aut(A) go in blocks of rows
+(`_blocks`).  Index encoding (stable, used by every serialized artifact):
+CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) -> a + p*b +
+p^2*c.  Matrices act on column vectors in the ordered basis of the two
+order-p generators.  Every per-carrier table lives on its `GroupSpec`
+(listed there); the one module-level registry is `group_spec`'s.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ __all__ = [
     "group_spec",
     "AutSubgroupClass",
     "aut_group_order",
-    "aut_closure",
     "carrier_subgroups",
     "aut_orbits",
     "subgroup_classes_of_order",
@@ -54,33 +51,15 @@ class Kind(str, Enum):
     MIXED = "mixed"    # Z_p x Z_p x Z_q
 
 
-class _Memo(dict):
-    """A dict that computes a missing value from its key and keeps it.
-
-    Lookups that hit run at plain-dict speed, which is what the closure loop
-    of Aut(A) needs from the per-pair composition cache.
-    """
-
-    __slots__ = ("_compute",)
-
-    def __init__(self, compute) -> None:
-        super().__init__()
-        self._compute = compute
-
-    def __missing__(self, key: int):
-        value = self[key] = self._compute(key)
-        return value
-
-
 class GroupSpec:
     """One carrier group: prime pair plus kind, and every table built for it
     on first use: `elements`, the O(n) digit-code arrays `_add_code` and
     `_add_back` that `add_idx` adds through, the subgroup lattice
     `carrier_lattice`, Aut(A) as `aut_array` with `_aut_code_index`,
-    `aut_generators`, `conj_tables`, the per-pair `_compose_memo` and the
-    per-order Aut(A)-subgroup classes `_aut_classes`.  Nothing else holds
-    them: dropping the spec (and its `group_spec` entry) frees them all, and
-    specs that compare equal by (p, q, kind) share none.
+    `aut_generators`, `conj_tables` and the per-order Aut(A)-subgroup
+    classes `_aut_classes`.  Nothing else holds them: dropping the spec (and
+    its `group_spec` entry) frees them all, and specs that compare equal by
+    (p, q, kind) share none.
     """
 
     def __init__(self, p: int, q: int, kind: Kind | str):
@@ -89,7 +68,7 @@ class GroupSpec:
         self.q = q
         self.kind = Kind(kind)
         # k -> the classes of order-k subgroups (`subgroup_classes_of_order`)
-        self._aut_classes = _Memo(lambda k: _find_subgroup_classes(self, k))
+        self._aut_classes: dict[int, list[AutSubgroupClass]] = {}
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.p}, {self.q}, {self.kind.value})"
@@ -344,22 +323,6 @@ class GroupSpec:
             out[i : i + len(block)] = rows
         return out
 
-    def compose_idx(self, f: int, g: int) -> int:
-        """Index of f o g, memoized per pair."""
-        return self._compose_memo[f * self.n_aut + g]
-
-    @cached_property
-    def _compose_memo(self) -> _Memo:
-        """f * n_aut + g -> index of f o g, filled on first use."""
-        D, index, n_aut = self.aut_array, self._aut_code_index, self.n_aut
-
-        def compose(key: int) -> int:
-            f, g = divmod(key, n_aut)
-            fg = self._compose_cols(D[f].tolist(), D[g].tolist())
-            return int(index[self._aut_codes(fg)])
-
-        return _Memo(compose)
-
     def aut_torsion(self, k: int) -> np.ndarray:
         """Ascending indices of the automorphisms f with f^k = id, found by
         square-and-multiply over each block of the descriptor array."""
@@ -471,32 +434,6 @@ def aut_group_order(spec: GroupSpec) -> int:
     return p * (p - 1) * (p - 1) * (p + 1) * (q - 1)
 
 
-def aut_closure(
-    spec: GroupSpec, gens: Iterable[int], cap: int | None = None
-) -> frozenset[int] | None:
-    """Subgroup of Aut(A) generated by the given indices; None if cap exceeded."""
-    gens = list(gens)
-    seen = {spec.identity_aut, *gens}
-    if cap is not None and len(seen) > cap:
-        return None
-    n_aut = spec.n_aut
-    compose = spec._compose_memo
-    frontier = list(seen)
-    while frontier:
-        next_frontier = []
-        for f in frontier:
-            fk = f * n_aut
-            for g in gens:
-                y = compose[fk + g]
-                if y not in seen:
-                    seen.add(y)
-                    if cap is not None and len(seen) > cap:
-                        return None
-                    next_frontier.append(y)
-        frontier = next_frontier
-    return frozenset(seen)
-
-
 def _distinct(idx: np.ndarray, size: int) -> np.ndarray:
     """The distinct values of the index array `idx`, all in range(size),
     ascending: what np.unique(idx) gives, read off a boolean mask.  A bare
@@ -597,31 +534,41 @@ class AutSubgroupClass(NamedTuple):
     spec: GroupSpec
     order: int
     elements: frozenset[int]          # the representative subgroup
-    generators: tuple[int, ...]       # minimal generators of the representative
+    generators: tuple[int, ...]       # one or two generators of the representative
     n_conjugates: int                 # size of the conjugacy class
 
 
 def subgroup_classes_of_order(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
     """Conjugacy-class representatives of the order-k subgroups of Aut(A),
     found once per spec and kept in its per-order memo."""
-    return spec._aut_classes[k]
+    classes = spec._aut_classes.get(k)
+    if classes is None:
+        classes = spec._aut_classes[k] = _find_subgroup_classes(spec, k)
+    return classes
 
 
 def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
     """Conjugacy-class representatives of the order-k subgroups of Aut(A), k
-    a divisor of both |A| and |Aut(A)|, found by cyclic extension.
+    a divisor of both |A| and |Aut(A)|, found as products of cyclic
+    subgroups.
 
-    The cyclic subgroups <f> with f^k = id are partitioned into classes
-    first.  An order-k subgroup T that is not cyclic is <C1, C2> for two
-    cyclic subgroups of smaller order: groups of order p, q, p^2 and pq are
-    2-generated, and |Aut(A)| is divisible by p^2 q only on the mixed
-    carrier of (2, 3), whose Aut(A) = GL(2, 2) x Z_3^* is 2-generated too.
-    If g C1 g^-1 is the representative R of C1's class, then
-    g T g^-1 = <R, g C2 g^-1>, and g C2 g^-1 is again a listed cyclic
-    subgroup.  So the order-k joins of each representative with each cyclic
-    subgroup, with the order-k cyclic representatives, meet every class, and
-    partitioning them gives the classes and their sizes.
+    The cyclic subgroups <f> with f^k = id are read off a power table and
+    partitioned into classes first.  An order-k subgroup T that is not cyclic
+    is the product set C1 C2 of two cyclic subgroups: T is Z_p x Z_p, the
+    non-abelian group of order pq, or, on the mixed carrier of (2, 3), the
+    only one where p^2 q divides |Aut(A)|, Aut(A) = GL(2, 2) x Z_3^* of
+    order 12.  Each has a cyclic C1 of prime index, and C1 C2 = T for any
+    cyclic C2 <= T outside C1.  If g C1 g^-1 is the representative R of
+    C1's class, then g T g^-1 = R (g C2 g^-1), and g C2 g^-1 is again a
+    listed cyclic subgroup.  A product set R C with |R| |C| = k |R & C| is
+    an order-k subgroup exactly when R C = C R.  So these product subgroups
+    of each representative with each cyclic subgroup, with the order-k
+    cyclic representatives, meet every class, and partitioning them gives
+    the classes and their sizes.
 
+    Each representative is generated by f, its smallest element of largest
+    order, and, unless <f> is all of it, g, its smallest element outside
+    <f>: <f> has prime index, so <f, g> is the whole group.
     Representatives are orbit-minimal by sorted element tuple; the class list
     is sorted the same way, so output is deterministic.
     """
@@ -632,19 +579,24 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
         raise ValueError(
             f"order {k} must divide both |Aut| = {spec.n_aut} and |A| = {spec.n}"
         )
-    # Distinct cyclic subgroups <f> with f^k = id, each found from its
-    # smallest generator; the generators of each are skipped afterwards.
-    cyclics: dict[bytes, tuple[frozenset[int], int]] = {}
+    # Power table: row r holds pool[r]^1, ..., pool[r]^k, so <f> and the
+    # order of f are read off f's row.
+    pool = spec.aut_torsion(k)
+    powers = np.empty((len(pool), k), dtype=np.intp)
+    powers[:, 0] = pool
+    for i in range(1, k):
+        powers[:, i] = spec.compose_many(powers[:, i - 1], pool)
+    orders = (powers == ident).argmax(axis=1) + 1
+    # Distinct cyclic subgroups <f>, each found from its smallest generator;
+    # the generators of each are skipped afterwards.
+    cyclics: dict[bytes, list[int]] = {}
     covered: set[int] = set()
-    for f in spec.aut_torsion(k).tolist():
+    for f, row, d in zip(pool.tolist(), powers.tolist(), orders.tolist()):
         if f == ident or f in covered:
             continue
-        powers = [f]
-        while powers[-1] != ident:
-            powers.append(spec.compose_idx(powers[-1], f))
-        d = len(powers)
-        covered.update(g for i, g in enumerate(powers, 1) if gcd(i, d) == 1)
-        cyclics[_index_key(sorted(powers))] = (frozenset(powers), f)
+        covered.update(g for i, g in enumerate(row[:d], 1) if gcd(i, d) == 1)
+        C = sorted(row[:d])
+        cyclics[_index_key(C)] = C
     cyclic_classes = aut_orbits(spec, cyclics, _conjugate_subgroup)
     total = sum(size for _, size in cyclic_classes)
     if total != len(cyclics):
@@ -655,23 +607,28 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
         )
     joins: dict[bytes, None] = {}
     for key, _ in cyclic_classes:
-        R, f1 = cyclics[key]
+        R = cyclics[key]
         if len(R) == k:
             joins[key] = None
             continue
-        for C, f2 in cyclics.values():
-            if C <= R or R <= C:
+        in_R, R_col = set(R), np.array(R)[:, None]
+        for C in cyclics.values():
+            # An order-k cyclic C holding R is its own class already.
+            if len(C) == k or len(R) * len(C) != k * len(in_R.intersection(C)):
                 continue
-            # The join contains the product set R C.
-            if len(R) * len(C) // len(R & C) > k:
-                continue
-            T = aut_closure(spec, (f1, f2), cap=k)
-            if T is not None and len(T) == k:
-                joins[_index_key(sorted(T))] = None
+            RC = set(spec.compose_many(R_col, C).ravel().tolist())
+            if RC == set(spec.compose_many(np.array(C)[:, None], R).ravel().tolist()):
+                joins[_index_key(sorted(RC))] = None
     classes = []
     for rep, size in aut_orbits(spec, joins, _conjugate_subgroup):
-        T = frozenset(_key_array(rep).tolist())
-        classes.append(AutSubgroupClass(spec, k, T, _minimal_generators(spec, T), size))
+        T = _key_array(rep)
+        at = np.searchsorted(pool, T)
+        r = at[orders[at].argmax()]
+        gens = (int(pool[r]),)
+        if orders[r] < k:
+            cyc = set(powers[r].tolist())
+            gens += (next(t for t in T.tolist() if t not in cyc),)
+        classes.append(AutSubgroupClass(spec, k, frozenset(T.tolist()), gens, size))
     return classes
 
 
@@ -679,21 +636,3 @@ def _is_power(n: int, prime: int) -> bool:
     while n % prime == 0:
         n //= prime
     return n == 1
-
-
-def _minimal_generators(spec: GroupSpec, S: frozenset[int]) -> tuple[int, ...]:
-    members = sorted(S)
-    k = len(S)
-    for f in members:
-        if f != spec.identity_aut and len(aut_closure(spec, (f,), cap=k)) == k:
-            return (f,)
-    for f in members:
-        if f == spec.identity_aut:
-            continue
-        for g in members:
-            if g <= f or g == spec.identity_aut:
-                continue
-            T = aut_closure(spec, (f, g), cap=k)
-            if T is not None and len(T) == k:
-                return (f, g)
-    raise RuntimeError(f"subgroup of order {k} is not 2-generated; unexpected here")

@@ -12,9 +12,11 @@ braces.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .algebra import GroupSpec, Kind, group_spec
+from .arith import power
 from .brace import (
     BraceInvariants,
     G_F,
@@ -180,17 +182,6 @@ def _c_pow(k: int, p: int) -> tuple[int, int, int, int]:
     return (1, k % p, 0, 1)
 
 
-def _mat_pow(m, e, p):
-    out = (1, 0, 0, 1)
-    base = m
-    while e:
-        if e & 1:
-            out = _matmul(out, base, p)
-        base = _matmul(base, base, p)
-        e >>= 1
-    return out
-
-
 def mixed_pq_brace(p: int, q: int) -> SkewBrace:
     """lambda_x = (C^(x2), 1); circle adds x2*y2 into the first coordinate."""
     spec = group_spec(p, q, Kind.MIXED)
@@ -234,7 +225,8 @@ def pm1_mixed_brace(p: int, q: int, rank: int = 0) -> SkewBrace:
     """lambda_x = (F^(x3), 1) with F an order-q companion matrix mod p."""
     spec = group_spec(p, q, Kind.MIXED)
     F = derive_params(PrimePair(p, q), rank=rank).F
-    return _lam(spec, lambda x: (_mat_pow(F, x[2], p), 1))
+    mul = partial(_matmul, p=p)
+    return _lam(spec, lambda x: (power(mul, (1, 0, 0, 1), F, x[2]), 1))
 
 
 def q1p_mixed_Bij(p: int, q: int, i: int, j: int, rank: int = 0) -> SkewBrace:

@@ -23,7 +23,9 @@ from typing import Any
 import numpy as np
 
 from .algebra import Kind, group_spec
-from .brace import G_K, MULT_LABELS, BraceInvariants, MultClass, SkewBrace
+from .brace import (
+    G_K, MULT_LABELS, BraceInvariants, MultClass, SkewBrace, brace_invariants,
+)
 from .cases import classify_case, ensure_in_scope
 from .regular import EnumerationReport
 from .ybe import Solution
@@ -158,8 +160,6 @@ def invariants_from_json(obj: Any) -> BraceInvariants:
 def brace_to_json(B: SkewBrace, invariants: BraceInvariants | None = None) -> dict:
     """Serialize a brace; invariants are computed when not supplied."""
     if invariants is None:
-        from .brace import brace_invariants
-
         invariants = brace_invariants(B)
     spec = B.spec
     lam = B.lam.tolist()

@@ -330,6 +330,46 @@ class _Memo(dict):
 
 
 @lru_cache(maxsize=None)
+def aut_compose(spec) -> _Memo:
+    """f * n_aut + g -> the index of f o g, from the scalar formula, filled
+    for the pairs a caller meets.  Descriptors cross to indices through the
+    spec's aut_desc and aut_lookup, so no whole-Aut(A) table is built."""
+    n_aut = spec.n_aut
+
+    def compose(key):
+        df, dg = (spec.aut_desc(f) for f in divmod(key, n_aut))
+        return int(spec.aut_lookup([compose_desc(spec, df, dg)])[0])
+
+    return _Memo(compose)
+
+
+def aut_closure(
+    spec, gens: Iterable[int], cap: int | None = None
+) -> frozenset[int] | None:
+    """Subgroup of Aut(A) generated by the given indices; None if cap exceeded."""
+    gens = list(gens)
+    seen = {spec.identity_aut, *gens}
+    if cap is not None and len(seen) > cap:
+        return None
+    n_aut = spec.n_aut
+    compose = aut_compose(spec)
+    frontier = list(seen)
+    while frontier:
+        next_frontier = []
+        for f in frontier:
+            fk = f * n_aut
+            for g in gens:
+                y = compose[fk + g]
+                if y not in seen:
+                    seen.add(y)
+                    if cap is not None and len(seen) > cap:
+                        return None
+                    next_frontier.append(y)
+        frontier = next_frontier
+    return frozenset(seen)
+
+
+@lru_cache(maxsize=None)
 def hol_tables(spec):
     """Holomorph arithmetic on encoded indices, from the scalar formulas:
     add[a * n + b] the index of a + b, rows[f][a] that of f(a), and

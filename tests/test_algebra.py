@@ -12,7 +12,6 @@ from braceforge.arith import divisors
 from braceforge.algebra import (
     GroupSpec,
     Kind,
-    aut_closure,
     aut_group_order,
     carrier_subgroups,
     group_spec,
@@ -24,6 +23,7 @@ from helpers import (
     add_table,
     all_descriptors,
     apply_desc,
+    aut_closure,
     aut_torsion_whole,
     compose_desc,
     conj_tables_whole,
@@ -155,8 +155,8 @@ def _scalar_orders(spec):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_automorphisms_are_additive_and_compose(spec):
-    """The descriptor array, its lookups, and the vectorized and cached
-    arithmetic against the scalar reference (all_descriptors, apply_desc,
+    """The descriptor array, its lookups, and the vectorized arithmetic
+    against the scalar reference (all_descriptors, apply_desc,
     compose_desc, invert_desc), exhaustively."""
     descs = all_descriptors(spec)
     every = np.arange(spec.n_aut)
@@ -175,10 +175,10 @@ def test_automorphisms_are_additive_and_compose(spec):
     index = descriptor_index(spec)
     for f, df in enumerate(descs):
         finv = index[invert_desc(spec, df)]
-        assert spec.compose_idx(finv, f) == spec.identity_aut
+        assert table[finv, f] == spec.identity_aut
         for g, dg in enumerate(descs):
             want = index[compose_desc(spec, df, dg)]
-            assert table[f, g] == want == spec.compose_idx(f, g)
+            assert table[f, g] == want
             assert np.array_equal(rows[want], rows[f][rows[g]])
     orders = _scalar_orders(spec)
     # the torsion pool {f : f^k = id}, for every k up to the exponent and past it
@@ -282,9 +282,9 @@ def _subgroups_by_pool_pairs(spec, k):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
 def test_aut_subgroups_match_closing_every_pool_pair(spec):
-    # The classes found by cyclic extension against every order-k subgroup
-    # found by the exhaustive scan: each representative is one of them, and
-    # the classes account for all of them.
+    # The classes found as products of cyclic subgroups against every
+    # order-k subgroup found by the exhaustive scan: each representative is
+    # one of them, and the classes account for all of them.
     g = gcd(spec.n, spec.n_aut)
     for k in (d for d in range(1, g + 1) if g % d == 0):
         reference = _subgroups_by_pool_pairs(spec, k)
@@ -295,7 +295,10 @@ def test_aut_subgroups_match_closing_every_pool_pair(spec):
 
 # Number of subgroups of Aut(A) of each order k dividing gcd(|A|, |Aut(A)|),
 # summed over k; counted by the exhaustive pairwise scan that listed every
-# such subgroup before the classes were found by cyclic extension.
+# such subgroup before the classes were found by cyclic extension.  The
+# (11, 5), (17, 3) and (19, 2) mixed totals are the class sizes summed by
+# the cyclic-extension search (closing each pair of generators) that the
+# product-set search replaced.
 AUT_SUBGROUP_TOTALS = {
     (3, 2, "cyclic"): 4, (3, 2, "mixed"): 30,
     (2, 5, "cyclic"): 7, (2, 5, "mixed"): 15,
@@ -306,6 +309,7 @@ AUT_SUBGROUP_TOTALS = {
     (5, 13, "cyclic"): 2, (5, 13, "mixed"): 7,
     (7, 3, "cyclic"): 4, (7, 3, "mixed"): 126,
     (13, 3, "mixed"): 345,
+    (11, 5, "mixed"): 416, (17, 3, "mixed"): 155, (19, 2, "mixed"): 462,
 }
 
 
@@ -320,6 +324,25 @@ def test_aut_subgroup_class_sizes_sum_to_the_exhaustive_count(carrier):
         for c in subgroup_classes_of_order(spec, k)
     )
     assert total == AUT_SUBGROUP_TOTALS[carrier]
+
+
+GENERATOR_CARRIERS = [
+    *((p, q, kind) for p, q in DESK_PAIRS for kind in ("cyclic", "mixed")),
+    (11, 5, "mixed"), (13, 3, "mixed"), (17, 3, "mixed"), (19, 2, "mixed"),
+]
+
+
+@pytest.mark.parametrize("carrier", GENERATOR_CARRIERS, ids=str)
+def test_aut_class_generators_generate_the_representative(carrier):
+    # Past the trivial group: at most two generators, one exactly when the
+    # class is cyclic, closing (by the scalar reference) to the
+    # representative itself.
+    spec = group_spec(*carrier)
+    for k in divisors(gcd(spec.n, spec.n_aut))[1:]:
+        for c in subgroup_classes_of_order(spec, k):
+            cyclic = any(len(aut_closure(spec, (f,))) == k for f in c.elements)
+            assert len(c.generators) == (1 if cyclic else 2), (k, c.generators)
+            assert aut_closure(spec, c.generators) == c.elements
 
 
 def test_a_missing_cyclic_subgroup_is_reported(monkeypatch):

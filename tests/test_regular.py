@@ -271,10 +271,10 @@ def test_structured_search_leaves_the_list_addition_table_unbuilt(monkeypatch):
     ]
     assert big == []
     assert "add_flat" not in vars(spec)
-    # No per-automorphism memo: the memos a spec may cache are the per-pair
-    # composition memo and the per-order class memo of the Aut-class layer.
+    # No per-automorphism or per-pair memo: the one memo a spec may cache is
+    # the per-order class memo of the Aut-class layer.
     memos = {name for name, value in vars(spec).items() if isinstance(value, dict)}
-    assert memos <= {"_compose_memo", "_aut_classes"}
+    assert memos <= {"_aut_classes"}
     # Aut(A) is held once, as the descriptor array: no cached Python
     # tuple, list or plain dict with an entry per automorphism.
     per_aut = [
