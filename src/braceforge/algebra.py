@@ -444,6 +444,15 @@ def _distinct(idx: np.ndarray, size: int) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
+def _permutation_rows(rows: np.ndarray) -> np.ndarray:
+    """For an (r, k) array with entries in range(k), whether each row takes
+    every value once: a mask of the values each row meets, where
+    np.sort(rows, axis=1) == arange(k) would sort them."""
+    seen = np.zeros(rows.shape, dtype=bool)
+    seen[np.arange(len(rows))[:, None], rows] = True
+    return seen.all(axis=1)
+
+
 def _greedy_generators(product, n: int, members: Sequence[int]) -> list[int]:
     """A generating set of the subgroup `members` (ascending) of a group on
     range(n) with identity 0: each member that the earlier ones do not
@@ -524,8 +533,9 @@ def aut_orbits(spec: GroupSpec, keys: Iterable[bytes], act) -> list[tuple[bytes,
 
 
 def _conjugate_subgroup(arr, perm_elt, perm_aut):
-    """psi S psi^-1 for a sorted array of automorphism indices."""
-    return np.sort(perm_aut[arr])
+    """psi S psi^-1 for a sorted array of automorphism indices, as a sorted
+    list (at most 55 entries in scope)."""
+    return sorted(perm_aut[arr].tolist())
 
 
 class AutSubgroupClass(NamedTuple):

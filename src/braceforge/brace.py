@@ -143,8 +143,8 @@ class SkewBrace:
         """The action rows of lambda(A) and each element's row position:
         rows[i, b] = f(b) for the i-th automorphism f of lambda_image, shape
         (m, n), int32, and lambda_a = lambda_image[pos[a]]."""
-        used, pos = np.unique(self.lam, return_inverse=True)
-        return self.spec.apply_rows(used), pos
+        used = np.array(self.lambda_image)
+        return self.spec.apply_rows(used), np.searchsorted(used, self.lam)
 
     @property
     def lambda_rows(self) -> np.ndarray:
@@ -179,6 +179,7 @@ class SkewBrace:
 
     @cached_property
     def lambda_image(self) -> tuple[int, ...]:
+        """The distinct automorphism indices of the lambda table, ascending."""
         return tuple(_distinct(self.lam, self.spec.n_aut).tolist())
 
     @cached_property

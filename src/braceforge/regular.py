@@ -41,6 +41,7 @@ from .algebra import (
     _distinct,
     _greedy_generators,
     _key_array,
+    _permutation_rows,
     aut_orbits,
     carrier_subgroups,
     subgroup_classes_of_order,
@@ -191,8 +192,8 @@ def _check_subgroup_graphs(spec, lam, lifted, gens, N, where) -> None:
     translations = _greedy_generators(spec.add_idx, spec.n, N.tolist())
     ok = bool((lam[:, 0] == spec.identity_aut).all())
     for i, block in _blocks(lam, spec.n):
-        image, loc = np.unique(block, return_inverse=True)
-        loc = loc.reshape(block.shape)
+        image = _distinct(block, spec.n_aut)
+        loc = np.searchsorted(image, block)
         rows = spec.apply_rows(image)
         lifts = lifted[i : i + len(block)].T
         moves = [(u, spec.compose_many(image, g)[loc]) for u, g in zip(lifts, gens)]
@@ -226,7 +227,9 @@ def _lift_search(
     the f with a in c(f).
     """
     k = spec.n // len(N)
-    if not np.isin(spec.apply_rows(gens)[:, N], N).all():
+    in_N = np.zeros(spec.n, dtype=bool)
+    in_N[N] = True
+    if not in_N[spec.apply_rows(gens)[:, N]].all():
         return []  # (K): N is not invariant under K
     elems, edges = _cayley_walk(spec, gens)
     if len(elems) != k:
@@ -241,7 +244,7 @@ def _lift_search(
             c[:, h] = value
         else:
             ok &= c[:, h] == value
-    ok &= (np.sort(c, axis=1) == np.arange(k)).all(axis=1)
+    ok &= _permutation_rows(c)
     if not ok.any():
         return []
     # owner[t, x]: the automorphism over coset x, int32 like SkewBrace.lam
@@ -535,7 +538,7 @@ def regular_subgroups_oracle(
                 continue
             seeds.append((T, gens))
             images = owner[_oracle_conjugates(aut, smallest[inside])]
-            met_joins.update(map(tuple, np.sort(images, axis=1).tolist()))
+            met_joins.update(tuple(sorted(row)) for row in images.tolist())
 
     orbit_members: set[frozenset[int]] = set()
     for G in results:

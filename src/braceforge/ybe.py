@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .algebra import _permutation_rows
 from .brace import SkewBrace, VerifyResult
 
 __all__ = [
@@ -158,17 +159,19 @@ def verify_ybe(sol: Solution) -> VerifyResult:
 def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of table, first seen first, and each row's index among them.
 
-    Rows are told apart by their bytes in a dict.  np.unique(axis=0) gives
-    the same partition, but its row sort was most of verify_ybe's time on
-    the n = 981 solutions of (3, 109).
+    Rows are told apart by their bytes in a dict, which also records where
+    each was first seen.  A row sort (np.unique(axis=0)) gives the same
+    partition, but was most of verify_ybe's time on the n = 981 solutions
+    of (3, 109).
     """
     seen: dict[bytes, int] = {}
-    ids = np.fromiter(
-        (seen.setdefault(row.tobytes(), len(seen)) for row in table),
-        dtype=np.intp,
-        count=len(table),
-    )
-    return table[np.unique(ids, return_index=True)[1]], ids
+    first: list[int] = []
+    ids = np.empty(len(table), dtype=np.intp)
+    for i, row in enumerate(table):
+        ids[i] = seen.setdefault(row.tobytes(), len(seen))
+        if len(seen) > len(first):
+            first.append(i)
+    return table[first], ids
 
 
 def _sigma_identity_holds(sol: Solution, rows: np.ndarray, rid: np.ndarray) -> bool:
@@ -229,14 +232,8 @@ def braid_scan(sol: Solution) -> VerifyResult:
     return VerifyResult(True)
 
 
-def _rows_are_permutations(rows: np.ndarray) -> bool:
-    seen = np.zeros(rows.shape, dtype=bool)
-    seen[np.arange(rows.shape[0])[:, None], rows] = True
-    return bool(seen.all())
-
-
 def _nondegenerate(sol: Solution) -> bool:
-    return _rows_are_permutations(sol.sigma) and _rows_are_permutations(sol.tau)
+    return bool(_permutation_rows(sol.sigma).all() and _permutation_rows(sol.tau).all())
 
 
 def _involutive(sol: Solution) -> bool:

@@ -202,6 +202,19 @@ def test_conjugation_maps_match_scalar_conjugation(spec):
         ]
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 55])
+def test_permutation_rows_equal_the_sort_test(k):
+    rng = np.random.default_rng(k)
+    perms = np.array([rng.permutation(k) for _ in range(100)])
+    # Permutations with a later entry overwritten by the first one's value.
+    near = perms.copy()
+    near[np.arange(100), rng.integers(1, max(k, 2), 100) % k] = perms[:, 0]
+    c = np.concatenate([perms, near, rng.integers(0, k, size=(300, k))])
+    want = (np.sort(c, axis=1) == np.arange(k)).all(axis=1)
+    assert np.array_equal(algebra._permutation_rows(c), want)
+    assert want[:100].all() and (k == 1 or not want[100:200].any())
+
+
 # Carriers for the blocked passes, each with a block size: a few cells, so
 # that blocks of one to three rows end raggedly, or the default one, which
 # splits the larger Aut(A)s into several blocks.

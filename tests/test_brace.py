@@ -196,6 +196,17 @@ def test_lambda_identities_on_catalog_braces():
             assert lambda_identities_check(e.brace), e.family
 
 
+@pytest.mark.parametrize("pair", DESK_PAIRS, ids=str)
+def test_lambda_action_equals_the_sorted_unique_reference(pair):
+    for e in catalog(*pair):
+        B = e.brace
+        used, pos = np.unique(B.lam, return_inverse=True)
+        rows, got = B.lambda_action
+        assert B.lambda_image == tuple(used.tolist()), e.family
+        assert np.array_equal(got, pos), e.family
+        assert np.array_equal(rows, B.spec.apply_rows(used)), e.family
+
+
 def test_lambda_identities_reject_a_corrupted_table():
     # lambda_3 moved to the next automorphism index: (6, 0) lies in ker
     # lambda, so (i) wants lambda of its double (3, 0) to be the identity

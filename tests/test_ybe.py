@@ -183,6 +183,30 @@ def test_criterion_rejection_the_scan_cannot_confirm_raises(monkeypatch):
         verify_ybe(sol)
 
 
+@pytest.mark.parametrize("rows,distinct,width", [(1, 1, 3), (40, 5, 7), (300, 60, 12), (500, 500, 2)])
+def test_distinct_rows_equals_the_sorted_unique_reference(rows, distinct, width):
+    rng = np.random.default_rng(rows)
+    pool = rng.integers(0, 9, size=(distinct, width), dtype=np.int32)
+    table = pool[rng.integers(0, distinct, size=rows)]
+    got, ids = ybe._distinct_rows(table)
+    _, first = np.unique(ids, return_index=True)
+    assert np.array_equal(got, table[first])
+    assert np.all(np.diff(first) > 0)  # first seen first
+    # The partition of np.unique(axis=0), labelled in order of first sight.
+    _, inverse = np.unique(table, axis=0, return_inverse=True)
+    pairs = set(zip(ids.tolist(), inverse.ravel().tolist()))
+    assert len(pairs) == len(got) == len(set(inverse.ravel().tolist()))
+
+
+def test_distinct_rows_of_catalog_sigma_tables():
+    for e in catalog(3, 7):
+        sigma = solution_from_brace(e.brace).sigma
+        got, ids = ybe._distinct_rows(sigma)
+        _, first = np.unique(ids, return_index=True)
+        assert np.array_equal(got, sigma[first]) and np.array_equal(got[ids], sigma)
+        assert len(got) == len(e.brace.lambda_image)
+
+
 def test_oversized_composite_table_falls_back_to_the_scan(monkeypatch):
     good = solution_from_brace(cyclic_semidirect_brace(3, 2))
     bad = _an_involutive_non_solution()
