@@ -8,10 +8,11 @@ import braceforge
 PACKAGE = Path(braceforge.__file__).parent
 
 # The first call to any of these in a process pages in numpy's SIMD sort
-# code, 0.3-0.6 MiB of resident memory each (numpy 2.4): more than the data
-# of a small compare op.  The package gets the same results from boolean
-# masks over index ranges (algebra._distinct, algebra._permutation_rows),
-# np.searchsorted and Python's sorted.
+# code: 0.2-0.45 MiB of resident memory each, 0.8 MiB for the four forms the
+# package once called (numpy 2.4), in every CLI process that calls them.  The
+# package gets the same results from boolean masks over index ranges
+# (algebra._distinct, algebra._permutation_rows), np.searchsorted and
+# Python's sorted.
 FORBIDDEN = {
     "sort",
     "unique",

@@ -198,15 +198,6 @@ def test_distinct_rows_equals_the_sorted_unique_reference(rows, distinct, width)
     assert len(pairs) == len(got) == len(set(inverse.ravel().tolist()))
 
 
-def test_distinct_rows_of_catalog_sigma_tables():
-    for e in catalog(3, 7):
-        sigma = solution_from_brace(e.brace).sigma
-        got, ids = ybe._distinct_rows(sigma)
-        _, first = np.unique(ids, return_index=True)
-        assert np.array_equal(got, sigma[first]) and np.array_equal(got[ids], sigma)
-        assert len(got) == len(e.brace.lambda_image)
-
-
 def test_oversized_composite_table_falls_back_to_the_scan(monkeypatch):
     good = solution_from_brace(cyclic_semidirect_brace(3, 2))
     bad = _an_involutive_non_solution()
