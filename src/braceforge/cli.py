@@ -1,5 +1,11 @@
 """Command-line front end: enumerate, catalog, verify, ybe, compare.
 
+Each command computes in one loop, then picks table or JSON once, at the
+end.  `enumerate` and `compare` read each carrier's classes off one carrier
+loop, `_classes`; `catalog` and `ybe` check each catalog entry once.  The
+`ybe` loop renders each solution as it goes, so its JSON is written one
+solution at a time.
+
 Exit codes: 0 = success (including the one documented count discrepancy,
 which is reported as a warning); 1 = a comparison mismatched or a
 verification failed; 2 = bad usage (an unwritable --out path included),
@@ -16,9 +22,9 @@ import gc
 import os
 import stat
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-from .algebra import GroupSpec, Kind, group_spec
+from .algebra import Kind, group_spec
 from .brace import brace_invariants, verify_left_brace
 from .cases import ExcludedPairError, PrimePair, classify_case, ensure_in_scope
 from .catalog import catalog_for_case
@@ -44,7 +50,7 @@ from .regular import (
     regular_subgroups_structured,
     tabulate,
 )
-from .ybe import Solution, solution_from_brace, solution_properties, verify_ybe
+from .ybe import solution_from_brace, solution_properties, verify_ybe
 
 __all__ = ["main", "run"]
 
@@ -104,22 +110,30 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         raise
 
 
-def _enumerate_kind(
-    spec: GroupSpec, args: argparse.Namespace
-) -> tuple[list, bool | None]:
-    """Run the configured enumerator(s); returns (orbits, methods_agree)."""
-    structured = oracle = None
-    if args.method in ("structured", "both"):
-        structured = regular_subgroups_structured(spec)
-    if args.method in ("oracle", "both"):
-        oracle = regular_subgroups_oracle(spec, bound=args.oracle_bound)
-    agree: bool | None = None
-    if structured is not None and oracle is not None:
-        keys_s = {orbit_min_key(B)[0] for B in structured}
-        keys_o = {orbit_min_key(B)[0] for B in oracle}
-        agree = keys_s == keys_o
-    subgroups = structured if structured is not None else oracle
-    return orbit_partition(subgroups, spec=spec), agree
+def _classes(args: argparse.Namespace) -> Iterator[tuple]:
+    """(spec, Aut(A)-classes, agree) for each carrier --additive names.
+
+    The classes come from the structured search unless --method is oracle;
+    under --method both, `agree` says whether the oracle found the same
+    classes, and is None otherwise.  The subgroup lists are freed before
+    each yield, so they do not stay alive while the caller works on the
+    classes.
+    """
+    for kind in _KINDS[args.additive]:
+        spec = group_spec(args.p, args.q, kind)
+        agree = None
+        if args.method == "oracle":
+            subgroups = regular_subgroups_oracle(spec, bound=args.oracle_bound)
+        else:
+            subgroups = regular_subgroups_structured(spec)
+        if args.method == "both":
+            oracle = regular_subgroups_oracle(spec, bound=args.oracle_bound)
+            keys_s = {orbit_min_key(B)[0] for B in subgroups}
+            agree = keys_s == {orbit_min_key(B)[0] for B in oracle}
+            del oracle
+        classes = orbit_partition(subgroups, spec=spec)
+        del subgroups
+        yield spec, classes, agree
 
 
 def _format_report_table(report, agree: bool | None) -> list[str]:
@@ -160,20 +174,15 @@ def _format_report_table(report, agree: bool | None) -> list[str]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    reports = []
-    agrees = []
-    for kind in _KINDS[args.additive]:
-        spec = group_spec(args.p, args.q, kind)
-        orbits, agree = _enumerate_kind(spec, args)
-        reports.append(tabulate(orbits, spec=spec))
-        agrees.append(agree)
-    ok = all(r.matches for r in reports) and all(a is not False for a in agrees)
-    case = reports[0].case
-    lines: list[str] = []
-    docs = []
+    found = [
+        (tabulate(classes, spec=spec), agree)
+        for spec, classes, agree in _classes(args)
+    ]
+    ok = all(r.matches and a is not False for r, a in found)
+    case = found[0][0].case
     diag: list[str] = []
     if args.additive == "both":
-        combined = sum(r.total for r in reports)
+        combined = sum(r.total for r, _ in found)
         head = headline_total(case, args.p, args.q)
         per_family = per_family_total(case, args.p, args.q)
         diag.append(f"combined classes across both carriers: {combined}")
@@ -190,32 +199,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             )
         if combined != per_family:
             ok = False
-    for report, agree in zip(reports, agrees):
-        if args.format == "table":
-            lines.extend(_format_report_table(report, agree))
-            lines.append("")
-        else:
-            doc = report_to_json(report)
-            if agree is not None:
-                doc["methods_agree"] = agree
-            docs.append(doc)
     if args.format == "table":
-        lines.extend(diag)
-        _emit("\n".join(lines).rstrip("\n") + "\n", args.out)
+        lines: list[str] = []
+        for report, agree in found:
+            lines += _format_report_table(report, agree) + [""]
+        text = "\n".join(lines + diag).rstrip("\n") + "\n"
     else:
-        _emit(
-            canonical_dumps(
-                {"p": args.p, "q": args.q, "reports": docs, "diagnostics": diag}
-            ),
-            args.out,
+        docs = [
+            report_to_json(r) | ({} if agree is None else {"methods_agree": agree})
+            for r, agree in found
+        ]
+        text = canonical_dumps(
+            {"p": args.p, "q": args.q, "reports": docs, "diagnostics": diag}
         )
+    _emit(text, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
-
-
-def _catalog_entries(args: argparse.Namespace) -> list:
-    """The catalog entries of the pair on the carriers --additive names; no
-    other carrier is built."""
-    return catalog_for_case(args.p, args.q, kinds=_KINDS[args.additive])
 
 
 def _entry_head(e, good: bool) -> str:
@@ -227,36 +225,36 @@ def _entry_head(e, good: bool) -> str:
     )
 
 
+def _invariants_text(inv) -> str:
+    return (
+        f"ker={inv.ker_size} fix={inv.fix_size} "
+        f"class={inv.mult_class} bi_skew={inv.bi_skew}"
+    )
+
+
 def cmd_catalog(args: argparse.Namespace) -> int:
-    entries = _catalog_entries(args)
-    ok = True
-    lines = []
-    docs = []
-    for e in entries:
+    checked = []
+    for e in catalog_for_case(args.p, args.q, kinds=_KINDS[args.additive]):
         res = verify_left_brace(e.brace)
         good = bool(res) and brace_invariants(e.brace) == e.expected
-        ok = ok and good
-        if args.format == "table":
-            inv = e.expected
-            lines.append(
-                f"{_entry_head(e, good)}  ker={inv.ker_size} fix={inv.fix_size} "
-                f"class={inv.mult_class} bi_skew={inv.bi_skew}"
-            )
-            if not res:
-                lines.extend(f"    problem: {p}" for p in res.problems)
-        else:
-            doc = catalog_entry_to_json(e)
-            doc["verified"] = good
-            docs.append(doc)
+        checked.append((e, res.problems, good))
+    ok = all(good for _, _, good in checked)
     if args.format == "table":
+        lines = []
+        for e, problems, good in checked:
+            lines.append(f"{_entry_head(e, good)}  {_invariants_text(e.expected)}")
+            lines.extend(f"    problem: {p}" for p in problems)
         lines.append(
-            f"{len(entries)} entries, all verified"
-            if ok
-            else f"{len(entries)} entries, VERIFICATION FAILURES"
+            f"{len(checked)} entries, "
+            + ("all verified" if ok else "VERIFICATION FAILURES")
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(canonical_dumps({"p": args.p, "q": args.q, "entries": docs}), args.out)
+        docs = [
+            catalog_entry_to_json(e) | {"verified": good} for e, _, good in checked
+        ]
+        text = canonical_dumps({"p": args.p, "q": args.q, "entries": docs})
+    _emit(text, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -269,164 +267,141 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inv_match = None
     if inv is not None and stored is not None:
         inv_match = inv == stored
-    ok = res.ok and inv_match is not False
+    doc = {
+        "path": args.path,
+        "ok": res.ok and inv_match is not False,
+        "problems": list(res.problems),
+        "invariants": invariants_to_json(inv) if inv else None,
+        "invariants_match": inv_match,
+    }
     if args.format == "table":
         lines = [f"{args.path}: {'ok' if res.ok else 'FAILED'}"]
         lines.extend(f"  problem: {p}" for p in res.problems)
         if inv is not None:
-            lines.append(
-                f"  invariants: ker={inv.ker_size} fix={inv.fix_size} "
-                f"class={inv.mult_class} bi_skew={inv.bi_skew}"
-            )
+            lines.append(f"  invariants: {_invariants_text(inv)}")
         if inv_match is not None:
             lines.append(
                 "  stored invariants match"
                 if inv_match
                 else "  STORED INVARIANTS DIFFER"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(
-            canonical_dumps(
-                {
-                    "path": args.path,
-                    "ok": ok,
-                    "problems": list(res.problems),
-                    "invariants": invariants_to_json(inv) if inv else None,
-                    "invariants_match": inv_match,
-                }
-            ),
-            args.out,
-        )
-    return EXIT_OK if ok else EXIT_MISMATCH
-
-
-def _checked_solution(brace) -> tuple[Solution, dict[str, bool]]:
-    sol = solution_from_brace(brace)
-    checks = solution_properties(sol)
-    checks["ybe"] = verify_ybe(sol).ok
-    return sol, checks
+        text = canonical_dumps(doc)
+    _emit(text, args.out)
+    return EXIT_OK if doc["ok"] else EXIT_MISMATCH
 
 
 def cmd_ybe(args: argparse.Namespace) -> int:
-    entries = _catalog_entries(args)
+    entries = catalog_for_case(args.p, args.q, kinds=_KINDS[args.additive])
     ok = True
+
+    def checked(render):
+        # One solution at a time: each is rendered, then dropped before the
+        # next is derived, so the JSON document is written as it goes.
+        nonlocal ok
+        for e in entries:
+            sol = solution_from_brace(e.brace)
+            checks = solution_properties(sol)
+            checks["ybe"] = verify_ybe(sol).ok
+            ok = ok and all(checks.values())
+            yield render(e, sol, checks)
+            del sol
+
     if args.format == "json":
-
-        def documents():
-            # One solution at a time: each is dropped before the next is
-            # derived, and the document is written as it goes.
-            nonlocal ok
-            for e in entries:
-                sol, checks = _checked_solution(e.brace)
-                ok = ok and all(checks.values())
-                yield {
-                    "family": e.family,
-                    "params": dict(e.parameters),
-                    "additive": e.brace.spec.kind.value,
-                    "solution": solution_to_json(sol, checks),
-                }
-                del sol
-
-        _emit(solution_document_chunks(args.p, args.q, documents()), args.out)
-        return EXIT_OK if ok else EXIT_MISMATCH
-    lines = []
-    for e in entries:
-        sol, checks = _checked_solution(e.brace)
-        good = all(checks.values())
-        ok = ok and good
-        lines.append(
-            f"{_entry_head(e, good)}  n={sol.n} ybe={checks['ybe']} "
-            f"involutive={checks['involutive']} "
-            f"nondegenerate={checks['nondegenerate']}"
+        docs = checked(
+            lambda e, sol, checks: {
+                "family": e.family,
+                "params": dict(e.parameters),
+                "additive": e.brace.spec.kind.value,
+                "solution": solution_to_json(sol, checks),
+            }
         )
-    lines.append(
-        f"{len(entries)} solutions, all checks pass"
-        if ok
-        else f"{len(entries)} solutions, CHECK FAILURES"
-    )
-    _emit("\n".join(lines) + "\n", args.out)
+        text = solution_document_chunks(args.p, args.q, docs)
+    else:
+        lines = list(
+            checked(
+                lambda e, sol, checks: f"{_entry_head(e, all(checks.values()))}  "
+                f"n={sol.n} ybe={checks['ybe']} involutive={checks['involutive']} "
+                f"nondegenerate={checks['nondegenerate']}"
+            )
+        )
+        lines.append(
+            f"{len(entries)} solutions, "
+            + ("all checks pass" if ok else "CHECK FAILURES")
+        )
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    entries = _catalog_entries(args)
-    lines = []
-    docs = []
-    total = 0
+    entries = catalog_for_case(args.p, args.q, kinds=_KINDS[args.additive])
+    carriers = []
     perfect = True
-    for kind in _KINDS[args.additive]:
-        spec = group_spec(args.p, args.q, kind)
-        orbits, agree = _enumerate_kind(spec, args)
-        if agree is False:
-            perfect = False
-        kind_entries = [e for e in entries if e.brace.spec.kind is kind]
+    for spec, classes, agree in _classes(args):
         # Each class brace is its orbit's minimal lambda table.
-        by_key = {oc.brace.key: i for i, oc in enumerate(orbits)}
+        by_key = {oc.brace.key: i for i, oc in enumerate(classes)}
         claimed: dict[int, str] = {}
-        unmatched_entries = []
-        for e in kind_entries:
+        unmatched = []
+        for e in entries:
+            if e.brace.spec.kind is not spec.kind:
+                continue
             key = orbit_min_key(e.brace)[0]
             name = f"{e.family}{dict(sorted(e.parameters.items()))}"
             idx = by_key.get(key)
             if idx is None or idx in claimed:
-                unmatched_entries.append(name)
-                perfect = False
+                unmatched.append(name)
             else:
                 claimed[idx] = name
-        missing = [i for i in range(len(orbits)) if i not in claimed]
-        if missing:
+        record = {
+            "additive": spec.kind.value,
+            "classes": [
+                {
+                    "ker": oc.invariants.ker_size,
+                    "mult_class": str(oc.invariants.mult_class),
+                    "catalog": claimed.get(i),
+                }
+                for i, oc in enumerate(classes)
+            ],
+            "unmatched_catalog": unmatched,
+        }
+        if agree is False:
+            record["methods_agree"] = False
+        if agree is False or unmatched or len(claimed) < len(classes):
             perfect = False
-        total += len(orbits)
-        if args.format == "table":
-            lines.append(f"carrier {kind.value}: {len(orbits)} classes")
-            for i, oc in enumerate(orbits):
-                name = claimed.get(i, "UNMATCHED")
-                inv = oc.invariants
-                lines.append(
-                    f"  class {i}: ker={inv.ker_size} mult={inv.mult_class} "
-                    f"<- {name}"
-                )
+        carriers.append(record)
+    doc = {
+        "p": args.p,
+        "q": args.q,
+        "perfect_bijection": perfect,
+        "classes": sum(len(r["classes"]) for r in carriers),
+        "carriers": carriers,
+    }
+    if args.format == "table":
+        lines = []
+        for r in carriers:
+            lines.append(f"carrier {r['additive']}: {len(r['classes'])} classes")
+            lines.extend(
+                f"  class {i}: ker={c['ker']} mult={c['mult_class']} "
+                f"<- {c['catalog'] or 'UNMATCHED'}"
+                for i, c in enumerate(r["classes"])
+            )
             lines.extend(
                 f"  catalog entry without an orbit: {name}"
-                for name in unmatched_entries
+                for name in r["unmatched_catalog"]
             )
-        else:
-            docs.append(
-                {
-                    "additive": kind.value,
-                    "classes": [
-                        {
-                            "ker": oc.invariants.ker_size,
-                            "mult_class": str(oc.invariants.mult_class),
-                            "catalog": claimed.get(i),
-                        }
-                        for i, oc in enumerate(orbits)
-                    ],
-                    "unmatched_catalog": unmatched_entries,
-                }
-            )
-    verdict = (
-        f"perfect bijection, {total} classes"
-        if perfect
-        else "MISMATCH between enumeration and catalog"
-    )
-    if args.format == "table":
-        lines.append(verdict)
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(
-            canonical_dumps(
-                {
-                    "p": args.p,
-                    "q": args.q,
-                    "perfect_bijection": perfect,
-                    "classes": total,
-                    "carriers": docs,
-                }
-            ),
-            args.out,
+            if "methods_agree" in r:
+                lines.append("  STRUCTURED/ORACLE DISAGREEMENT")
+        lines.append(
+            f"perfect bijection, {doc['classes']} classes"
+            if perfect
+            else "MISMATCH between enumeration and catalog"
         )
+        text = "\n".join(lines) + "\n"
+    else:
+        text = canonical_dumps(doc)
+    _emit(text, args.out)
     return EXIT_OK if perfect else EXIT_MISMATCH
 
 
