@@ -39,7 +39,7 @@ def test_each_command_compares_the_format_at_most_once():
 
 def test_only_the_carrier_loop_iterates_the_carriers():
     loops = [
-        f"{fn.name}:{node.iter.lineno}"
+        (fn.name, node.iter.lineno)
         for fn in FUNCTIONS
         for node in ast.walk(fn)
         if isinstance(node, (ast.For, ast.comprehension))
@@ -47,4 +47,4 @@ def test_only_the_carrier_loop_iterates_the_carriers():
         and isinstance(node.iter.value, ast.Name)
         and node.iter.value.id == "_KINDS"
     ]
-    assert [loop.split(":")[0] for loop in loops] == ["_classes"], loops
+    assert [name for name, _ in loops] == ["_classes"], loops
