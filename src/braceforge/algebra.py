@@ -1,27 +1,31 @@
 """Carriers Z_{p^2 q} and Z_p x Z_p x Z_q, their automorphism groups, and
 the subgroups of Aut(A) and of the carrier.
 
-Elements and automorphisms are given small-integer indices.  The carrier's
-addition is digit-wise on the index, through two O(n) lookup arrays
-(`GroupSpec.add_idx`); no n x n table is kept.  Aut(A) is held once, as
-`GroupSpec.aut_array`, one int64 descriptor row per automorphism filled in
-place, with a dense descriptor-code -> index table beside it;
-`aut_lookup` and `aut_desc` are the only crossings between descriptors and
-indices.  The action and composition of automorphisms are computed from the
-array for the automorphisms a call names, vectorized over index arrays
+Both carriers are A = Z_m^r x Z_q, (m, r) = (p^2, 1) cyclic and (p, 2)
+mixed, with Aut(A) = GL_r(Z_m) x Z_q^*; every carrier and automorphism
+operation is written once from (m, r).  Elements and automorphisms are
+given small-integer indices.  An element index holds the r digits mod m,
+least significant first, then the digit mod q (stable, used by every
+serialized artifact); addition is digit-wise on it, through two O(n)
+lookup arrays and no n x n table (`GroupSpec.add_idx`).  Aut(A) is held
+once, as `GroupSpec.aut_array`, one int64 descriptor row per automorphism
+(the matrix row by row, acting on columns of digits, then the unit mod q)
+filled in place, with a dense descriptor-code -> index table beside it;
+`aut_lookup` and `aut_desc`, the only crossings between descriptors and
+indices, keep each kind's descriptor format.  Action and composition are
+computed for the automorphisms a call names, vectorized over index arrays
 (`compose_many`), and passes over all of Aut(A) go in blocks of rows
-(`_blocks`).  Index encoding (stable, used by every serialized artifact):
-CYCLIC (n mod p^2, m mod q) -> n + p^2*m; MIXED (a, b, c) -> a + p*b +
-p^2*c.  Matrices act on column vectors in the ordered basis of the two
-order-p generators.  Every per-carrier table lives on its `GroupSpec`
-(listed there); the one module-level registry is `group_spec`'s.
+(`_blocks`).  Every per-carrier table lives on its `GroupSpec` (listed
+there); the one module-level registry is `group_spec`'s.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations, permutations
 from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +44,7 @@ __all__ = [
     "subgroup_classes_of_order",
 ]
 
-Element = tuple  # (n, m) for CYCLIC, (a, b, c) for MIXED
+Element = tuple  # r digits mod m, then one mod q: (n, c) CYCLIC, (a, b, c) MIXED
 AutDesc = tuple  # (i, j) for CYCLIC, ((m00, m01, m10, m11), alpha) for MIXED
 
 
@@ -52,14 +56,15 @@ class Kind(str, Enum):
 
 
 class GroupSpec:
-    """One carrier group: prime pair plus kind, and every table built for it
-    on first use: `elements`, the O(n) digit-code arrays `_add_code` and
-    `_add_back` that `add_idx` adds through, the subgroup lattice
-    `carrier_lattice`, Aut(A) as `aut_array` with `_aut_code_index`,
-    `aut_generators`, `conj_tables` and the per-order Aut(A)-subgroup
-    classes `_aut_classes`.  Nothing else holds them: dropping the spec (and
-    its `group_spec` entry) frees them all, and specs that compare equal by
-    (p, q, kind) share none.
+    """One carrier group A = Z_m^r x Z_q, given by its prime pair and kind:
+    (m, r) = (p^2, 1) for CYCLIC, (p, 2) for MIXED, set here and nowhere
+    else.  Every table built for it on first use lives on it: `elements`,
+    the O(n) digit-code arrays `_add_code` and `_add_back` that `add_idx`
+    adds through, the subgroup lattice `carrier_lattice`, Aut(A) as
+    `aut_array` with `_aut_code_index`, `aut_generators`, `conj_tables` and
+    the per-order Aut(A)-subgroup classes `_aut_classes`.  Nothing else
+    holds them: dropping the spec (and its `group_spec` entry) frees them
+    all, and specs that compare equal by (p, q, kind) share none.
     """
 
     def __init__(self, p: int, q: int, kind: Kind | str):
@@ -67,6 +72,7 @@ class GroupSpec:
         self.p = p
         self.q = q
         self.kind = Kind(kind)
+        self._m, self._r = (p * p, 1) if self.kind is Kind.CYCLIC else (p, 2)
         # k -> the classes of order-k subgroups (`subgroup_classes_of_order`)
         self._aut_classes: dict[int, list[AutSubgroupClass]] = {}
 
@@ -91,47 +97,50 @@ class GroupSpec:
 
     def encode(self, x: Element) -> int:
         """Element tuple -> index; components are reduced first."""
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            n, m = x
-            return n % (p * p) + p * p * (m % q)
-        a, b, c = x
-        return a % p + p * (b % p) + p * p * (c % q)
+        m, r = self._m, self._r
+        return self._code((*(d % m for d in x[:r]), x[r] % self.q))
 
     def decode(self, idx: int) -> Element:
         """Index -> canonical element tuple."""
-        p, q = self.p, self.q
         if not 0 <= idx < self.n:
             raise ValueError(f"element index {idx} out of range for {self!r}")
-        if self.kind is Kind.CYCLIC:
-            return (idx % (p * p), idx // (p * p))
-        return (idx % p, (idx // p) % p, idx // (p * p))
+        return self._digits(idx)
+
+    def _digits(self, idx):
+        """The digits of an element index, or of each in an index array."""
+        digits = []
+        for _ in range(self._r):
+            digits.append(idx % self._m)
+            idx = idx // self._m
+        return (*digits, idx)
+
+    def _code(self, digits):
+        """digits[0] + m digits[1] + m^2 digits[2] + ..., the last of any
+        size: an element's index from its digits, or a descriptor's dense
+        code from its columns (numpy arrays or Python ints)."""
+        value = digits[-1]
+        for d in digits[-2::-1]:
+            value = value * self._m + d
+        return value
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
         return tuple(self.decode(i) for i in range(self.n))
 
     def add(self, x: Element, y: Element) -> Element:
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            return ((x[0] + y[0]) % (p * p), (x[1] + y[1]) % q)
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % q)
+        m, r = self._m, self._r
+        return (*((a + b) % m for a, b in zip(x[:r], y[:r])), (x[r] + y[r]) % self.q)
 
     def element_order(self, x: Element) -> int:
         """Additive order of x."""
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            on = p * p // gcd(x[0] % (p * p), p * p)
-        else:
-            on = p // gcd(gcd(x[0] % p, x[1] % p), p)
-        return lcm(on, q // gcd(x[-1] % q, q))
+        m, r, q = self._m, self._r, self.q
+        return lcm(m // gcd(m, *x[:r]), q // gcd(q, x[r]))
 
     @property
     def _radices(self) -> tuple[int, ...]:
         """Moduli of the digits of an element index, least significant
-        first: (p^2, q) for CYCLIC, (p, p, q) for MIXED."""
-        p, q = self.p, self.q
-        return (p * p, q) if self.kind is Kind.CYCLIC else (p, p, q)
+        first: r times m, then q."""
+        return (self._m,) * self._r + (self.q,)
 
     @cached_property
     def _add_code(self) -> np.ndarray:
@@ -149,7 +158,7 @@ class GroupSpec:
     @cached_property
     def _add_back(self) -> np.ndarray:
         """Digit-sum code -> index of the sum, int32: each digit reduced mod
-        its modulus.  4n entries (CYCLIC) or 8n (MIXED)."""
+        its modulus.  2^(r+1) n entries."""
         back = np.zeros(self.n * 2 ** len(self._radices), dtype=np.int32)
         rest, scale = np.arange(len(back)), 1
         for m in self._radices:
@@ -165,13 +174,13 @@ class GroupSpec:
         return s if isinstance(s, np.ndarray) else int(s)
 
     def sylow(self, prime: int) -> frozenset[int]:
-        """Indices of the (unique) Sylow subgroup of the carrier at this prime."""
+        """Indices of the (unique) Sylow subgroup of the carrier at this prime:
+        the p-Sylow is Z_m^r, the indices below m^r = p^2, and the q-Sylow
+        is Z_q, their multiples."""
         if prime not in (self.p, self.q):
             raise ValueError(f"{prime} does not divide the carrier order")
-        return frozenset(
-            i for i, x in enumerate(self.elements)
-            if _is_power(self.element_order(x), prime)
-        )
+        p2 = self.p * self.p
+        return frozenset(range(0, self.n, p2) if prime == self.q else range(p2))
 
     @cached_property
     def carrier_lattice(self) -> tuple[frozenset[int], ...]:
@@ -206,18 +215,20 @@ class GroupSpec:
     @cached_property
     def aut_array(self) -> np.ndarray:
         """Every automorphism as an int64 descriptor row, row k for
-        automorphism k, in ascending descriptor order: columns (i, j) for
-        CYCLIC, units mod p^2 and mod q; (m00, m01, m10, m11, alpha) for
-        MIXED, an invertible matrix over F_p and a unit mod q.  Filled in
-        place, each left part repeated over the q - 1 units alpha."""
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            units = np.arange(1, p * p)
-            left = units[units % p != 0][:, None]
-        else:
-            m = np.indices((p, p, p, p)).reshape(4, -1).T  # lexicographic
-            left = m[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % p != 0]
-        D = np.empty((len(left), q - 1, left.shape[1] + 1), dtype=np.int64)
+        automorphism k: the r x r matrix over Z_m row by row, then the unit
+        alpha mod q, so (i, j) for CYCLIC and (m00, m01, m10, m11, alpha) for
+        MIXED.  Rows ascend lexicographically.  Filled in place, each matrix
+        repeated over the q - 1 units alpha."""
+        m, r, q = self._m, self._r, self.q
+        M = np.indices((m,) * (r * r)).reshape(r * r, -1).T  # lexicographic
+        # Invertible mod p: the determinant, by Leibniz's formula, is a unit.
+        det = reduce(add, (
+            (-1) ** sum(a > b for a, b in combinations(s, 2))
+            * reduce(mul, (M[:, i * r + j] for i, j in enumerate(s)))
+            for s in permutations(range(r))
+        ))
+        left = M[det % self.p != 0]
+        D = np.empty((len(left), q - 1, r * r + 1), dtype=np.int64)
         D[:, :, :-1] = left[:, None, :]
         D[:, :, -1] = np.arange(1, q)
         D = D.reshape(-1, D.shape[2])
@@ -233,15 +244,15 @@ class GroupSpec:
 
     def aut_lookup(self, descs: Iterable[AutDesc]) -> np.ndarray:
         """Automorphism index of each descriptor, or -1 where it is not an
-        automorphism.  Entries may be any integers: each is reduced (mod
-        p^2 or p, and mod q) as a Python int before it meets the array."""
-        p, q = self.p, self.q
+        automorphism.  Entries may be any integers: each is reduced (mod m,
+        and mod q) as a Python int before it meets the array."""
+        m, q = self._m, self.q
         if self.kind is Kind.CYCLIC:
-            rows = [(i % (p * p), j % q) for i, j in descs]
+            rows = [(i % m, j % q) for i, j in descs]
         else:
-            rows = [(*(x % p for x in m), alpha % q) for m, alpha in descs]
+            rows = [(*(x % m for x in mat), alpha % q) for mat, alpha in descs]
         cols = np.array(rows, dtype=np.int64).reshape(-1, self.aut_array.shape[1]).T
-        return self._aut_code_index[self._aut_codes(cols)]
+        return self._aut_code_index[self._code(cols)]
 
     def aut_desc(self, f: int) -> AutDesc:
         """The descriptor of automorphism f, as a tuple of Python ints."""
@@ -252,75 +263,60 @@ class GroupSpec:
 
     @cached_property
     def identity_aut(self) -> int:
-        ident = (1, 1) if self.kind is Kind.CYCLIC else ((1, 0, 0, 1), 1)
-        return int(self.aut_lookup([ident])[0])
-
-    def _aut_codes(self, cols):
-        """Dense integer code of a descriptor, from its columns (numpy arrays
-        or Python ints)."""
-        p = self.p
-        if self.kind is Kind.CYCLIC:
-            return cols[0] + p * p * cols[1]
-        return (
-            cols[0] + p * cols[1] + p**2 * cols[2] + p**3 * cols[3] + p**4 * cols[4]
-        )
+        r = self._r
+        ident = [int(k % (r + 1) == 0) for k in range(r * r)] + [1]
+        return int(self._aut_code_index[self._code(ident)])
 
     @cached_property
     def _aut_code_index(self) -> np.ndarray:
         """Descriptor code -> automorphism index; -1 where the code is not an
-        automorphism.  Size p^2 q (CYCLIC) or p^4 q (MIXED)."""
-        p, q = self.p, self.q
-        size = p * p * q if self.kind is Kind.CYCLIC else p**4 * q
-        table = np.full(size, -1, dtype=np.intp)
+        automorphism.  Size m^(r^2) q: p^2 q (CYCLIC) or p^4 q (MIXED)."""
+        r = self._r
+        table = np.full(self._m ** (r * r) * self.q, -1, dtype=np.intp)
         D = self.aut_array
         for i, block in _blocks(D, D.shape[1]):
-            table[self._aut_codes(block.T)] = np.arange(i, i + len(block))
+            table[self._code(block.T)] = np.arange(i, i + len(block))
         return table
+
+    def _mat_mul(self, a, b, cols: int) -> list:
+        """Entries mod m, row by row, of the product of the r x r matrix a and
+        the r x cols matrix b, each given by its entries row by row (numpy
+        arrays, broadcast, or Python ints)."""
+        r = self._r
+        out = []
+        for i in range(r):
+            for j in range(cols):
+                s = a[i * r] * b[j]
+                for k in range(1, r):
+                    s = s + a[i * r + k] * b[k * cols + j]
+                out.append(s % self._m)
+        return out
 
     def _compose_cols(self, a, b):
         """Descriptor columns of f o g from the columns a of f and b of g
         (numpy arrays, broadcast, or Python ints)."""
-        p, q = self.p, self.q
-        if self.kind is Kind.CYCLIC:
-            return (a[0] * b[0] % (p * p), a[1] * b[1] % q)
-        return (
-            (a[0] * b[0] + a[1] * b[2]) % p,
-            (a[0] * b[1] + a[1] * b[3]) % p,
-            (a[2] * b[0] + a[3] * b[2]) % p,
-            (a[2] * b[1] + a[3] * b[3]) % p,
-            a[4] * b[4] % q,
-        )
+        return (*self._mat_mul(a, b, self._r), a[-1] * b[-1] % self.q)
 
     def compose_many(self, F, G) -> np.ndarray:
         """Indices of f o g, elementwise over the broadcast index arrays F, G."""
         D = self.aut_array
         a = np.moveaxis(D[np.asarray(F)], -1, 0)
         b = np.moveaxis(D[np.asarray(G)], -1, 0)
-        return self._aut_code_index[self._aut_codes(self._compose_cols(a, b))]
+        return self._aut_code_index[self._code(self._compose_cols(a, b))]
 
     def apply_rows(self, F) -> np.ndarray:
         """Action of each automorphism in F on element indices: shape
-        (len(F), n), int32, row r the image of every element under F[r],
+        (len(F), n), int32, row k the image of every element under F[k],
         filled block by block."""
-        p, q, n = self.p, self.q, self.n
+        n, q = self.n, self.q
         F = np.asarray(F, dtype=np.intp)
         out = np.empty((len(F), n), dtype=np.int32)
-        idx = np.arange(n)
-        if self.kind is Kind.CYCLIC:
-            nn, mm = idx % (p * p), idx // (p * p)
-        else:
-            aa, bb, cc = idx % p, (idx // p) % p, idx // (p * p)
+        *digits, c = self._digits(np.arange(n))
         for i, block in _blocks(F, n):
-            D = self.aut_array[block]
-            if self.kind is Kind.CYCLIC:
-                rows = D[:, 0:1] * nn % (p * p) + p * p * (D[:, 1:2] * mm % q)
-            else:
-                rows = (
-                    (D[:, 0:1] * aa + D[:, 1:2] * bb) % p
-                    + p * ((D[:, 2:3] * aa + D[:, 3:4] * bb) % p)
-                    + p * p * (D[:, 4:5] * cc % q)
-                )
-            out[i : i + len(block)] = rows
+            a = self.aut_array[block].T[:, :, None]
+            out[i : i + len(block)] = self._code(
+                (*self._mat_mul(a, digits, 1), a[-1] * c % q)
+            )
         return out
 
     def aut_torsion(self, k: int) -> np.ndarray:
@@ -330,8 +326,8 @@ class GroupSpec:
         ident = D[self.identity_aut]
         found = [
             i + np.flatnonzero(
-                self._aut_codes(power(self._compose_cols, ident, block.T, k))
-                == self._aut_codes(ident)
+                self._code(power(self._compose_cols, ident, block.T, k))
+                == self._code(ident)
             )
             for i, block in _blocks(D, D.shape[1])
         ]
@@ -339,21 +335,18 @@ class GroupSpec:
 
     @cached_property
     def aut_generators(self) -> tuple[int, ...]:
-        """A small generating set of Aut(A), as indices (verified by closure)."""
-        p, q = self.p, self.q
-        descs: list[AutDesc] = []
-        if self.kind is Kind.CYCLIC:
-            descs.append((primitive_root(p * p), 1))
-            if q > 2:
-                descs.append((1, primitive_root(q)))
-        else:
-            descs.append(((1, 1, 0, 1), 1))
-            descs.append(((1, 0, 1, 1), 1))
-            if p > 2:
-                descs.append(((primitive_root(p), 0, 0, 1), 1))
-            if q > 2:
-                descs.append(((1, 0, 0, 1), primitive_root(q)))
-        gens = tuple(self.aut_lookup(descs).tolist())
+        """A small generating set of Aut(A), as indices (verified by closure):
+        the transvections I + E_ij, diag(g, 1, ...) for g a primitive root
+        mod m, and a primitive root mod q, each where it is not the identity."""
+        m, r, q = self._m, self._r, self.q
+        changes = [(i * r + j, 1) for i in range(r) for j in range(r) if i != j]
+        if m > 2:
+            changes.append((0, primitive_root(m)))
+        if q > 2:
+            changes.append((r * r, primitive_root(q)))
+        ident = self.aut_array[self.identity_aut]
+        rows = [[v if i == k else e for i, e in enumerate(ident)] for k, v in changes]
+        gens = tuple(self._aut_code_index[self._code(np.array(rows).T)].tolist())
         # Close the generators breadth-first over index arrays: the whole
         # group is visited once, so no per-pair memo is filled.
         reached = np.zeros(self.n_aut, dtype=bool)
@@ -384,7 +377,7 @@ class GroupSpec:
         tables = []
         for g, row in zip(self.aut_generators, rows):
             inv_desc = power(self._compose_cols, one, D[g].tolist(), self.n_aut - 1)
-            g_inv = int(self._aut_code_index[self._aut_codes(inv_desc)])
+            g_inv = int(self._aut_code_index[self._code(inv_desc)])
             perm = np.empty(self.n_aut, dtype=np.intp)
             for i, block in _blocks(np.arange(self.n_aut), D.shape[1]):
                 perm[i : i + len(block)] = self.compose_many(
@@ -640,9 +633,3 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
             gens += (next(t for t in T.tolist() if t not in cyc),)
         classes.append(AutSubgroupClass(spec, k, frozenset(T.tolist()), gens, size))
     return classes
-
-
-def _is_power(n: int, prime: int) -> bool:
-    while n % prime == 0:
-        n //= prime
-    return n == 1

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arith import divisors, dlog, legendre, power, unit_of_order
-from .algebra import GroupSpec, Kind, _distinct, _greedy_generators, _index_key
+from .algebra import GroupSpec, _distinct, _greedy_generators, _index_key
 
 __all__ = [
     "MultClass",
@@ -351,11 +351,10 @@ def lambda_is_additive(B: SkewBrace) -> bool:
     closed under +, and hold 0 exactly when lambda_0 = id, so it is checked
     on the carrier's additive generators only.
     """
-    spec = B.spec
-    if spec.kind is Kind.CYCLIC:
-        gens = [spec.encode((1, 1))]
-    else:
-        gens = [spec.encode((1, 0, 1)), spec.encode((0, 1, 0))]
+    spec, r = B.spec, B.spec._r
+    # The r unit vectors of Z_m^r, the first plus 1 in Z_q, generate A.
+    units = [[int(i == k) for i in range(r)] for k in range(r)]
+    gens = [spec.encode((*e, int(k == 0))) for k, e in enumerate(units)]
     return bool(B.lam[0] == spec.identity_aut) and _lambda_hom_on(B, spec.add_idx, gens)
 
 

@@ -66,9 +66,6 @@ class PrimePair(_Pair):
             )
         return super().__new__(cls, p, q)
 
-    def order(self) -> int:
-        return self.p * self.p * self.q
-
 
 class ParamSet(NamedTuple):
     """Fixed constants for one congruence case.

@@ -44,6 +44,7 @@ from .reference import headline_total, per_family_total
 from .regular import (
     ORACLE_BOUND,
     OracleBoundError,
+    _check_oracle_bound,
     orbit_min_key,
     orbit_partition,
     regular_subgroups_oracle,
@@ -115,25 +116,31 @@ def _classes(args: argparse.Namespace) -> Iterator[tuple]:
 
     The classes come from the structured search unless --method is oracle;
     under --method both, `agree` says whether the oracle found the same
-    classes, and is None otherwise.  The subgroup lists are freed before
-    each yield, so they do not stay alive while the caller works on the
-    classes.
+    classes, and is None otherwise.  When the oracle runs, every carrier is
+    checked against --oracle-bound before any search; the searches run as
+    the carriers are iterated.
     """
-    for kind in _KINDS[args.additive]:
-        spec = group_spec(args.p, args.q, kind)
-        agree = None
-        if args.method == "oracle":
-            subgroups = regular_subgroups_oracle(spec, bound=args.oracle_bound)
-        else:
-            subgroups = regular_subgroups_structured(spec)
-        if args.method == "both":
-            oracle = regular_subgroups_oracle(spec, bound=args.oracle_bound)
-            keys_s = {orbit_min_key(B)[0] for B in subgroups}
-            agree = keys_s == {orbit_min_key(B)[0] for B in oracle}
-            del oracle
-        classes = orbit_partition(subgroups, spec=spec)
-        del subgroups
-        yield spec, classes, agree
+    specs = [group_spec(args.p, args.q, kind) for kind in _KINDS[args.additive]]
+    if args.method != "structured":
+        for spec in specs:
+            _check_oracle_bound(spec, args.oracle_bound)
+    return (_carrier_classes(spec, args) for spec in specs)
+
+
+def _carrier_classes(spec, args: argparse.Namespace) -> tuple:
+    """One carrier's item of `_classes`.  The subgroup lists are freed on
+    return, so they do not stay alive while the caller works on the classes."""
+    agree = None
+    if args.method == "oracle":
+        subgroups = regular_subgroups_oracle(spec, bound=args.oracle_bound)
+    else:
+        subgroups = regular_subgroups_structured(spec)
+    if args.method == "both":
+        oracle = regular_subgroups_oracle(spec, bound=args.oracle_bound)
+        keys_s = {orbit_min_key(B)[0] for B in subgroups}
+        agree = keys_s == {orbit_min_key(B)[0] for B in oracle}
+        del oracle
+    return spec, orbit_partition(subgroups, spec=spec), agree
 
 
 def _format_report_table(report, agree: bool | None) -> list[str]:
@@ -336,10 +343,11 @@ def cmd_ybe(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    found = _classes(args)
     entries = catalog_for_case(args.p, args.q, kinds=_KINDS[args.additive])
     carriers = []
     perfect = True
-    for spec, classes, agree in _classes(args):
+    for spec, classes, agree in found:
         # Each class brace is its orbit's minimal lambda table.
         by_key = {oc.brace.key: i for i, oc in enumerate(classes)}
         claimed: dict[int, str] = {}

@@ -71,6 +71,14 @@ class OracleBoundError(RuntimeError):
     """The holomorph is too large for the naive oracle's stated bound."""
 
 
+def _check_oracle_bound(spec: GroupSpec, bound: int) -> None:
+    """Refuse the naive oracle on a carrier whose |Hol(A)| is over `bound`."""
+    if spec.hol_order > bound:
+        raise OracleBoundError(
+            f"|Hol| = {spec.hol_order} exceeds the oracle bound {bound}"
+        )
+
+
 class OrbitClass(NamedTuple):
     """One Aut(A)-conjugacy class of regular subgroups of Hol(A), represented
     by the brace of its orbit-minimal member."""
@@ -459,10 +467,7 @@ def regular_subgroups_oracle(
     and each member becomes a brace through `brace_from_regular`, which
     checks its regularity; they are returned sorted by lambda table.
     """
-    if spec.hol_order > bound:
-        raise OracleBoundError(
-            f"|Hol| = {spec.hol_order} exceeds the oracle bound {bound}"
-        )
+    _check_oracle_bound(spec, bound)
     n, n_aut = spec.n, spec.n_aut
     # The oracle visits all of Hol(A), so it tabulates all of Aut(A): action
     # rows (|Hol| entries, within the bound) and the compose table

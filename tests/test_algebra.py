@@ -153,7 +153,10 @@ def _scalar_orders(spec):
     return out
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
+# (5, 3) cyclic takes its Aut generator from primitive_root(25), past p = 3.
+@pytest.mark.parametrize(
+    "spec", SMALL_SPECS + [group_spec(5, 3, Kind.CYCLIC)], ids=repr
+)
 def test_automorphisms_are_additive_and_compose(spec):
     """The descriptor array, its lookups, and the vectorized arithmetic
     against the scalar reference (all_descriptors, apply_desc,
@@ -187,7 +190,10 @@ def test_automorphisms_are_additive_and_compose(spec):
         assert spec.aut_torsion(k).tolist() == want
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS, ids=repr)
+# (5, 2) mixed has the generator diag(g, 1) with g = primitive_root(5).
+@pytest.mark.parametrize(
+    "spec", SMALL_SPECS + [group_spec(5, 2, Kind.MIXED)], ids=repr
+)
 def test_conjugation_maps_match_scalar_conjugation(spec):
     descs, index = all_descriptors(spec), descriptor_index(spec)
     assert len(spec.conj_tables) == len(spec.aut_generators)

@@ -254,6 +254,23 @@ def test_oracle_bound_refusal_exit_code(capsys):
     assert "exceeds the oracle bound" in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "compare"])
+def test_oracle_bound_is_checked_before_any_work(capsys, monkeypatch, command):
+    # (5, 13): the cyclic carrier is within the bound, the mixed one is not.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the oracle bound was checked")
+
+    monkeypatch.setattr(cli, "regular_subgroups_structured", refuse)
+    monkeypatch.setattr(cli, "catalog_for_case", refuse)
+    code, out, err = run_cli(
+        capsys, command, "--p", "5", "--q", "13", "--method", "both"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "braceforge: error: |Hol| = 1872000 exceeds the oracle bound 100000\n"
+    )
+
+
 def test_catalog_command(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--p", "3", "--q", "7")
     assert code == 0
