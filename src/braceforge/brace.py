@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arith import divisors, dlog, legendre, power, unit_of_order
-from .algebra import GroupSpec, _distinct, _greedy_generators, _index_key
+from .algebra import GroupSpec, _blocks, _distinct, _greedy_generators, _index_key
 
 __all__ = [
     "MultClass",
@@ -284,23 +284,17 @@ def _lambda_hom_on(B: SkewBrace, product, gens: Sequence[int]) -> bool:
     return bool(np.array_equal(lam[product(every, g)], comp[pos[:, None], pos[g]]))
 
 
-# Cells of one row block of the O(n^2) lambda scan.
-_SCAN_CELLS = 1 << 16
-
-
 def _lambda_hom_witness(B: SkewBrace) -> tuple[int, int] | None:
     """The first (a, b), in row-major order, with lambda_{a o b} !=
     lambda_a o lambda_b, or None when lambda is a homomorphism from (A, o).
 
-    Rows are scanned in blocks of _SCAN_CELLS cells, so no n x n array is
-    made.
+    Rows are scanned in the blocks of `algebra._blocks`, so no n x n array
+    is made.
     """
     lam, pos, comp = _lambda_compositions(B)
-    n = B.spec.n
-    every = np.arange(n)
-    step = max(1, _SCAN_CELLS // n)
-    for a0 in range(0, n, step):
-        a = every[a0 : a0 + step, None]
+    every = np.arange(B.spec.n)
+    for a0, rows in _blocks(every, len(every)):
+        a = rows[:, None]
         bad = lam[B.circle_idx(a, every)] != comp[pos[a], pos]
         if bad.any():
             i, b = map(int, np.argwhere(bad)[0])

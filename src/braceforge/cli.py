@@ -9,7 +9,9 @@ solution at a time.
 Exit codes: 0 = success (including the one documented count discrepancy,
 which is reported as a warning); 1 = a comparison mismatched or a
 verification failed; 2 = bad usage (an unwritable --out path included),
-malformed input, or a refused pair.
+malformed input, or a refused pair: one outside the paper's scope, or,
+when the naive oracle would run, a carrier with |Hol(A)| above its bound
+of 10^6 (regular.ORACLE_BOUND).
 
 Output is byte-deterministic for a fixed configuration.  Every op runs in
 one process; --jobs is accepted for compatibility and changes nothing.
@@ -42,7 +44,6 @@ from .io import (
 )
 from .reference import headline_total, per_family_total
 from .regular import (
-    ORACLE_BOUND,
     OracleBoundError,
     _check_oracle_bound,
     orbit_min_key,
@@ -117,30 +118,29 @@ def _classes(args: argparse.Namespace) -> Iterator[tuple]:
     The classes come from the structured search unless --method is oracle;
     under --method both, `agree` says whether the oracle found the same
     classes, and is None otherwise.  When the oracle runs, every carrier is
-    checked against --oracle-bound before any search; the searches run as
-    the carriers are iterated.
+    checked against the oracle's bound before any search; the searches run
+    as the carriers are iterated.
     """
     specs = [group_spec(args.p, args.q, kind) for kind in _KINDS[args.additive]]
     if args.method != "structured":
         for spec in specs:
-            _check_oracle_bound(spec, args.oracle_bound)
+            _check_oracle_bound(spec)
     return (_carrier_classes(spec, args) for spec in specs)
 
 
 def _carrier_classes(spec, args: argparse.Namespace) -> tuple:
-    """One carrier's item of `_classes`.  The subgroup lists are freed on
-    return, so they do not stay alive while the caller works on the classes."""
+    """One carrier's item of `_classes`.  Each subgroup list is freed once
+    it is partitioned or keyed, so none stays alive while the caller works
+    on the classes.  A class brace is its orbit's minimal lambda table, so
+    the classes' keys are the searched side's orbit keys."""
+    oracle = args.method == "oracle"
+    search = regular_subgroups_oracle if oracle else regular_subgroups_structured
+    classes = orbit_partition(search(spec), spec=spec)
     agree = None
-    if args.method == "oracle":
-        subgroups = regular_subgroups_oracle(spec, bound=args.oracle_bound)
-    else:
-        subgroups = regular_subgroups_structured(spec)
     if args.method == "both":
-        oracle = regular_subgroups_oracle(spec, bound=args.oracle_bound)
-        keys_s = {orbit_min_key(B)[0] for B in subgroups}
-        agree = keys_s == {orbit_min_key(B)[0] for B in oracle}
-        del oracle
-    return spec, orbit_partition(subgroups, spec=spec), agree
+        oracle_keys = {orbit_min_key(B)[0] for B in regular_subgroups_oracle(spec)}
+        agree = {oc.brace.key for oc in classes} == oracle_keys
+    return spec, classes, agree
 
 
 def _format_report_table(report, agree: bool | None) -> list[str]:
@@ -444,12 +444,6 @@ def _add_pair_args(sub: argparse.ArgumentParser, cmd, with_method: bool) -> None
             choices=["structured", "oracle", "both"],
             default="structured",
             help="enumeration strategy; 'both' cross-checks the two",
-        )
-        sub.add_argument(
-            "--oracle-bound",
-            type=_positive_int,
-            default=ORACLE_BOUND,
-            help="refuse the naive oracle above this |Hol(A)|",
         )
     _add_output_args(sub)
     sub.add_argument(

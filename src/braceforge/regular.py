@@ -63,19 +63,21 @@ __all__ = [
 ]
 
 
-# The naive oracle refuses holomorphs larger than this by default.
-ORACLE_BOUND = 100_000
+# The naive oracle refuses holomorphs larger than this.  Each in-scope carrier
+# within it finishes in under a minute and a 1.5 GiB address space
+# (BENCH_29.json).
+ORACLE_BOUND = 1_000_000
 
 
 class OracleBoundError(RuntimeError):
-    """The holomorph is too large for the naive oracle's stated bound."""
+    """The holomorph is too large for the naive oracle's bound."""
 
 
-def _check_oracle_bound(spec: GroupSpec, bound: int) -> None:
-    """Refuse the naive oracle on a carrier whose |Hol(A)| is over `bound`."""
-    if spec.hol_order > bound:
+def _check_oracle_bound(spec: GroupSpec) -> None:
+    """Refuse the naive oracle on a carrier with |Hol(A)| > ORACLE_BOUND."""
+    if spec.hol_order > ORACLE_BOUND:
         raise OracleBoundError(
-            f"|Hol| = {spec.hol_order} exceeds the oracle bound {bound}"
+            f"|Hol| = {spec.hol_order} exceeds the oracle bound {ORACLE_BOUND}"
         )
 
 
@@ -434,9 +436,7 @@ def _oracle_conjugates(aut: tuple, x) -> np.ndarray:
     return rows[psi, a] * n_aut + compose[compose[psi, f], inverse[:, None]]
 
 
-def regular_subgroups_oracle(
-    spec: GroupSpec, bound: int = ORACLE_BOUND
-) -> list[SkewBrace]:
+def regular_subgroups_oracle(spec: GroupSpec) -> list[SkewBrace]:
     """Exhaustive regular-subgroup scan with no structural assumptions.
 
     Joins up to three cyclic subgroups of Hol(A), pruning only by Lagrange
@@ -467,12 +467,12 @@ def regular_subgroups_oracle(
     and each member becomes a brace through `brace_from_regular`, which
     checks its regularity; they are returned sorted by lambda table.
     """
-    _check_oracle_bound(spec, bound)
+    _check_oracle_bound(spec)
     n, n_aut = spec.n, spec.n_aut
     # The oracle visits all of Hol(A), so it tabulates all of Aut(A): action
     # rows (|Hol| entries, within the bound) and the compose table
-    # f * n_aut + g -> f o g (|Aut|^2 entries, under a million at the default
-    # bound), as numpy arrays for the prescan and the conjugations and lists
+    # f * n_aut + g -> f o g (|Aut|^2 entries, up to 16.3 M on (7, 3)
+    # mixed), as numpy arrays for the prescan and the conjugations and lists
     # for the joins.  Nothing else tabulates Aut(A) whole.
     rows_np, compose_np = _whole_aut_tables(spec)
     every = np.arange(n)

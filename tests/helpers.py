@@ -35,6 +35,9 @@ from braceforge.ybe import Solution
 # Every desk-scale pair exercised by the acceptance criteria.
 DESK_PAIRS = [(3, 2), (2, 5), (2, 7), (5, 3), (3, 7), (3, 19), (5, 13), (7, 3)]
 
+# The suite's cost cap on naive-oracle runs, not the CLI's bound
+# (`regular.ORACLE_BOUND`, 10^6): the oracle tests stay on carriers with
+# |Hol(A)| <= 10^5, so the suite's time does not grow with the CLI's reach.
 ORACLE_BOUND = 100_000
 
 
@@ -53,7 +56,7 @@ def orbits(p: int, q: int, kind: str):
 @lru_cache(maxsize=None)
 def oracle_subgroups(p: int, q: int, kind: str):
     spec = group_spec(p, q, kind)
-    return tuple(regular_subgroups_oracle(spec, bound=ORACLE_BOUND))
+    return tuple(regular_subgroups_oracle(spec))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """JSON round-trips, schema rejection, and the command-line surface."""
 
+import argparse
 import gc
 import json
 import os
@@ -12,7 +13,9 @@ import pytest
 
 from braceforge import cli
 from braceforge.algebra import Kind, group_spec
+from braceforge.arith import is_prime
 from braceforge.brace import MultClass
+from braceforge.cases import ORDER_BOUND
 from braceforge.catalog import cyclic_pq_brace, trivial_brace
 from braceforge.io import (
     SchemaError,
@@ -247,28 +250,79 @@ def test_enumerate_rejects_composite_p(capsys):
 def test_oracle_bound_refusal_exit_code(capsys):
     code, _, err = run_cli(
         capsys,
-        "enumerate", "--p", "7", "--q", "3", "--additive", "mixed",
+        "enumerate", "--p", "5", "--q", "13", "--additive", "mixed",
         "--method", "oracle",
     )
     assert code == 2
     assert "exceeds the oracle bound" in err
 
 
-@pytest.mark.parametrize("command", ["enumerate", "compare"])
-def test_oracle_bound_is_checked_before_any_work(capsys, monkeypatch, command):
-    # (5, 13): the cyclic carrier is within the bound, the mixed one is not.
+def _refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the oracle bound was checked")
 
-    monkeypatch.setattr(cli, "regular_subgroups_structured", refuse)
-    monkeypatch.setattr(cli, "catalog_for_case", refuse)
+    for name in ("regular_subgroups_structured", "regular_subgroups_oracle",
+                 "catalog_for_case"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "compare"])
+def test_oracle_bound_is_checked_before_any_work(capsys, monkeypatch, command):
+    # (5, 13): the cyclic carrier is within the bound, the mixed one is not.
+    _refuse_work(monkeypatch)
     code, out, err = run_cli(
         capsys, command, "--p", "5", "--q", "13", "--method", "both"
     )
     assert (code, out) == (2, "")
     assert err == (
-        "braceforge: error: |Hol| = 1872000 exceeds the oracle bound 100000\n"
+        "braceforge: error: |Hol| = 1872000 exceeds the oracle bound 1000000\n"
     )
+
+
+def _over_the_oracle_bound():
+    primes = [k for k in range(2, ORDER_BOUND // 4 + 1) if is_prime(k)]
+    return [
+        spec
+        for p in primes
+        for q in primes
+        if p != q and p * p * q <= ORDER_BOUND
+        for spec in (group_spec(p, q, Kind.CYCLIC), group_spec(p, q, Kind.MIXED))
+        if spec.hol_order > 1_000_000
+    ]
+
+
+@pytest.mark.parametrize("method", ["oracle", "both"])
+@pytest.mark.parametrize("command", ["enumerate", "compare"])
+def test_every_carrier_over_the_oracle_bound_is_refused(
+    capsys, monkeypatch, command, method
+):
+    # The 44 carriers with |Hol| > 10^6, all mixed, are refused with exit 2
+    # before any catalog build or search.
+    carriers = _over_the_oracle_bound()
+    assert len(carriers) == 44
+    assert all(spec.kind is Kind.MIXED for spec in carriers)
+    _refuse_work(monkeypatch)
+    for spec in carriers:
+        code, out, err = run_cli(
+            capsys, command, "--p", str(spec.p), "--q", str(spec.q),
+            "--additive", "mixed", "--method", method,
+        )
+        assert (code, out) == (2, ""), (spec.p, spec.q)
+        assert err == (
+            f"braceforge: error: |Hol| = {spec.hol_order} exceeds the oracle "
+            "bound 1000000\n"
+        )
+
+
+def test_oracle_crosschecks_a_carrier_past_one_hundred_thousand(capsys):
+    # (17, 3) cyclic, |Hol| = 471 648: within the oracle's bound of 10^6
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--p", "17", "--q", "3", "--additive", "cyclic",
+        "--method", "both",
+    )
+    assert code == 0
+    assert "|Hol| 471648" in out
+    assert "structured and oracle enumerations agree" in out
 
 
 def test_catalog_command(capsys):
@@ -479,12 +533,33 @@ def test_jobs_below_one_is_rejected(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["0", "-5"])
-def test_oracle_bound_below_one_is_rejected(capsys, bound):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["enumerate", "--p", "3", "--q", "2", "--oracle-bound", bound])
-    assert exc.value.code == 2
-    assert "--oracle-bound" in capsys.readouterr().err
+# Every option string of each subcommand, in parser order.  A new option,
+# or one brought back, must be added here.
+OPTION_SURFACE = {
+    "enumerate": ["-h", "--p", "--q", "--additive", "--method", "--format",
+                  "--out", "--jobs"],
+    "catalog": ["-h", "--p", "--q", "--additive", "--format", "--out", "--jobs"],
+    "verify": ["-h", "path", "--format", "--out"],
+    "ybe": ["-h", "--p", "--q", "--additive", "--format", "--out", "--jobs"],
+    "compare": ["-h", "--p", "--q", "--additive", "--method", "--format",
+                "--out", "--jobs"],
+}
+
+
+def test_option_surface_is_pinned():
+    ap = cli._parser()
+    [sub] = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.option_strings for a in ap._actions] == [["-h", "--help"], []]
+    surface = {
+        name: [
+            opt
+            for a in parser._actions
+            for opt in (a.option_strings or [a.dest])
+            if opt != "--help"
+        ]
+        for name, parser in sub.choices.items()
+    }
+    assert surface == OPTION_SURFACE
 
 
 def test_output_identical_across_jobs(tmp_path):
