@@ -63,9 +63,9 @@ __all__ = [
 ]
 
 
-# The naive oracle refuses holomorphs larger than this.  Each in-scope carrier
-# within it finishes in under a minute and a 1.5 GiB address space
-# (BENCH_29.json).
+# The naive oracle refuses holomorphs larger than this.  The largest carriers
+# within it, all 96 with |Hol(A)| > 10^5, each finish `enumerate --method
+# both` in under a minute and a 1.5 GiB address space (BENCH_29.json).
 ORACLE_BOUND = 1_000_000
 
 

@@ -13,9 +13,9 @@ peaked at 2.7 GiB, streamed one solution at a time it stays near 150 MiB.
 braces by scanning every triple for associativity and the brace axiom took
 about 185 s, deciding both from lambda being a homomorphism takes about a
 second.  (2, 109) cyclic, |Hol| = 94 176, is the largest carrier with
-|Hol| <= 10^5, the suite's cost cap on oracle runs: joining every pair of cyclic subgroups took 325 s
-there, joining from one cyclic subgroup per Aut(A)-orbit takes a few
-seconds.
+|Hol| <= 10^5, the suite's cost cap on oracle runs: joining every pair of
+cyclic subgroups took 325 s there, joining from one cyclic subgroup per
+Aut(A)-orbit takes a few seconds.
 """
 
 from __future__ import annotations
