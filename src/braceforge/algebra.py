@@ -8,10 +8,10 @@ given small-integer indices.  An element index holds the r digits mod m,
 least significant first, then the digit mod q (stable, used by every
 serialized artifact); addition is digit-wise on it, through two O(n)
 lookup arrays and no n x n table (`GroupSpec.add_idx`).  Aut(A) is held
-once, as `GroupSpec.aut_array`, one int64 descriptor row per automorphism
+once, as `GroupSpec.aut_array`, one int32 descriptor row per automorphism
 (the matrix row by row, acting on columns of digits, then the unit mod q)
-filled in place, with a dense descriptor-code -> index table beside it;
-`aut_lookup` and `aut_desc`, the only crossings between descriptors and
+filled in place, with a dense int32 descriptor-code -> index table beside
+it; `aut_lookup` and `aut_desc`, the only crossings between descriptors and
 indices, keep each kind's descriptor format.  Action and composition are
 computed for the automorphisms a call names, vectorized over index arrays
 (`compose_many`), and passes over all of Aut(A) go in blocks of rows
@@ -214,11 +214,13 @@ class GroupSpec:
 
     @cached_property
     def aut_array(self) -> np.ndarray:
-        """Every automorphism as an int64 descriptor row, row k for
+        """Every automorphism as an int32 descriptor row, row k for
         automorphism k: the r x r matrix over Z_m row by row, then the unit
         alpha mod q, so (i, j) for CYCLIC and (m00, m01, m10, m11, alpha) for
         MIXED.  Rows ascend lexicographically.  Filled in place, each matrix
-        repeated over the q - 1 units alpha."""
+        repeated over the q - 1 units alpha.  int32 holds every entry,
+        descriptor code and automorphism index in scope, and every sum of
+        products that composing two rows forms (`tests/test_int32_width.py`)."""
         m, r, q = self._m, self._r, self.q
         M = np.indices((m,) * (r * r)).reshape(r * r, -1).T  # lexicographic
         # Invertible mod p: the determinant, by Leibniz's formula, is a unit.
@@ -228,7 +230,7 @@ class GroupSpec:
             for s in permutations(range(r))
         ))
         left = M[det % self.p != 0]
-        D = np.empty((len(left), q - 1, r * r + 1), dtype=np.int64)
+        D = np.empty((len(left), q - 1, r * r + 1), dtype=np.int32)
         D[:, :, :-1] = left[:, None, :]
         D[:, :, -1] = np.arange(1, q)
         D = D.reshape(-1, D.shape[2])
@@ -272,7 +274,7 @@ class GroupSpec:
         """Descriptor code -> automorphism index; -1 where the code is not an
         automorphism.  Size m^(r^2) q: p^2 q (CYCLIC) or p^4 q (MIXED)."""
         r = self._r
-        table = np.full(self._m ** (r * r) * self.q, -1, dtype=np.intp)
+        table = np.full(self._m ** (r * r) * self.q, -1, dtype=np.int32)
         D = self.aut_array
         for i, block in _blocks(D, D.shape[1]):
             table[self._code(block.T)] = np.arange(i, i + len(block))
@@ -367,18 +369,20 @@ class GroupSpec:
 
     @cached_property
     def conj_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per Aut generator psi, two int64 arrays: psi on element indices, and
-        f -> psi o f o psi^-1 on automorphism indices, filled block by block.
+        """Per Aut generator psi, two arrays: psi on element indices (intp,
+        n entries: an index array in every conjugation, where int32 would be
+        converted on each call), and f -> psi o f o psi^-1 on automorphism
+        indices (int32, |Aut(A)| entries), filled block by block.
         psi^-1 = psi^(|Aut(A)| - 1) by Lagrange, one descriptor taken to
         that power with Python ints."""
         D = self.aut_array
         one = D[self.identity_aut].tolist()
-        rows = self.apply_rows(self.aut_generators).astype(np.int64)
+        rows = self.apply_rows(self.aut_generators).astype(np.intp)
         tables = []
         for g, row in zip(self.aut_generators, rows):
             inv_desc = power(self._compose_cols, one, D[g].tolist(), self.n_aut - 1)
             g_inv = int(self._aut_code_index[self._code(inv_desc)])
-            perm = np.empty(self.n_aut, dtype=np.intp)
+            perm = np.empty(self.n_aut, dtype=np.int32)
             for i, block in _blocks(np.arange(self.n_aut), D.shape[1]):
                 perm[i : i + len(block)] = self.compose_many(
                     self.compose_many(g, block), g_inv
@@ -494,11 +498,12 @@ def aut_orbits(spec: GroupSpec, keys: Iterable[bytes], act) -> list[tuple[bytes,
     """Partition index arrays, given by their keys (`_index_key`), into
     orbits under conjugation by Aut(A).
 
-    `act(arr, perm_elt, perm_aut)` is the image of an int64 array under one
-    Aut generator psi, given psi on elements and f -> psi f psi^-1 on
-    automorphisms (`spec.conj_tables`).  Each orbit met by `keys` is
-    returned once, as (the key of its smallest member, its size), in key
-    order; the size counts every member, listed in `keys` or not.
+    `act(arr, perm_elt, perm_aut)` is the image of an index array (int64,
+    rebuilt from its key) under one Aut generator psi, given psi on elements
+    and f -> psi f psi^-1 on automorphisms (`spec.conj_tables`).
+    Each orbit met by `keys` is returned once, as (the key of its smallest
+    member, its size), in key order; the size counts every member, listed in
+    `keys` or not.
     """
     tables = spec.conj_tables
     # Orbit members are held as their keys only; an array is rebuilt from
@@ -585,7 +590,7 @@ def _find_subgroup_classes(spec: GroupSpec, k: int) -> list[AutSubgroupClass]:
     # Power table: row r holds pool[r]^1, ..., pool[r]^k, so <f> and the
     # order of f are read off f's row.
     pool = spec.aut_torsion(k)
-    powers = np.empty((len(pool), k), dtype=np.intp)
+    powers = np.empty((len(pool), k), dtype=np.int32)
     powers[:, 0] = pool
     for i in range(1, k):
         powers[:, i] = spec.compose_many(powers[:, i - 1], pool)

