@@ -369,9 +369,9 @@ class GroupSpec:
 
     @cached_property
     def conj_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per Aut generator psi, two arrays: psi on element indices (intp,
-        n entries: an index array in every conjugation, where int32 would be
-        converted on each call), and f -> psi o f o psi^-1 on automorphism
+        """Per Aut generator psi, two arrays: psi on element indices (intp:
+        every conjugation indexes with it, and numpy would convert an int32
+        index on each call), and f -> psi o f o psi^-1 on automorphism
         indices (int32, |Aut(A)| entries), filled block by block.
         psi^-1 = psi^(|Aut(A)| - 1) by Lagrange, one descriptor taken to
         that power with Python ints."""

@@ -99,7 +99,8 @@ def _conjugate_lambda(lam, perm_elt, perm_aut):
     img = np.empty_like(lam)
     # The int32 values are cast before the fancy assignment, which would
     # cast them more slowly.  An int32 image instead raised the peak RSS of
-    # `compare --p 19 --q 2 --additive mixed` by 4 MiB (heap fragmentation).
+    # `compare --p 19 --q 2 --additive mixed` by 4 MiB, with the same live
+    # data (heap layout).
     img[perm_elt] = perm_aut[lam].astype(img.dtype)
     return img
 

@@ -33,8 +33,6 @@ def _widths(spec: GroupSpec) -> dict[str, int]:
         "matrix_sum": r * (m - 1) ** 2,
         # The unit of f o g before its reduction mod q (_compose_cols).
         "unit_product": (q - 1) ** 2,
-        # Element indices, the entries of apply_rows' int32 rows.
-        "n": spec.n,
     }
 
 
@@ -50,7 +48,6 @@ def test_every_aut_table_value_fits_int32():
         "code": (260_642, "19,2,mixed"),
         "matrix_sum": (129_600, "19,2,cyclic"),
         "unit_product": (57_600, "2,241,mixed"),
-        "n": (981, "3,109,mixed"),
     }
     assert all(value <= INT32_MAX for value, _ in top.values())
 
@@ -61,5 +58,5 @@ def test_aut_tables_are_int32():
         assert spec._aut_code_index.dtype == np.int32
         for perm_elt, perm_aut in spec.conj_tables:
             assert perm_aut.dtype == np.int32
-            # An index array in every conjugation: intp, converted never.
+            # Every conjugation indexes with it: intp, so nothing converts it.
             assert perm_elt.dtype == np.intp
